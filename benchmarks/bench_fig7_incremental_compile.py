@@ -6,11 +6,11 @@ roughly equal (~4.5 h), the vendor's incremental mode recovers ~10%,
 Zoomie's VTI lands around 18x (a ~95% reduction).
 
 A second benchmark measures the *host* wall clock of the incremental
-scheduler and compile cache (cold vs warm-cache vs parallel) on a
-database-backed design, and records the numbers to
-``benchmarks/BENCH_vti.json``. The warm-cache path must stay at least
-5x faster than a cold recompile — that ratio is the CI gate for the
-artifact cache.
+compile cache (cold vs warm-cache) and of a two-partition
+``compile_incremental_many`` batch on a database-backed design, and
+records the numbers to ``benchmarks/BENCH_vti.json``. The warm-cache
+path must stay at least 5x faster than a cold recompile — that ratio
+is the CI gate for the artifact cache.
 """
 
 import time
@@ -81,7 +81,7 @@ def test_fig7_compile_series(benchmark, u200, manycore_soc,
 
 
 # --------------------------------------------------------------------------
-# scheduler + artifact cache, host wall clock
+# batch + artifact cache, host wall clock
 # --------------------------------------------------------------------------
 
 def _pipeline_farm(leaves=2, stages=400):
@@ -161,8 +161,8 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
     warm_wall = _best_of(
         lambda: warm_flow.compile_incremental(warm_initial, "c0"))
 
-    # Scheduler design: two partitions sharing the SLR, threaded vs
-    # serial over the same change set.
+    # Batch design: two partitions sharing the SLR, recompiled
+    # together.
     farm = _pipeline_farm(leaves=2, stages=140)
     changes = {"c0": None, "c1": None}
     many_flow = VtiFlow(make_test_device(2), cache=None)
@@ -171,23 +171,19 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
         [PartitionSpec("c0"), PartitionSpec("c1")], debug_slr=0)
     serial_wall = _best_of(
         lambda: many_flow.compile_incremental_many(
-            many_initial, changes, parallel=False), rounds=3)
-    parallel_wall = _best_of(
-        lambda: many_flow.compile_incremental_many(
-            many_initial, changes, parallel=True), rounds=3)
+            many_initial, changes), rounds=3)
     _results, modeled_wall = many_flow.compile_incremental_many(
-        many_initial, changes, parallel=True)
+        many_initial, changes)
 
     speedup = cold_wall / warm_wall
     emit_table(
-        "VTI scheduler + compile cache (host wall clock)",
+        "VTI compile cache + batch (host wall clock)",
         ["path", "host ms", "vs cold"],
         [
             ["cold recompile", f"{cold_wall * 1e3:.2f}", "1.0x"],
             ["warm cache hit", f"{warm_wall * 1e3:.2f}",
              f"{speedup:.1f}x"],
-            ["2-partition serial", f"{serial_wall * 1e3:.2f}", "-"],
-            ["2-partition parallel", f"{parallel_wall * 1e3:.2f}", "-"],
+            ["2-partition batch", f"{serial_wall * 1e3:.2f}", "-"],
         ])
     emit(f"cache: {cache.summary()}")
     emit(f"modeled 2-partition wall: {modeled_wall:.1f}s "
@@ -199,7 +195,6 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
         "warm_ms": round(warm_wall * 1e3, 3),
         "cache_speedup": round(speedup, 2),
         "serial_many_ms": round(serial_wall * 1e3, 3),
-        "parallel_many_ms": round(parallel_wall * 1e3, 3),
         "modeled_many_wall_s": round(modeled_wall, 3),
         "cache": cache.stats.as_dict(),
     })

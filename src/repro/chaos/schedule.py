@@ -5,17 +5,17 @@ JTAG channel; the recovery tests' :class:`~repro.config.transport.CrashPlan`
 kills one host process. This module generalizes both into a single
 composable plan that can hit *every* layer of the stack — disk I/O under
 the journal, snapshot store, and compile caches; fabric lifecycle
-(clock-gate acks, the pause network, power cycles); the transport batch
-path; and the VTI compile scheduler — from one seeded stream, so a
-failing chaos campaign reproduces exactly from its seed.
+(clock-gate acks, the pause network, power cycles); and the transport
+batch path — from one seeded stream, so a failing chaos campaign
+reproduces exactly from its seed.
 
 The mechanism is a global registry of **fault points**: instrumented
 code calls :func:`fault_point("journal.sync")` and receives either
 ``None`` (the overwhelmingly common case — one dict lookup and a
 ``None`` check, so the clean path stays within the <3% overhead gate)
 or a :class:`Fault` describing what to inject. The *effect* of a fault
-is implemented at the call site, where the bytes/frames/futures being
-damaged are in scope; this module only decides deterministically *when*
+is implemented at the call site, where the bytes/frames being damaged
+are in scope; this module only decides deterministically *when*
 a fault fires.
 
 Sites are matched by :mod:`fnmatch` pattern, so one spec can cover a
@@ -57,11 +57,6 @@ SITE_KINDS: dict[str, frozenset] = {
     "transport.batch": frozenset({"device_hang", "power_cycle"}),
     "fabric.gate_ack": frozenset({"gate_ack_drop"}),
     "fabric.pause_write": frozenset({"pause_stuck"}),
-    # scheduler
-    "vti.worker": frozenset({"worker_death", "lost_future"}),
-    # kernel compilation
-    "sim.plan_compile": frozenset({"kernel_compile"}),
-    "sim.capture_kernel": frozenset({"kernel_compile"}),
 }
 
 KINDS = frozenset(kind for kinds in SITE_KINDS.values() for kind in kinds)
@@ -110,6 +105,14 @@ class FaultSpec:
             raise ChaosError(
                 f"spec needs either at= or a rate in (0, 1], got "
                 f"rate={self.rate}", kind="spec")
+        if self.at is not None and self.rate:
+            raise ChaosError(
+                f"spec sets both at={self.at} and rate={self.rate}; "
+                f"choose one", kind="spec")
+        if self.at is not None and self.at < 0:
+            raise ChaosError(
+                f"visit index at={self.at} can never fire; visits count "
+                f"from 0", kind="spec")
         if self.count < 1:
             raise ChaosError("fault count must be >= 1", kind="spec")
 
@@ -218,8 +221,8 @@ class FaultRegistry:
 
     Tracks per-site visit counters and per-spec fire counts, draws
     rate-based fires from one seeded stream, and keeps an audit log of
-    every injection. Thread-safe: the VTI scheduler's workers hit fault
-    points concurrently.
+    every injection. Thread-safe, so instrumented code on any thread
+    may hit a fault point.
     """
 
     def __init__(self, schedule: FaultSchedule):

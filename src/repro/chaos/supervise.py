@@ -1,10 +1,9 @@
 """Supervision: modeled deadlines, bounded retries, asserted fallbacks.
 
-The debugger's watchdog (PR 3) bounds *transport* time per command;
-nothing bounded the rest of the stack — a journal sync, a snapshot
-write, a plan compile, or a VTI partition compile could take arbitrary
-(modeled) time or fail without a policy for what happens next. This
-module is that policy, in three pieces:
+The debugger's watchdog bounds *transport* time per command; nothing
+bounded the rest of the stack — a journal sync or a snapshot write
+could take arbitrary (modeled) time or fail without a policy for what
+happens next. This module is that policy, in three pieces:
 
 - :func:`run_io` wraps one disk operation in a modeled-seconds deadline
   and a bounded retry loop with an optional repair step between
@@ -21,9 +20,9 @@ module is that policy, in three pieces:
   RetryPolicy) and "abandon the fabric" (session recovery).
 
 - :func:`note_degradation` records every graceful-degradation event
-  (fused→closure engine, streaming→hook trace, cache-defect→cold
-  recompile, ...) and *asserts* the fallback is in the documented
-  table — an undocumented degradation is a bug, not a save.
+  (cache-defect→cold recompile, stuck pause→emergency gates, ...) and
+  *asserts* the fallback is in the documented table — an undocumented
+  degradation is a bug, not a save.
 
 Everything here is disabled by default and costs one attribute check
 on clean paths; :func:`get_supervisor` / :meth:`Supervisor.enable`
@@ -67,12 +66,6 @@ def modeled_io_seconds(nbytes: int) -> float:
 #: fallback cannot ship without being documented here (and, per the
 #: campaign invariant, exercised under chaos).
 DOCUMENTED_FALLBACKS: dict[str, str] = {
-    "sim.fused_to_closures":
-        "fused kernel compile failed -> closure engine on the same "
-        "compiled plan (bit-identical semantics, ~25x slower)",
-    "trace.streaming_to_hook":
-        "streaming capture kernel failed -> cycle-exact hook trace "
-        "(same samples at stride=1, ~10x slower)",
     "cache.cold_recompile":
         "cache entry defective -> recompile from source and overwrite",
     "cache.write_skipped":
@@ -81,10 +74,6 @@ DOCUMENTED_FALLBACKS: dict[str, str] = {
     "pause.emergency_gates":
         "pause network unresponsive -> park the clocks via the primary "
         "controller's global gate registers",
-    "vti.worker_restart":
-        "compile worker died / future lost -> recompile the partition "
-        "inline on the scheduler thread (versions are pre-claimed, so "
-        "results stay bit-identical)",
     "journal.tail_repair":
         "torn journal sync -> truncate to the durable prefix and "
         "re-issue the pending records",
@@ -98,8 +87,6 @@ class SuperviseConfig:
     #: Per-op-class modeled-seconds deadlines (None = unbounded).
     journal_sync_deadline: Optional[float] = 0.5
     snapshot_io_deadline: Optional[float] = 2.0
-    plan_compile_deadline: Optional[float] = None
-    vti_partition_deadline: Optional[float] = None
     #: Bounded retries for supervised disk I/O.
     io_retries: int = 3
     #: Bounded retries for pause-network / gate-ack verification.
@@ -233,7 +220,7 @@ class Supervisor:
             self.degradations.clear()
             self.deadline_hits.clear()
 
-    # -- bookkeeping (thread-safe; workers report in) -------------------
+    # -- bookkeeping (thread-safe) ---------------------------------------
 
     def record_retry(self, site: str) -> None:
         self._m_retries.inc()

@@ -503,17 +503,7 @@ class ZoomieDebugger:
                 self._journaled("trace_capture", signals=signals,
                                 cycles=cycles, stride=stride, depth=depth):
             self.fabric.sync_gates()
-            fast = self._capture_fast_path_ok()
-            if fast and fault_point("sim.capture_kernel") is not None:
-                # The fused capture kernel failed to build (injected):
-                # fall back to hook-based per-edge recording. Design
-                # cycles are identical either way; only sampling speed
-                # (and stride, which hooks ignore) degrades.
-                get_supervisor().note_degradation(
-                    "trace.streaming_to_hook", site="sim.capture_kernel",
-                    detail=f"{len(signals)} signals x {cycles} cycles")
-                fast = False
-            if fast:
+            if self._capture_fast_path_ok():
                 trace = StreamingTrace(sim, signals, domain=domain,
                                        depth=depth, stride=stride)
                 trace.run(cycles)

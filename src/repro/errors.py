@@ -307,11 +307,10 @@ class ChaosError(ReproError):
     """An injected chaos fault surfaced to the caller unhandled.
 
     Raised by :mod:`repro.chaos` fault points whose effect is not a
-    more specific typed error (scheduler worker death, lost futures,
-    fabric power cycles). ``kind`` names the injected fault class;
-    ``retryable`` says whether re-running the operation can succeed
-    (a restarted compile worker) or not (a power-cycled fabric whose
-    session state is gone).
+    more specific typed error (fabric power cycles). ``kind`` names the
+    injected fault class; ``retryable`` says whether re-running the
+    operation can succeed (a torn disk write) or not (a power-cycled
+    fabric whose session state is gone).
     """
 
     def __init__(self, message: str, kind: str = "chaos",

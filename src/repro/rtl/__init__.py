@@ -44,7 +44,6 @@ from .mutate import (
 from .plan_store import set_plan_cache_dir
 from .batch import BatchSimulator
 from .simulator import (
-    ENGINE_CLOSURES,
     ENGINE_FUSED,
     ENGINE_INTERPRETED,
     ENGINES,
@@ -68,7 +67,6 @@ from .detectors import (
 )
 
 __all__ = [
-    "ENGINE_CLOSURES",
     "ENGINE_FUSED",
     "ENGINE_INTERPRETED",
     "ENGINES",

@@ -1,21 +1,15 @@
 """Compile netlists to Python code for fast simulation.
 
-Three evaluation tiers share this module (slowest to fastest):
+The simulator's fused engine runs the code generated here: one function
+per *tick* of an active clock-domain set, performing settle →
+register/memory-port sampling → commit in a single pass over local
+variables, plus a ``run(n)`` variant that keeps the whole hot loop
+inside compiled code (signals are loaded from the environment dict once
+before the loop and stored back once after it).
 
-1. **interpreted** — recursive ``Expr.eval`` AST walking (no codegen);
-2. **compiled closures** — each expression becomes one compiled Python
-   expression over the environment dict (:func:`compile_expr`,
-   :func:`compile_assign_block`), the historical "compiled" mode;
-3. **fused kernels** — one generated function per *tick* of an active
-   clock-domain set, performing settle → register/memory-port sampling →
-   commit in a single pass over local variables, plus a ``run(n)``
-   variant that keeps the whole hot loop inside compiled code (signals
-   are loaded from the environment dict once before the loop and stored
-   back once after it).
-
-Semantics of every tier are identical to ``Expr.eval`` and to the
-simulator's interpreted tick (the differential test suite cross-checks
-them register-for-register).
+Kernel semantics are identical to ``Expr.eval`` and to the simulator's
+interpreted tick (the differential test suite cross-checks them
+register-for-register).
 
 Compiled plans are cached in a small module-level registry keyed by a
 structural :meth:`~repro.rtl.netlist.Netlist.fingerprint`, so rebuilding
@@ -33,11 +27,11 @@ stored text. Sources — not code objects — are stored because generated
 text is stable across CPython versions and trivially verifiable, and any
 load defect degrades to a counted miss.
 
-A fourth tier rides on the same plans: bit-parallel *batched* kernels
-(:mod:`repro.rtl.batch`) that advance K independent runs per tick by
-packing one lane per run into each Python integer. Batch plans are
-reached through :meth:`CompiledPlan.batch_plan` so they share both cache
-tiers.
+A second kernel family rides on the same plans: bit-parallel *batched*
+kernels (:mod:`repro.rtl.batch`) that advance K independent runs per
+tick by packing one lane per run into each Python integer. Batch plans
+are reached through :meth:`CompiledPlan.batch_plan` so they share both
+cache tiers.
 """
 
 from __future__ import annotations
@@ -54,16 +48,11 @@ from .plan_store import get_plan_store
 _SIGNED_CMP = {"<s": "<", ">s": ">", "<=s": "<=", ">=s": ">="}
 
 
-def _sig(name: str) -> str:
-    return f"e[{name!r}]"
-
-
-def _to_py(expr: Expr, sym: Callable[[str], str] = _sig) -> str:
+def _to_py(expr: Expr, sym: Callable[[str], str]) -> str:
     """Translate ``expr`` to a Python expression string.
 
-    ``sym`` maps a signal name to the Python expression that reads it —
-    an environment-dict subscript for the closure tier, a local variable
-    for fused kernels.
+    ``sym`` maps a signal name to the Python expression that reads it
+    (a kernel-local variable in generated kernels).
     """
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -149,29 +138,6 @@ def _to_py(expr: Expr, sym: Callable[[str], str] = _sig) -> str:
                 out = f"(({out}) << {width} | {piece})"
         return out or "0"
     raise AssertionError(f"unhandled expression node {type(expr).__name__}")
-
-
-def compile_expr(expr: Expr) -> Callable[[dict[str, int]], int]:
-    """Compile one expression into ``fn(env) -> int``."""
-    code = compile(_to_py(expr), "<rtl-expr>", "eval")
-    return lambda e: eval(code, {"min": min}, {"e": e})  # noqa: S307
-
-
-def compile_assign_block(assigns: list[tuple[str, Expr]]) -> Callable[[dict[str, int]], None]:
-    """Compile an ordered assign list into one settle function.
-
-    Generating a single function body avoids per-assign call overhead; the
-    block executes assignments in the provided (topological) order.
-    """
-    lines = ["def _settle(e):"]
-    if not assigns:
-        lines.append("    pass")
-    for name, expr in assigns:
-        lines.append(f"    e[{name!r}] = {_to_py(expr)}")
-    source = "\n".join(lines)
-    namespace: dict = {"min": min}
-    exec(compile(source, "<rtl-settle>", "exec"), namespace)  # noqa: S102
-    return namespace["_settle"]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +408,7 @@ class CompiledPlan:
     simulators of that structure.
 
     Eagerly built: the fused settle kernel (used by every ``peek``).
-    Lazily built: the closure tier (needed only when hooks force the
-    general tick path, or when a simulator explicitly runs the
-    ``closures`` engine), the per-domain-set tick/run kernels, and the
+    Lazily built: the per-domain-set tick/run/capture kernels and the
     per-lane-count batch plans.
 
     ``sources`` seeds the kernel-source table from the disk tier: a
@@ -487,8 +451,8 @@ class CompiledPlan:
         for name, reg in self.regs.items():
             self.regs_by_domain.setdefault(reg.clock, []).append(name)
         #: domain -> ordered ("w"/"r", _MemSnap, port snapshot) tuples;
-        #: the order matches the closure tier's plans exactly, so commit
-        #: ordering is identical across evaluation tiers.
+        #: the order matches the interpreted tick's plans exactly, so
+        #: commit ordering is identical across engines.
         self.port_plans: dict[str, list] = {}
         for memory in self.memories:
             for wport in memory.write_ports:
@@ -498,18 +462,13 @@ class CompiledPlan:
                 if rport.sync:
                     self.port_plans.setdefault(rport.clock, []).append(
                         ("r", memory, rport))
-        self.reg_meta: dict[str, tuple[int, int]] = {
-            name: (reg.width, reg.reset_value)
-            for name, reg in self.regs.items()}
 
         #: Fused settle kernel ``settle(env, mems)`` with async memory
-        #: read ports compiled in (the interpreted/closure tiers walk
-        #: them with ``Expr.eval`` instead).
+        #: read ports compiled in (the interpreted engine walks them
+        #: with ``Expr.eval`` instead).
         self.settle: Callable = self.kernel_from_source(
             "settle", "_settle", self._settle_source)
 
-        self._settle_block: Optional[Callable] = None
-        self._closures = None
         self._tick_kernels: dict[tuple[str, ...], Callable] = {}
         self._run_kernels: dict[tuple[str, ...], Callable] = {}
         self._capture_kernels: dict[str, Callable] = {}
@@ -547,42 +506,6 @@ class CompiledPlan:
         body: list[str] = []
         kb.emit_settle(body, "    ")
         return _kernel_source("_settle", kb, "e, mems", body, loop=False)
-
-    # -- closure tier (lazy) ----------------------------------------------
-
-    def settle_block(self) -> Callable:
-        """The historical one-function-per-assign-block settle ``(env)``
-        (no async reads); the ``closures`` engine baseline."""
-        if self._settle_block is None:
-            self._settle_block = compile_assign_block(self.assigns)
-        return self._settle_block
-
-    def closures(self):
-        """Per-expression closures: (reg_next, reg_enable, reg_reset,
-        mem_plans) in the exact format the general tick consumes."""
-        if self._closures is None:
-            reg_next = {name: compile_expr(reg.next)
-                        for name, reg in self.regs.items() if reg.next}
-            reg_enable = {name: compile_expr(reg.enable)
-                          for name, reg in self.regs.items() if reg.enable}
-            reg_reset = {name: compile_expr(reg.reset)
-                         for name, reg in self.regs.items() if reg.reset}
-            mem_plans: dict[str, list] = {}
-            for memory in self.memories:
-                for wport in memory.write_ports:
-                    mem_plans.setdefault(wport.clock, []).append((
-                        "w", memory.name, compile_expr(wport.addr),
-                        compile_expr(wport.data), compile_expr(wport.enable),
-                        memory.depth, memory.width))
-                for rport in memory.read_ports:
-                    if rport.sync:
-                        enable = (compile_expr(rport.enable)
-                                  if rport.enable else None)
-                        mem_plans.setdefault(rport.clock, []).append((
-                            "r", memory.name, compile_expr(rport.addr),
-                            rport.name, enable, memory.depth, memory.width))
-            self._closures = (reg_next, reg_enable, reg_reset, mem_plans)
-        return self._closures
 
     # -- fused kernels (lazy, per active domain set) -----------------------
 

@@ -17,21 +17,20 @@ Semantics per clock edge of a ticking domain set:
 Simultaneously-edged domains commit together so cross-domain register
 transfers behave like real synchronized flops.
 
-Three evaluation engines implement these semantics (see
+Two evaluation engines implement these semantics (see
 ``docs/architecture.md``, "The execution engine"):
 
-- ``interp`` — recursive ``Expr.eval`` AST walking;
-- ``closures`` — one compiled Python expression per RTL expression
-  (the historical "compiled" mode, kept as the benchmark baseline);
 - ``fused`` (the default) — one generated kernel per active clock-domain
   set that performs the whole tick over local variables, plus a
-  ``run(n)`` kernel whose cycle loop stays inside compiled code.
+  ``run(n)`` kernel whose cycle loop stays inside compiled code;
+- ``interp`` — recursive ``Expr.eval`` AST walking, the reference
+  semantics the differential suites check the fused engine against.
 
-The fused engine transparently falls back to the general tick whenever
+The fused engine leaves its run kernel for per-edge ticks whenever
 exact observability is required: pre-edge hooks run between settle and
-sampling, edge hooks fire after every commit, and gating is re-checked
-at each edge, so hooks, gating, and single-stepping keep identical
-semantics across engines (the differential suite pins this).
+the tick kernel, edge hooks fire after every commit, and gating is
+re-checked at each edge, so hooks, gating, and single-stepping keep
+identical semantics across engines (the differential suite pins this).
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .._bits import truncate
-from ..chaos.schedule import fault_point
-from ..chaos.supervise import note_degradation
 from ..errors import SimulationError, UnknownSignalError
 from ..obs import get_flight_recorder, get_registry, get_tracer
 from ._codegen import compiled_plan_for
@@ -56,9 +53,8 @@ DEFAULT_PERIOD_PS = 1000
 
 #: Evaluation engine names (slowest to fastest).
 ENGINE_INTERPRETED = "interp"
-ENGINE_CLOSURES = "closures"
 ENGINE_FUSED = "fused"
-ENGINES = (ENGINE_INTERPRETED, ENGINE_CLOSURES, ENGINE_FUSED)
+ENGINES = (ENGINE_INTERPRETED, ENGINE_FUSED)
 
 
 @dataclass
@@ -90,27 +86,20 @@ class Simulator:
     clocks:
         Optional map of domain name to period in picoseconds. Domains used
         by the design but not listed get :data:`DEFAULT_PERIOD_PS`.
-    compiled:
-        Use generated-code evaluation (fast) instead of AST walking.
-        Shorthand for ``engine="fused"`` / ``engine="interp"``.
     engine:
-        Explicit evaluation engine: ``"fused"``, ``"closures"``, or
-        ``"interp"``. Overrides ``compiled`` when given.
+        Evaluation engine: ``"fused"`` (generated kernels) or
+        ``"interp"`` (AST walking, the reference semantics).
     """
 
     def __init__(self, netlist: Netlist,
                  clocks: Optional[dict[str, int]] = None,
-                 compiled: bool = True,
-                 engine: Optional[str] = None):
-        if engine is None:
-            engine = ENGINE_FUSED if compiled else ENGINE_INTERPRETED
+                 engine: str = ENGINE_FUSED):
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown simulation engine {engine!r}; choose from "
                 f"{ENGINES}")
         self.netlist = netlist
         self.engine = engine
-        self._compiled = engine != ENGINE_INTERPRETED
         clocks = dict(clocks or {})
         self.domains: dict[str, ClockDomain] = {}
         for domain in sorted(netlist.clock_domains() | set(clocks)):
@@ -133,35 +122,9 @@ class Simulator:
             self.env[name] = truncate(reg.init, reg.width)
 
         # Pre-compile (or look up) the evaluation plan.
-        if self._compiled:
-            plan = compiled_plan_for(netlist)
-            if (engine == ENGINE_FUSED
-                    and fault_point("sim.plan_compile") is not None):
-                # The fused-kernel compile failed (injected): degrade to
-                # the closure engine, which evaluates the same plan
-                # through per-register closures — bit-identical results,
-                # just slower. The paper's "never lose the session to a
-                # tooling fault" stance applied to our own codegen.
-                note_degradation(
-                    "sim.fused_to_closures", site="sim.plan_compile",
-                    detail=netlist.fingerprint()[:12])
-                engine = ENGINE_CLOSURES
-                self.engine = engine
-            self._plan = plan
-            self._regs_by_domain = plan.regs_by_domain
-            self._reg_meta = plan.reg_meta
-            if engine == ENGINE_CLOSURES:
-                self._settle_fn = plan.settle_block()
-                (self._reg_next, self._reg_enable,
-                 self._reg_reset, self._mem_plans) = plan.closures()
-            else:
-                self._settle_fn = plan.settle
-                # Closure tier materialized lazily, only if a hook ever
-                # forces the general tick (see _ensure_closures).
-                self._reg_next = None
-                self._reg_enable = None
-                self._reg_reset = None
-                self._mem_plans = None
+        if engine == ENGINE_FUSED:
+            self._plan = compiled_plan_for(netlist)
+            self._settle_fn = self._plan.settle
         else:
             self._plan = None
             order = netlist.comb_order()
@@ -181,7 +144,7 @@ class Simulator:
             self._reg_reset = {
                 name: reg.reset.eval
                 for name, reg in netlist.registers.items() if reg.reset}
-            self._mem_plans = self._build_mem_plans(lambda e: e.eval)
+            self._mem_plans = self._build_mem_plans()
             self._reg_meta = {
                 name: (reg.width, reg.reset_value)
                 for name, reg in netlist.registers.items()}
@@ -206,29 +169,22 @@ class Simulator:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _build_mem_plans(self, compiler):
+    def _build_mem_plans(self):
         """Per-domain memory port evaluation plans (interpreted tier)."""
         plans: dict[str, list] = {}
         for mem_name, memory in self.netlist.memories.items():
             for wport in memory.write_ports:
                 plans.setdefault(wport.clock, []).append((
-                    "w", mem_name, compiler(wport.addr),
-                    compiler(wport.data), compiler(wport.enable),
+                    "w", mem_name, wport.addr.eval,
+                    wport.data.eval, wport.enable.eval,
                     memory.depth, memory.width))
             for rport in memory.read_ports:
                 if rport.sync:
-                    enable = compiler(rport.enable) if rport.enable else None
+                    enable = rport.enable.eval if rport.enable else None
                     plans.setdefault(rport.clock, []).append((
-                        "r", mem_name, compiler(rport.addr),
+                        "r", mem_name, rport.addr.eval,
                         rport.name, enable, memory.depth, memory.width))
         return plans
-
-    def _ensure_closures(self) -> None:
-        """Materialize the closure tier for the fused engine's fallback
-        tick (pre-edge hooks need settle/sample to be separable)."""
-        if self._reg_next is None:
-            (self._reg_next, self._reg_enable,
-             self._reg_reset, self._mem_plans) = self._plan.closures()
 
     # ------------------------------------------------------------------
     # combinational settling and async reads
@@ -443,7 +399,7 @@ class Simulator:
         Whenever the plain fused run loop would be eligible, the whole
         run — including sampling — happens inside one generated capture
         kernel, so observing the design does not forfeit the hot path.
-        Otherwise (hooks, gating, interp/closure engines, skewed clock
+        Otherwise (hooks, gating, the interp engine, skewed clock
         schedules) each event settles and samples in Python with the
         exact same pre-edge ordering the kernel uses.
         """
@@ -543,7 +499,13 @@ class Simulator:
         if not active:
             return
         ticked = frozenset(active)
-        if (self.engine == ENGINE_FUSED and not self.pre_edge_hooks):
+        if self.engine == ENGINE_FUSED:
+            if self.pre_edge_hooks:
+                # Hooks see the settled pre-edge values; the tick kernel
+                # re-settles, so an input a hook poked is still sampled.
+                self._settle()
+                for hook in self.pre_edge_hooks:
+                    hook(self, ticked)
             # Whole tick in one fused kernel; post-commit hooks still
             # fire per edge, so observers see every committed cycle.
             self._plan.tick_kernel(tuple(active))(self.env, self.memories)
@@ -551,8 +513,6 @@ class Simulator:
             for hook in self.edge_hooks:
                 hook(self, ticked)
             return
-        if self.engine == ENGINE_FUSED:
-            self._ensure_closures()
         self._settle()
         if self.pre_edge_hooks:
             for hook in self.pre_edge_hooks:

@@ -9,7 +9,7 @@ spec, region, old module netlist, new module netlist) — so it is keyed
 by a SHA-256 fingerprint over exactly those inputs and memoized here.
 
 What is *never* cached: modeled stage seconds (their jitter is keyed by
-the compile's version so serial, parallel, and cached flows stay
+the compile's version so single, batched, and cached compiles stay
 bit-identical — they are recomputed arithmetically each call) and every
 version-dependent artifact (the ``{base}.v{version}`` database name, the
 frame words synthesized from it, and the partial bitstream).
@@ -271,9 +271,10 @@ class CacheStats:
 class CompileCache:
     """LRU, content-addressed store of :class:`CacheEntry` objects.
 
-    Thread-safe: the scheduler's worker threads probe and fill it
-    concurrently. With ``root`` set, entries also persist on disk and
-    survive the process — a cold process warm-starts from the store.
+    Thread-safe: the process-wide default cache is shared by every
+    flow, whichever thread runs it. With ``root`` set, entries also
+    persist on disk and survive the process — a cold process
+    warm-starts from the store.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,

@@ -16,19 +16,15 @@ minutes instead of hours (paper Figure 7: ~18x).
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Optional
 
-from ..chaos.schedule import fault_point
-from ..chaos.supervise import get_supervisor, note_degradation
 from ..config.database import DesignDatabase, synthesize_frame_words
 from ..config.logic_loc import LogicLocationFile
 from ..config.program import build_partial_bitstream
-from ..errors import ChaosError, PartitionError
+from ..errors import PartitionError
 from ..fpga.device import Device
 from ..obs import get_flight_recorder, get_registry, get_tracer
 
@@ -67,9 +63,10 @@ class VtiCompileResult:
     top: Module
     version: int = 0
     #: Incremental versions claimed against this baseline so far; the
-    #: flow advances it under a lock so chained and concurrent
-    #: recompiles each get a distinct, monotonic version (and database
-    #: name) instead of all colliding on ``version + 1``.
+    #: flow advances it under a lock so chained recompiles, and flows
+    #: sharing one baseline across threads, each get a distinct,
+    #: monotonic version (and database name) instead of all colliding
+    #: on ``version + 1``.
     issued_increments: int = 0
 
     @property
@@ -231,9 +228,9 @@ class VtiFlow:
                              span) -> None:
         """Spans and metrics for one finished incremental compile.
 
-        Kept apart from the compile itself because the scheduler's
-        worker threads must not touch the (single-threaded) tracer —
-        parallel compiles publish here post-merge, on the main thread.
+        Kept apart from the compile itself so
+        :meth:`compile_incremental_many` can publish each partition
+        under its own child span.
         """
         self._publish_stages("vti.incremental", result.seconds, span)
         if span is not None:
@@ -259,7 +256,7 @@ class VtiFlow:
         if version is None:
             version = self._claim_version(initial)
         # The jitter on modeled stage seconds is keyed by the compile's
-        # version, never by execution order — so serial, parallel, and
+        # version, never by execution order — so single, batched, and
         # cache-hit recompiles of the same change stay bit-identical.
         run = version
         partition = initial.split.partition(partition_path)
@@ -373,26 +370,22 @@ class VtiFlow:
 
     def compile_incremental_many(
             self, initial: VtiCompileResult,
-            changes: dict[str, Optional[Module]],
-            parallel: bool = True,
-            max_workers: Optional[int] = None
+            changes: dict[str, Optional[Module]]
             ) -> tuple[list[VtiIncrementalResult], float]:
         """Recompile several partitions at once.
 
         "Subsequent compilations are done in parallel within each
         partition, and the linking happens in the end for all
-        partitions together" (Section 3.5): wall-clock time is the
-        slowest partition's synth+place+route+bitgen plus **one** link
-        of the static checkpoint.
+        partitions together" (Section 3.5): the modeled wall-clock time
+        is the slowest partition's synth+place+route+bitgen plus **one**
+        link of the static checkpoint.
 
-        With ``parallel=True`` the partition compiles really do run
-        concurrently (a :class:`ThreadPoolExecutor`), then merge
-        deterministically: results come back sorted by partition path,
-        versions are pre-claimed in that same order, and the modeled
-        seconds are bit-identical to the serial flow — only host
-        wall-clock changes. If any partition fails, the error of the
-        earliest failing path (in sorted order) is raised, matching
-        what the serial loop would surface.
+        The host compiles the partitions one after another in sorted
+        path order. Every version is claimed up front in that order, so
+        versions, and the modeled seconds whose jitter is keyed by
+        version, never depend on how far the batch got. A failing
+        partition raises at once, so the earliest failing path in sorted
+        order is the one that surfaces.
 
         Returns the per-partition results (sorted by partition path)
         and the combined modeled wall-clock seconds.
@@ -402,95 +395,18 @@ class VtiFlow:
         paths = sorted(changes)
         versions = {path: self._claim_version(initial)
                     for path in paths}
-        registry = get_registry()
-        queue_depth = registry.gauge("vti.scheduler.queue_depth")
-        wall_histogram = registry.histogram(
+        wall_histogram = get_registry().histogram(
             "vti.partition_compile_wall_seconds",
             scale=1e-6, base=4.0, buckets=16)
 
-        def compile_one(path: str
-                        ) -> tuple[VtiIncrementalResult, float]:
-            fault = fault_point("vti.worker")
-            if fault is not None:
-                # A scheduler fault: the worker dies (or its future is
-                # lost) before producing a result. The partition's
-                # version is already claimed, so an inline restart by
-                # the supervisor compiles to the identical artifact.
-                raise ChaosError(
-                    f"vti worker for {path!r} failed: {fault.kind} "
-                    f"(injected)", kind=fault.kind, retryable=True)
-            start = time.perf_counter()
-            result = self._compile_incremental(
-                initial, path, changes[path], version=versions[path])
-            return result, time.perf_counter() - start
-
-        def collect(path: str, run):
-            """Run (or fetch) one partition's compile, restarting a
-            dead worker inline under supervision — deterministic
-            because the version was pre-claimed before any fan-out."""
-            sup = get_supervisor()
-            failures = 0
-            while True:
-                try:
-                    return run()
-                except ChaosError as error:
-                    failures += 1
-                    if (not sup.enabled or not error.retryable
-                            or failures > sup.config.io_retries):
-                        raise
-                    sup.record_retry("vti.worker")
-                    note_degradation(
-                        "vti.worker_restart", site="vti.worker",
-                        detail=f"{path}: {error.kind}")
-                    run = lambda: compile_one(path)
-
         with _TRACER.span("vti.incremental_many",
-                          partitions=len(paths),
-                          parallel=parallel) as span:
-            outcomes: dict[str, tuple[VtiIncrementalResult, float]] = {}
-            if parallel and len(paths) > 1:
-                workers = max_workers or min(
-                    len(paths), max(2, os.cpu_count() or 2))
-                queue_depth.set(len(paths))
-                # Workers run the pure compile only; spans and metrics
-                # are published post-merge (the tracer is
-                # single-threaded by design).
-                with ThreadPoolExecutor(
-                        max_workers=workers,
-                        thread_name_prefix="vti-compile") as pool:
-                    futures = {path: pool.submit(compile_one, path)
-                               for path in paths}
-                    pending = len(paths)
-                    for _ in as_completed(futures.values()):
-                        pending -= 1
-                        queue_depth.set(pending)
-                    for path in paths:
-                        # .result() re-raises the earliest failing
-                        # path's error in sorted order — the same one
-                        # the serial loop would surface. A dead worker
-                        # is restarted inline by ``collect``.
-                        outcomes[path] = collect(
-                            path, futures[path].result)
-            else:
-                queue_depth.set(len(paths))
-                for index, path in enumerate(paths):
-                    outcomes[path] = collect(
-                        path, lambda p=path: compile_one(p))
-                    queue_depth.set(len(paths) - index - 1)
-
+                          partitions=len(paths)) as span:
             results = []
-            sup = get_supervisor()
-            deadline = (sup.config.vti_partition_deadline
-                        if sup.enabled else None)
             for path in paths:
-                result, host_seconds = outcomes[path]
-                if deadline is not None:
-                    spent = (result.total_seconds
-                             - result.seconds["link"])
-                    if spent > deadline:
-                        raise sup.deadline_hit(
-                            "vti.worker", spent, deadline)
-                wall_histogram.observe(host_seconds)
+                start = time.perf_counter()
+                result = self._compile_incremental(
+                    initial, path, changes[path], version=versions[path])
+                wall_histogram.observe(time.perf_counter() - start)
                 with _TRACER.span("vti.incremental",
                                   partition=path) as child:
                     self._publish_incremental(result, child)

@@ -3,8 +3,8 @@
 Covers the chaos subsystem end to end: seeded schedules and their
 firing semantics, the circuit breaker, supervised disk I/O
 (:func:`run_io`), every instrumented layer's fault + fallback behavior
-(journal, snapshot store, simulator engines, trace capture, VTI
-scheduler, pause network, transport), and a miniature campaign run with
+(journal, snapshot store, pause network, transport), trace capture's
+hook path against its streaming path, and a miniature campaign run with
 all differential invariants enabled.
 """
 
@@ -46,7 +46,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.fpga import make_test_device
-from repro.rtl import Simulator, elaborate
+from repro.rtl import StreamingTrace, Trace, elaborate
 from repro.vendor import VivadoFlow
 
 
@@ -144,8 +144,17 @@ class TestFaultSchedule:
         with pytest.raises(ChaosError, match="implements fault kind"):
             # planstore.load only implements bit_rot
             FaultSpec(site="planstore.load", kind="enospc", at=0)
+        with pytest.raises(ChaosError, match="matches no known site"):
+            FaultSpec(site="vti.worker", kind="torn_write", at=0)
         with pytest.raises(ChaosError, match="at= or a rate"):
             FaultSpec(site="journal.sync", kind="torn_write")
+        with pytest.raises(ChaosError, match="never fire") as info:
+            FaultSpec(site="journal.sync", kind="torn_write", at=-1)
+        assert info.value.kind == "spec"
+        with pytest.raises(ChaosError, match="both at=0 and rate") as info:
+            FaultSpec(site="journal.sync", kind="torn_write", at=0,
+                      rate=0.5)
+        assert info.value.kind == "spec"
         with pytest.raises(ChaosError, match="count"):
             FaultSpec(site="journal.sync", kind="torn_write", at=0,
                       count=0)
@@ -389,109 +398,34 @@ class TestSnapshotStoreChaos:
 
 
 # --------------------------------------------------------------------------
-# engine fallbacks
+# trace capture: hook path vs streaming path
 # --------------------------------------------------------------------------
 
 
 class TestEngineFallbacks:
-    def test_fused_to_closures_is_bit_identical(self, supervised):
-        netlist = elaborate(make_pipeline(depth=4, width=16))
-        registry = arm(FaultSpec(site="sim.plan_compile",
-                                 kind="kernel_compile", at=0))
-        with install_chaos(registry):
-            degraded = Simulator(netlist, engine="fused")
-        assert degraded.engine == "closures"
-        assert any(d.fallback == "sim.fused_to_closures"
-                   for d in supervised.degradations)
-
-        clean = Simulator(elaborate(make_pipeline(depth=4, width=16)),
-                          engine="fused")
-        for sim in (degraded, clean):
-            sim.poke("in_valid", 1)
-            sim.poke("in_data", 0xAB)
-            sim.poke("out_ready", 1)
-            sim.step(50)
-        assert degraded.env == clean.env
-
     def test_streaming_to_hook_capture_same_samples(
-            self, compiled_pipeline, supervised):
-        def capture(with_fault):
+            self, compiled_pipeline):
+        """trace_capture's hook path, taken whenever breakpoint
+        machinery is live, records what the streaming kernel records."""
+        def capture(armed):
             fabric, debugger = fresh_session(compiled_pipeline)
             debugger.record_input("in_valid", 1)
             debugger.record_input("in_data", 0x11)
             debugger.record_input("out_ready", 1)
-            if with_fault:
-                registry = arm(FaultSpec(site="sim.capture_kernel",
-                                         kind="kernel_compile", at=0))
-                with install_chaos(registry):
-                    trace = debugger.trace_capture(["v3"], cycles=30)
-            else:
-                trace = debugger.trace_capture(["v3"], cycles=30)
+            if armed:
+                # The pipeline has no assertions, so arming them sends
+                # the capture down the hook path and never pauses.
+                debugger.break_on_assertions(True)
+            trace = debugger.trace_capture(["v3"], cycles=30)
             return trace, debugger.cycles()
 
-    # stride=1: the hook fallback records the identical sample set
-        faulted, faulted_cycles = capture(True)
-        clean, clean_cycles = capture(False)
-        assert faulted_cycles == clean_cycles
-        assert faulted.cycles_recorded() == clean.cycles_recorded()
-        assert faulted.series("v3") == clean.series("v3")
-        assert any(d.fallback == "trace.streaming_to_hook"
-                   for d in supervised.degradations)
-
-
-# --------------------------------------------------------------------------
-# VTI scheduler faults
-# --------------------------------------------------------------------------
-
-
-class TestVtiWorkerChaos:
-    @pytest.fixture(scope="class")
-    def vti_factory(self):
-        from repro.designs import make_manycore_soc
-        from repro.fpga import make_u200
-        from repro.vti import PartitionSpec, VtiFlow
-
-        def build():
-            soc = make_manycore_soc(5400)
-            vti = VtiFlow(make_u200(), cache=None)
-            initial = vti.compile_initial(
-                soc, {"clk": 50.0},
-                [PartitionSpec(f"tile{i}.core0") for i in range(2)])
-            return vti, initial
-
-        return build
-
-    def test_worker_death_restarts_bit_identically(self, vti_factory,
-                                                   supervised):
-        changes = {f"tile{i}.core0": None for i in range(2)}
-        clean_vti, clean_initial = vti_factory()
-        clean, clean_wall = clean_vti.compile_incremental_many(
-            clean_initial, dict(changes))
-        faulted_vti, faulted_initial = vti_factory()
-        registry = arm(FaultSpec(site="vti.worker", kind="worker_death",
-                                 at=0))
-        with install_chaos(registry):
-            faulted, faulted_wall = faulted_vti.compile_incremental_many(
-                faulted_initial, dict(changes))
-        assert registry.faults_fired == 1
-        assert any(d.fallback == "vti.worker_restart"
-                   for d in supervised.degradations)
-        assert faulted_wall == clean_wall
-        for a, b in zip(clean, faulted):
-            assert a.partition_path == b.partition_path
-            assert a.total_seconds == b.total_seconds
-            assert a.new_top.name == b.new_top.name
-
-    def test_unsupervised_worker_death_surfaces(self, vti_factory):
-        vti, initial = vti_factory()
-        registry = arm(FaultSpec(site="vti.worker", kind="lost_future",
-                                 rate=1.0, count=100))
-        with install_chaos(registry):
-            with pytest.raises(ChaosError) as info:
-                vti.compile_incremental_many(
-                    initial, {"tile0.core0": None})
-        assert info.value.kind == "lost_future"
-        assert info.value.retryable
+        hooked, hooked_cycles = capture(True)
+        streamed, streamed_cycles = capture(False)
+        assert isinstance(hooked, Trace)
+        assert isinstance(streamed, StreamingTrace)
+        assert hooked_cycles == streamed_cycles
+        assert hooked.cycles_recorded() == streamed.cycles_recorded()
+        assert hooked.series("v3") == streamed.series("v3")
 
 
 # --------------------------------------------------------------------------

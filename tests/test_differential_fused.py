@@ -1,9 +1,8 @@
 """Differential testing of the simulator's evaluation engines.
 
 Randomized small netlists (seeded, reproducible) are executed in
-lockstep on two engines at a time — fused kernels vs the AST-walking
-interpreter (the reference), and compiled closures vs the interpreter —
-with identical stimulus: pokes, force(), clock-gating toggles, global
+lockstep on both engines — fused kernels vs the AST-walking interpreter
+(the reference) — with identical stimulus: pokes, force(), clock-gating toggles, global
 and per-domain stepping, and snapshot/restore mid-run. After every
 action, *all* signals, every memory word, simulated time, and per-domain
 clock bookkeeping must match bit-for-bit.
@@ -205,14 +204,6 @@ def test_fused_matches_interpreted(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
-def test_closures_match_interpreted(seed):
-    net = _rand_design(seed)
-    sims = [Simulator(net, engine="closures"),
-            Simulator(net, engine="interp")]
-    _drive(random.Random(seed * 31 + 2), sims, 40)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:4])
 def test_snapshot_restore_midrun_differential(seed):
     """Snapshot both engines mid-run, keep running, restore, run again —
     states must stay identical through the whole dance."""
@@ -361,7 +352,7 @@ def test_plan_cache_shares_compiled_plans():
     first = Simulator(net, engine="fused")
     hits_before = plan_cache_stats()["hits"]
     second = Simulator(net, engine="fused")
-    third = Simulator(net, engine="closures")
+    third = Simulator(net, engine="fused")
     assert first._plan is second._plan is third._plan
     assert plan_cache_stats()["hits"] >= hits_before + 2
     # A re-elaborated copy of the same module fingerprints identically.

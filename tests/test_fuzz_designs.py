@@ -67,8 +67,8 @@ def random_designs(draw):
     return b.build()
 
 
-def run_trace(netlist, stimulus, compiled=True):
-    sim = Simulator(netlist, compiled=compiled)
+def run_trace(netlist, stimulus, engine="fused"):
+    sim = Simulator(netlist, engine=engine)
     trace = []
     for a, b_val in stimulus:
         sim.poke("a", a)
@@ -88,8 +88,8 @@ STIMULUS = st.lists(
 @given(random_designs(), STIMULUS)
 def test_compiled_matches_interpreted(design, stimulus):
     netlist = elaborate(design)
-    assert run_trace(netlist, stimulus, compiled=True) \
-        == run_trace(netlist, stimulus, compiled=False)
+    assert run_trace(netlist, stimulus, engine="fused") \
+        == run_trace(netlist, stimulus, engine="interp")
 
 
 @settings(max_examples=40, deadline=None)

@@ -64,8 +64,8 @@ class TestBasicExecution:
 
     def test_interpreted_and_compiled_agree(self):
         net = elaborate(make_counter())
-        fast = Simulator(net, compiled=True)
-        slow = Simulator(net, compiled=False)
+        fast = Simulator(net, engine="fused")
+        slow = Simulator(net, engine="interp")
         for sim in (fast, slow):
             sim.poke("en", 1)
             sim.step(7)

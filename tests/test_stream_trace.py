@@ -13,7 +13,6 @@ from repro.designs import make_cohort_soc, make_counter
 from repro.errors import SimulationError
 from repro.obs import get_registry
 from repro.rtl import (
-    ENGINE_CLOSURES,
     ENGINE_INTERPRETED,
     BatchSimulator,
     BatchTrace,
@@ -69,8 +68,7 @@ class TestStreamingEquivalence:
         trace.stop()
         assert traced.snapshot() == plain.snapshot()
 
-    @pytest.mark.parametrize("engine", [ENGINE_INTERPRETED,
-                                        ENGINE_CLOSURES])
+    @pytest.mark.parametrize("engine", [ENGINE_INTERPRETED])
     def test_non_fused_engines_capture_identically(self, engine):
         fused = counter_sim()
         reference = StreamingTrace(fused, ["count", "out"], depth=None)

@@ -432,17 +432,14 @@ class TestSchedulerCoverage:
         vti, initial = many_initial
         core = initial.split.partition("tile0.core0").module
         big = make_oversized_clone(core)
-        for parallel in (True, False):
-            with pytest.raises(PartitionError):
-                vti.compile_incremental_many(
-                    initial, {"tile0.core0": big, "tile1.core0": None},
-                    parallel=parallel)
+        with pytest.raises(PartitionError):
+            vti.compile_incremental_many(
+                initial, {"tile0.core0": big, "tile1.core0": None})
 
     def test_serial_mode_shares_the_link_too(self, many_initial):
         vti, initial = many_initial
         results, wall = vti.compile_incremental_many(
-            initial, {f"tile{i}.core0": None for i in range(2)},
-            parallel=False)
+            initial, {f"tile{i}.core0": None for i in range(2)})
         assert wall < sum(r.total_seconds for r in results)
         assert wall == max(
             r.total_seconds - r.seconds["link"] for r in results

@@ -1,5 +1,5 @@
-"""Differential tests: the VTI scheduler and compile cache must be
-*bit-identical* to the serial cold flow.
+"""Differential tests: the VTI compile cache must be *bit-identical* to
+the cold flow.
 
 Methodology per Guo et al. (PAPERS.md): run the same compile sequence
 through two configurations of the tool and demand byte-equal outputs —
@@ -128,38 +128,6 @@ def assert_results_identical(a, b):
 
 
 # --------------------------------------------------------------------------
-# parallel vs serial
-# --------------------------------------------------------------------------
-
-@pytest.mark.parametrize("label", sorted(DESIGNS))
-class TestParallelVsSerial:
-    def test_many_is_bit_identical_across_modes(self, label):
-        flow_p, initial_p, changes_p = make_initial(None, label)
-        flow_s, initial_s, changes_s = make_initial(None, label)
-        results_p, wall_p = flow_p.compile_incremental_many(
-            initial_p, changes_p, parallel=True)
-        results_s, wall_s = flow_s.compile_incremental_many(
-            initial_s, changes_s, parallel=False)
-        assert wall_p == wall_s
-        assert len(results_p) == len(results_s)
-        for a, b in zip(results_p, results_s):
-            assert_results_identical(a, b)
-
-    def test_repeated_parallel_runs_are_deterministic(self, label):
-        """Thread scheduling must never leak into the merge."""
-        flow_a, initial_a, changes_a = make_initial(None, label)
-        flow_b, initial_b, changes_b = make_initial(None, label)
-        for _round in range(2):
-            results_a, wall_a = flow_a.compile_incremental_many(
-                initial_a, changes_a, parallel=True, max_workers=2)
-            results_b, wall_b = flow_b.compile_incremental_many(
-                initial_b, changes_b, parallel=True, max_workers=8)
-            assert wall_a == wall_b
-            for a, b in zip(results_a, results_b):
-                assert_results_identical(a, b)
-
-
-# --------------------------------------------------------------------------
 # cached vs cold
 # --------------------------------------------------------------------------
 
@@ -192,9 +160,9 @@ class TestCachedVsCold:
         flow_c.compile_incremental_many(initial_c, changes_c)
         flow_x.compile_incremental_many(initial_x, changes_x)
         results_c, wall_c = flow_c.compile_incremental_many(
-            initial_c, changes_c, parallel=True)
+            initial_c, changes_c)
         results_x, wall_x = flow_x.compile_incremental_many(
-            initial_x, changes_x, parallel=False)
+            initial_x, changes_x)
         assert wall_c == wall_x
         assert all(r.cache_hit for r in results_c)
         assert not any(r.cache_hit for r in results_x)
