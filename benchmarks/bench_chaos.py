@@ -18,7 +18,7 @@ Results history lands in ``BENCH_chaos.json`` (``record_bench``
 schema); CI uploads it as an artifact on every push.
 
 No ``benchmark`` fixture on purpose: this file must run under plain
-pytest (the CI job installs no plugins for it).
+pytest, with no plugin installed.
 """
 
 import os

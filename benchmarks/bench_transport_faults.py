@@ -5,7 +5,11 @@ transaction (mutation testing for the configuration plane: perturb the
 channel, cross-check the output). This bench quantifies what that
 robustness costs: modeled readback seconds and retry counts across a
 ladder of fault rates, against the clean channel as the 1.0x baseline.
+Faults come from a seeded ``FaultSchedule`` of ``transport.batch``
+rate specs; each batch attempt takes at most one fault.
 """
+
+from contextlib import nullcontext
 
 from conftest import emit, emit_table, record_bench
 
@@ -25,7 +29,8 @@ def launch():
 
 
 def test_transport_fault_overhead_ladder(benchmark):
-    from repro.config import FaultPlan, RetryPolicy
+    from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+    from repro.config import RetryPolicy
 
     session = launch()
     fabric, dbg = session.fabric, session.debugger
@@ -47,19 +52,26 @@ def test_transport_fault_overhead_ladder(benchmark):
     rows = []
     points = []
     clean_seconds = None
+    fabric.transport.policy = RetryPolicy(max_attempts=16)
+
+    def channel(rate):
+        """The seeded faulty channel for one ladder rung."""
+        if not rate:
+            return nullcontext()
+        specs = [FaultSpec(site="transport.batch", kind=kind, rate=r,
+                           count=10**6)
+                 for kind, r in (("read_flip", rate),
+                                 ("truncate", rate / 3))]
+        return install_chaos(
+            FaultSchedule(seed=2024, specs=specs).registry())
+
     for rate in rates:
-        if rate:
-            fabric.enable_fault_injection(
-                FaultPlan(seed=2024, read_flip_rate=rate,
-                          truncate_rate=rate / 3),
-                RetryPolicy(max_attempts=16))
-        else:
-            fabric.disable_fault_injection()
         stats = fabric.transport.stats
         before = stats.as_dict()
-        seconds = benchmark.pedantic(full_readback, rounds=1,
-                                     iterations=1) \
-            if rate == 0.0 else full_readback()
+        with channel(rate):
+            seconds = benchmark.pedantic(full_readback, rounds=1,
+                                         iterations=1) \
+                if rate == 0.0 else full_readback()
         after = stats.as_dict()
         if clean_seconds is None:
             clean_seconds = seconds
@@ -88,7 +100,7 @@ def test_transport_fault_overhead_ladder(benchmark):
                  {"design": "cluster-2core", "ladder": points})
     emit_table(
         "Verified transport: retry overhead vs channel fault rate "
-        "(full state readback, seeded FaultPlan)",
+        "(full state readback, seeded FaultSchedule)",
         ["flip rate", "batches", "retries", "corrupt", "retry time",
          "readback", "vs clean"],
         rows)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import CampaignError, SessionCrashedError
 from ..obs import get_registry
@@ -61,8 +61,8 @@ TOLERANCE_CYCLES = 16
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Shape of one campaign; every field is part of the seeded identity
-    except ``workdir`` and the test-only crash hook."""
+    """Shape of one campaign; every field is part of the seeded
+    identity."""
 
     designs: tuple = ("cohort",)
     mutants: int = 25
@@ -75,10 +75,6 @@ class CampaignConfig:
     sva_budget: int = 96
     #: Retries after a mid-mutant host crash before giving up.
     max_recoveries: int = 3
-    #: Test hook: ``(design, mutant_index) -> CrashPlan | None`` installs
-    #: a modeled host-death on that mutant's first session. Excluded from
-    #: the report.
-    crash_plan: Optional[Callable] = None
 
     def as_dict(self) -> dict:
         return {
@@ -253,27 +249,23 @@ def _localize(design, config, mutant: Mutant, detect: Divergence,
     def golden_stimulus(chunk_index: int) -> dict:
         return stimulus(lane, chunk_index)
 
-    def arm(fabric) -> None:
-        # The test hook is re-asked on every (re)launch: a one-shot
-        # hook crashes once and recovers; a persistent one models a
-        # host that dies every time, which must exhaust the budget.
-        if config.crash_plan is not None:
-            plan = config.crash_plan(design.name, mutant.mutant_id)
-            if plan is not None:
-                fabric.enable_crash_plan(plan)
-
     compiled = compile_mutant(design, mutant.netlist)
     session_dir = workdir / mutant.mutant_id.replace("/", "_")\
                                             .replace(":", "_")
-    fabric, debugger = launch_session(compiled)
+    _, debugger = launch_session(compiled)
     enable_crash_safety(debugger, session_dir)
-    arm(fabric)
 
     replay = GoldenReplay(golden, golden_stimulus, config.chunk)
     shared: dict = {}
     attempts = 0
     while True:
         try:
+            if attempts:
+                # The dead session's fabric is gone; recover onto a
+                # fresh one from the journal and redo the attempt from
+                # cycle 0. Recovery can die too: that counts as well.
+                _, debugger = launch_session(compiled)
+                recover_session(debugger, session_dir)
             result = localize_attempt(debugger, replay, detect,
                                       config.chunk, config.sva_budget,
                                       poke, shared)
@@ -285,11 +277,6 @@ def _localize(design, config, mutant: Mutant, detect: Divergence,
                 raise CampaignError(
                     f"mutant {mutant.mutant_id} kept crashing past "
                     f"{config.max_recoveries} recoveries")
-            # The dead session's fabric is gone; recover onto a fresh
-            # one from the journal and redo the attempt from cycle 0.
-            fabric, debugger = launch_session(compiled)
-            recover_session(debugger, session_dir)
-            arm(fabric)
 
     adjacency = signal_graph(golden)
     anchor = mutant.site.anchor

@@ -3,7 +3,10 @@
 Three cooperating pieces (see the module docstrings for depth):
 
 - :mod:`.schedule` — seeded :class:`FaultSchedule` / :class:`FaultRegistry`
-  and the :func:`fault_point` hook instrumented code calls;
+  and the :func:`fault_point` hook instrumented code calls. This is the
+  only way to inject a fault anywhere in the stack: disk I/O, the
+  fabric, the JTAG channel, and host death. Arm a schedule for a block
+  with :func:`install_chaos`;
 - :mod:`.supervise` — modeled-seconds deadlines, bounded retries,
   circuit breakers, and the asserted graceful-degradation table;
 - :mod:`.campaign` — the automated harness that replays debugger

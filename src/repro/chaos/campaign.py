@@ -291,7 +291,6 @@ def _injected(registry: FaultRegistry, site: str, kind: str) -> bool:
 def _run_schedule(name: str, compiled, script, clean_key: str,
                   schedule: FaultSchedule, workdir: Path,
                   config: CampaignConfig) -> ScheduleOutcome:
-    from ..config.transport import FaultPlan
     from ..debug import enable_crash_safety
 
     sup = get_supervisor()
@@ -304,15 +303,8 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
     violations: list[str] = []
     mttrs: list[float] = []
 
-    # Even a schedule with no channel-fault rates installs a (zero-rate)
-    # FaultPlan: transport retry machinery must be armed so an injected
-    # device_hang is retried rather than surfaced from the single-shot
-    # no-plan path.
-    plan = schedule.transport_plan() or FaultPlan(seed=schedule.seed)
-
     fabric, debugger = _fresh_session(compiled)
     enable_crash_safety(debugger, workdir)
-    fabric.enable_fault_injection(plan)
     fabric.transport.breaker = sup.make_breaker(
         lambda f=fabric: f.jtag.total_seconds, name=f"{name}-fabric")
 
@@ -331,7 +323,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
                         f"{index} ({error})")
                     break
                 fault_class = _fault_class(error)
-                recovered = _recover_once(compiled, workdir, plan)
+                recovered = _recover_once(compiled, workdir)
                 if isinstance(recovered, JournalCorruptError):
                     if _injected(registry, "journal.sync", "bit_rot"):
                         # The injected rot damaged a durable record and
@@ -380,8 +372,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
     # Bounded-retry invariant: every supervised retry is chargeable to
     # an injected fault, each bounded by the configured per-op budget.
     retries = metrics.counter("supervise.retries").value - retries_before
-    per_fault = max(config.supervise.io_retries,
-                    config.supervise.pause_retries)
+    per_fault = config.supervise.retries
     allowed = registry.faults_fired * per_fault \
         + recoveries * len(script) * per_fault
     if retries > allowed:
@@ -398,7 +389,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
     return outcome
 
 
-def _recover_once(compiled, workdir, plan):
+def _recover_once(compiled, workdir):
     """One recovery attempt on a fresh session.
 
     Returns ``(fabric, debugger, report)`` on success, or the exception
@@ -407,11 +398,8 @@ def _recover_once(compiled, workdir, plan):
     """
     from ..debug import recover_session
     fabric, debugger = _fresh_session(compiled)
-    fabric.enable_fault_injection(plan)
     try:
         report = recover_session(debugger, workdir)
-    except JournalCorruptError as error:
-        return error
     except (ReproError, OSError) as error:
         return error
     return fabric, debugger, report

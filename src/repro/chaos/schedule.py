@@ -1,13 +1,12 @@
-"""Seeded, stack-wide fault schedules.
+"""Seeded, stack-wide fault schedules: the one fault-injection API.
 
-The transport's :class:`~repro.config.transport.FaultPlan` perturbs one
-JTAG channel; the recovery tests' :class:`~repro.config.transport.CrashPlan`
-kills one host process. This module generalizes both into a single
-composable plan that can hit *every* layer of the stack — disk I/O under
-the journal, snapshot store, and compile caches; fabric lifecycle
-(clock-gate acks, the pause network, power cycles); and the transport
-batch path — from one seeded stream, so a failing chaos campaign
-reproduces exactly from its seed.
+A :class:`FaultSchedule` is a composable, seeded plan that can hit
+*every* layer of the stack — disk I/O under the journal, snapshot
+store, and compile caches; fabric lifecycle (clock-gate acks, the pause
+network, power cycles); the JTAG channel of every transport batch; and
+the host process itself (kill points at transport batches and
+journaled-command boundaries) — from one seeded stream, so a failing
+chaos campaign or test reproduces exactly from its seed.
 
 The mechanism is a global registry of **fault points**: instrumented
 code calls :func:`fault_point("journal.sync")` and receives either
@@ -23,7 +22,9 @@ family (``"planstore.*"``). Specs fire either on an exact visit index
 (``at=``, for boundary-sweep tests) or with a per-visit probability
 (``rate=``, for randomized campaigns), and every spec's total fire
 count is bounded by ``count`` — injected adversity is always finite, a
-precondition for the campaign's bounded-retry invariant.
+precondition for the campaign's bounded-retry invariant. A visit
+injects at most one fault: the first spec (in schedule order) that
+fires wins.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ _FLIGHT = get_flight_recorder()
 #: The table is documentation *and* validation: a spec naming a kind no
 #: site implements would silently never fire, so construction rejects
 #: unknown kinds and site/kind pairs outside this table.
+#:
+#: A fault that fires with nothing to act on is recorded (it counts as
+#: an injection) but changes nothing: ``drop_hop`` on a batch with no
+#: hop pulse, ``stuck`` on a batch that targets only the primary SLR,
+#: and ``read_flip``/``truncate`` on a batch with no read words.
 SITE_KINDS: dict[str, frozenset] = {
     # disk I/O
     "journal.sync": frozenset(
@@ -53,13 +59,24 @@ SITE_KINDS: dict[str, frozenset] = {
     "planstore.merge": frozenset({"torn_write", "enospc"}),
     "vticache.load": frozenset({"bit_rot"}),
     "vticache.store": frozenset({"torn_write", "enospc"}),
-    # fabric lifecycle
-    "transport.batch": frozenset({"device_hang", "power_cycle"}),
+    # one visit per transport batch *attempt*: the card, the JTAG
+    # channel, and host death mid-command
+    "transport.batch": frozenset(
+        {"device_hang", "power_cycle", "read_flip", "truncate",
+         "drop_hop", "stuck", "crash"}),
     "fabric.gate_ack": frozenset({"gate_ack_drop"}),
     "fabric.pause_write": frozenset({"pause_stuck"}),
+    # one visit per journaled command, right after its record is
+    # durable: host death before or after the command applies
+    "debug.command": frozenset({"crash_before", "crash_after"}),
 }
 
 KINDS = frozenset(kind for kinds in SITE_KINDS.values() for kind in kinds)
+
+#: Share of generated schedules that also perturb the JTAG channel,
+#: and the fire bound on each of their channel-fault rate specs.
+CHANNEL_FAULT_PROBABILITY = 0.3
+CHANNEL_FAULT_BOUND = 4
 
 
 def sites_for_kind(kind: str) -> list[str]:
@@ -73,9 +90,11 @@ class FaultSpec:
     """One scheduled fault: where, what, when, and how often.
 
     ``site`` is an fnmatch pattern over the table above. Exactly one of
-    ``at`` (fire on the N-th visit, 0-based) or ``rate`` (per-visit
-    probability) selects the firing discipline; ``count`` bounds total
-    fires; ``seconds`` attaches modeled extra latency (slow faults).
+    ``at`` (fire on the N-th visit since the schedule was installed,
+    0-based) or ``rate`` (per-visit probability) selects the firing
+    discipline; ``count`` bounds total fires of a rate spec (an ``at``
+    spec fires once); ``seconds`` attaches modeled extra latency (slow
+    faults).
     """
 
     site: str
@@ -115,6 +134,11 @@ class FaultSpec:
                 f"from 0", kind="spec")
         if self.count < 1:
             raise ChaosError("fault count must be >= 1", kind="spec")
+        if self.at is not None and self.count > 1:
+            raise ChaosError(
+                f"at={self.at} matches a single visit, so count="
+                f"{self.count} can never be reached; use a rate spec",
+                kind="spec")
 
     def matches(self, site: str) -> bool:
         return fnmatchcase(site, self.site)
@@ -156,46 +180,28 @@ class FaultSchedule:
     def __init__(self, seed: int = 0, specs=()):
         self.seed = seed
         self.specs: tuple[FaultSpec, ...] = tuple(specs)
-        #: Optional transport channel-fault kwargs; composed into a
-        #: classic FaultPlan by :meth:`transport_plan` so one schedule
-        #: drives both layers from one place.
-        self.transport: dict[str, float] = {}
-
-    def with_transport(self, **rates) -> "FaultSchedule":
-        self.transport = dict(rates)
-        return self
 
     def registry(self) -> "FaultRegistry":
         return FaultRegistry(self)
-
-    def transport_plan(self):
-        """A seeded transport FaultPlan for this schedule (or None)."""
-        if not self.transport:
-            return None
-        from ..config.transport import FaultPlan
-        return FaultPlan(seed=self.seed, **self.transport)
 
     def describe(self) -> str:
         lines = [f"fault schedule seed={self.seed} "
                  f"({len(self.specs)} spec(s))"]
         for spec in self.specs:
             when = (f"at visit {spec.at}" if spec.at is not None
-                    else f"rate {spec.rate:g}")
-            lines.append(f"  {spec.site}: {spec.kind} {when} "
-                         f"x{spec.count}")
-        for key, value in sorted(self.transport.items()):
-            lines.append(f"  transport channel: {key}={value:g}")
+                    else f"rate {spec.rate:g} x{spec.count}")
+            lines.append(f"  {spec.site}: {spec.kind} {when}")
         return "\n".join(lines)
 
     @classmethod
-    def generate(cls, seed: int, max_faults: int = 3,
-                 transport_rate: float = 0.3) -> "FaultSchedule":
+    def generate(cls, seed: int, max_faults: int = 3) -> "FaultSchedule":
         """A randomized (but seed-deterministic) campaign schedule.
 
-        Draws 1..``max_faults`` specs over the whole site table, firing
-        at small visit indices so short debugger workloads actually
-        reach them, plus (with probability ``transport_rate``) a mild
-        channel-fault plan.
+        Draws 1..``max_faults`` specs over the whole site table — kill
+        points included — firing at small visit indices so short
+        debugger workloads actually reach them, plus (with probability
+        :data:`CHANNEL_FAULT_PROBABILITY`) mild channel-fault rates,
+        each bounded to :data:`CHANNEL_FAULT_BOUND` fires.
         """
         rng = random.Random(seed)
         specs = []
@@ -205,15 +211,16 @@ class FaultSchedule:
             kind = rng.choice(sorted(SITE_KINDS[site]))
             seconds = (round(rng.uniform(0.05, 0.4), 3)
                        if kind == "slow_sync" else 0.0)
-            specs.append(FaultSpec(
-                site=site, kind=kind, at=rng.randrange(6),
-                count=rng.randint(1, 2), seconds=seconds))
-        schedule = cls(seed=seed, specs=specs)
-        if rng.random() < transport_rate:
-            schedule.with_transport(
-                read_flip_rate=round(rng.uniform(0.02, 0.1), 3),
-                drop_hop_rate=round(rng.uniform(0.0, 0.05), 3))
-        return schedule
+            specs.append(FaultSpec(site=site, kind=kind,
+                                   at=rng.randrange(6), seconds=seconds))
+        if rng.random() < CHANNEL_FAULT_PROBABILITY:
+            for kind, low, high in (("read_flip", 0.02, 0.1),
+                                    ("drop_hop", 0.01, 0.05)):
+                specs.append(FaultSpec(
+                    site="transport.batch", kind=kind,
+                    rate=round(rng.uniform(low, high), 3),
+                    count=CHANNEL_FAULT_BOUND))
+        return cls(seed=seed, specs=specs)
 
 
 class FaultRegistry:

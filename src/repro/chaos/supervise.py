@@ -87,10 +87,9 @@ class SuperviseConfig:
     #: Per-op-class modeled-seconds deadlines (None = unbounded).
     journal_sync_deadline: Optional[float] = 0.5
     snapshot_io_deadline: Optional[float] = 2.0
-    #: Bounded retries for supervised disk I/O.
-    io_retries: int = 3
-    #: Bounded retries for pause-network / gate-ack verification.
-    pause_retries: int = 3
+    #: Bounded retries per supervised operation: disk I/O, pause-network
+    #: writes and gate-ack verification.
+    retries: int = 3
     #: Consecutive transport failures that open a fabric's breaker.
     breaker_threshold: int = 3
     #: Modeled seconds an open breaker refuses traffic.
@@ -300,7 +299,7 @@ def run_io(site: str, nbytes: int, attempt,
     "supervision off" baseline measures. Supervised, each attempt is
     charged :func:`modeled_io_seconds` (plus any fault-attached slow
     seconds) against the site's deadline; retries are bounded by
-    ``io_retries``; exhaustion or a spent deadline surfaces a typed
+    ``retries``; exhaustion or a spent deadline surfaces a typed
     error. Returns ``(value, modeled_seconds)``.
     """
     sup = _SUPERVISOR
@@ -322,7 +321,7 @@ def run_io(site: str, nbytes: int, attempt,
             failures += 1
             if deadline is not None and spent >= deadline:
                 raise sup.deadline_hit(site, spent, deadline) from error
-            if failures > sup.config.io_retries or not is_retryable(error):
+            if failures > sup.config.retries or not is_retryable(error):
                 raise
             sup.record_retry(site)
             if repair is not None:

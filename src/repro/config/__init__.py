@@ -14,19 +14,11 @@ from .fabric import FabricDevice
 from .jtag import JtagRing, JtagResult
 from .logic_loc import LLEntry, LogicLocationFile
 from .microcontroller import Microcontroller
-from .transport import (
-    CrashPlan,
-    FaultPlan,
-    RetryPolicy,
-    TransportStats,
-    VerifiedTransport,
-)
+from .transport import RetryPolicy, TransportStats, VerifiedTransport
 
 __all__ = [
-    "CrashPlan",
     "DesignDatabase",
     "FabricDevice",
-    "FaultPlan",
     "JtagResult",
     "JtagRing",
     "LLEntry",

@@ -30,7 +30,7 @@ from ..rtl.simulator import Simulator
 from .database import DesignDatabase
 from .jtag import JtagResult, JtagRing
 from .microcontroller import Microcontroller
-from .transport import CrashPlan, FaultPlan, RetryPolicy, VerifiedTransport
+from .transport import VerifiedTransport
 
 
 class FabricDevice:
@@ -60,34 +60,13 @@ class FabricDevice:
 
         All debug-time control traffic (readback, capture-modify-restore
         writes, memory writes) routes through here so channel faults are
-        detected by CRC and retried instead of silently consumed.
+        detected by CRC and retried instead of silently consumed. Faults
+        are injected by installing a
+        :class:`~repro.chaos.schedule.FaultSchedule`
+        (:func:`~repro.chaos.schedule.install_chaos`); a custom retry
+        policy is set on ``self.transport.policy``.
         """
         return self.transport.run(words)
-
-    def enable_fault_injection(self, plan: FaultPlan,
-                               policy: Optional[RetryPolicy] = None
-                               ) -> None:
-        """Install a seeded fault plan (and optionally a retry policy)
-        on this card's JTAG channel."""
-        self.transport.plan = plan
-        if policy is not None:
-            self.transport.policy = policy
-
-    def disable_fault_injection(self) -> None:
-        """Return to the perfect channel (verification stays on)."""
-        self.transport.plan = None
-
-    def enable_crash_plan(self, plan: CrashPlan) -> None:
-        """Schedule a modeled host-process death on this card's session.
-
-        Transport-batch boundaries are enforced here; journaled-command
-        boundaries by the attached :class:`ZoomieDebugger`, which reads
-        the same plan off the transport.
-        """
-        self.transport.crash_plan = plan
-
-    def disable_crash_plan(self) -> None:
-        self.transport.crash_plan = None
 
     # ------------------------------------------------------------------
     # programming lifecycle

@@ -1,4 +1,4 @@
-"""Verified, fault-injectable JTAG transactions.
+"""Verified JTAG transactions.
 
 The ring model in :mod:`repro.config.jtag` is a perfect channel; the
 physical ring the paper reverse-engineers (Sections 4.4-4.7) is not.
@@ -9,9 +9,11 @@ transaction*:
 - every batch is framed: the host CRCs the outgoing command stream and
   the device-side controller CRCs the read words it actually sends (the
   golden channel, :attr:`JtagResult.read_crc`);
-- a seeded :class:`FaultPlan` deterministically perturbs the channel —
-  bit flips in read words, truncated FDRO bursts, dropped BOUT hop
-  pulses, transiently stuck secondary controllers;
+- every batch attempt visits the ``transport.batch`` fault point, where
+  an installed :class:`~repro.chaos.schedule.FaultSchedule` perturbs
+  the channel — bit flips in read words, truncated FDRO bursts, dropped
+  BOUT hop pulses, stuck secondary controllers — or the card (hangs,
+  power cycles) or the host (a kill point);
 - mismatches surface as a typed taxonomy (:class:`TransportError`,
   :class:`CorruptReadbackError`) and a bounded :class:`RetryPolicy`
   re-issues the batch with exponential backoff.
@@ -29,20 +31,22 @@ clock, never the host's.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..bitstream.crc import crc32_stream
 from ..bitstream.packets import Packet, WRITE, decode_stream, encode_packet
 from ..bitstream.words import REGISTERS
+from ..chaos.schedule import Fault, fault_point
 from ..errors import (
+    ChaosError,
     CorruptReadbackError,
     SessionCrashedError,
     TransportError,
 )
 from ..obs import get_flight_recorder, get_logger, get_registry, \
     get_tracer
+from .jtag import BATCH_OVERHEAD_SECONDS, JTAG_BYTES_PER_SECOND
 
 #: Bound at import: the obs singletons are mutated in place, never
 #: replaced, so module-level references stay valid.
@@ -59,186 +63,49 @@ _BOUT = REGISTERS["BOUT"]
 HOP_PULSE_WORD = encode_packet(
     Packet(opcode=WRITE, register=_BOUT, words=[]))[0]
 
-
-@dataclass
-class FaultPlan:
-    """Deterministic, seeded schedule of channel faults.
-
-    Rates are per-batch-attempt probabilities drawn from one
-    ``random.Random(seed)`` stream, so a failing run reproduces exactly
-    from its seed, and each retry re-draws — transient faults clear.
-    """
-
-    seed: int = 0
-    #: Probability that a batch's read words come back with 1..max_flips
-    #: flipped bits.
-    read_flip_rate: float = 0.0
-    #: Probability that a batch's FDRO response is truncated.
-    truncate_rate: float = 0.0
-    #: Probability that one BOUT hop pulse is dropped from the command
-    #: stream (only batches that hop can suffer this).
-    drop_hop_rate: float = 0.0
-    #: Probability that a targeted *secondary* controller goes stuck.
-    stuck_rate: float = 0.0
-    #: How many consecutive attempts a stuck controller stays stuck.
-    stuck_attempts: int = 2
-    max_flips: int = 3
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        self._stuck: dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Rewind to the initial seeded state."""
-        self._rng = random.Random(self.seed)
-        self._stuck.clear()
-
-    def stick(self, slr: int, attempts: Optional[int] = None) -> None:
-        """Explicitly schedule ``slr``'s controller stuck for the next
-        ``attempts`` attempts that target it (deterministic tests)."""
-        self._stuck[slr] = (self.stuck_attempts if attempts is None
-                            else attempts)
-
-    # -- per-attempt draws (called by VerifiedTransport) ------------------
-
-    def deliver_commands(self, words: list[int]) -> list[int]:
-        """The command stream as the ring sees it (maybe one pulse short)."""
-        if self.drop_hop_rate and self._rng.random() < self.drop_hop_rate:
-            pulses = [index for index, word in enumerate(words)
-                      if word == HOP_PULSE_WORD]
-            if pulses:
-                drop = self._rng.choice(pulses)
-                return words[:drop] + words[drop + 1:]
-        return words
-
-    def stuck_target(self, secondaries: list[int]) -> Optional[int]:
-        """The stuck controller this attempt trips over, if any."""
-        for slr in secondaries:
-            remaining = self._stuck.get(slr, 0)
-            if remaining > 0:
-                self._stuck[slr] = remaining - 1
-                if not self._stuck[slr]:
-                    del self._stuck[slr]
-                return slr
-        if secondaries and self.stuck_rate \
-                and self._rng.random() < self.stuck_rate:
-            slr = self._rng.choice(secondaries)
-            if self.stuck_attempts > 1:
-                self._stuck[slr] = self.stuck_attempts - 1
-            return slr
-        return None
-
-    def deliver_response(self, words: list[int]) -> list[int]:
-        """The read words as the host receives them."""
-        delivered = words
-        if delivered and self.truncate_rate \
-                and self._rng.random() < self.truncate_rate:
-            delivered = delivered[:self._rng.randrange(len(delivered))]
-        if delivered and self.read_flip_rate \
-                and self._rng.random() < self.read_flip_rate:
-            delivered = list(delivered)
-            for _ in range(self._rng.randint(1, self.max_flips)):
-                index = self._rng.randrange(len(delivered))
-                delivered[index] ^= 1 << self._rng.randrange(32)
-        return delivered
-
-
-@dataclass
-class CrashPlan:
-    """A scheduled (modeled) death of the host debugger process.
-
-    Two independent boundaries, matching where real sessions die:
-
-    - ``at_command``: the host dies at the N-th *journaled command
-      boundary* (0-based). With ``before_apply=True`` the record is
-      durable but the command never executed; otherwise it dies right
-      after applying. Either way recovery replays to the same state —
-      the journal is write-ahead. Checked by :class:`ZoomieDebugger`.
-    - ``at_batch``: the host dies when the N-th transport batch
-      (0-based, counted from when the plan is installed) is about to be
-      issued — mid-command, the nastiest case. Checked here.
-
-    Once tripped, the plan keeps raising: a dead process does not
-    answer follow-up calls. Recovery happens on a *fresh* fabric.
-    """
-
-    at_command: Optional[int] = None
-    before_apply: bool = True
-    at_batch: Optional[int] = None
-    tripped: bool = False
-    #: Transport batches seen since installation.
-    batches_seen: int = 0
-
-    def trip(self, where: str) -> None:
-        self.tripped = True
-        raise SessionCrashedError(
-            f"host process died at {where} (injected CrashPlan)")
-
-    def check_alive(self) -> None:
-        if self.tripped:
-            raise SessionCrashedError(
-                "session is dead (CrashPlan already tripped); recover "
-                "on a fresh fabric")
-
-    def observe_batch(self) -> None:
-        """Called by the transport before issuing each batch."""
-        self.check_alive()
-        batch = self.batches_seen
-        self.batches_seen += 1
-        if self.at_batch is not None and batch >= self.at_batch:
-            self.trip(f"transport batch {batch}")
-
-    def observe_command(self, index: int, before: bool) -> None:
-        """Called by the debugger around each journaled command."""
-        self.check_alive()
-        if self.at_command is None or index != self.at_command:
-            return
-        if before == self.before_apply:
-            when = "before applying" if before else "after applying"
-            self.trip(f"command boundary #{index} ({when})")
+#: Each failed attempt doubles the backoff before the next one, up to
+#: :data:`MAX_BACKOFF_SECONDS` (modeled seconds).
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_SECONDS = 0.25
+#: Most bits one ``read_flip`` fault flips in a batch's read words.
+MAX_FLIPS = 3
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff (modeled seconds).
-
-    ``jitter`` de-synchronizes concurrent sessions: with N debuggers
-    sharing a fabric fleet, lockstep exponential backoff re-collides
-    every retry wave. A non-zero jitter spreads each backoff uniformly
-    over ``[backoff * (1 - jitter), backoff * (1 + jitter)]`` (capped
-    at ``max_backoff_seconds``), drawn from a dedicated
-    ``random.Random(jitter_seed)`` stream so a given policy instance
-    replays its exact backoff sequence — deterministic adversity, like
-    everything else in this stack. With ``jitter=0.0`` (the default)
-    the arithmetic is bit-identical to the pre-jitter policy.
-    """
+    """Bounded retry with exponential backoff (modeled seconds)."""
 
     max_attempts: int = 6
     backoff_seconds: float = 0.01
-    backoff_multiplier: float = 2.0
-    max_backoff_seconds: float = 0.25
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(
-                f"jitter must be in [0, 1), got {self.jitter}")
-        # The dataclass is frozen; the RNG is mutable companion state
-        # (like FaultPlan's), not part of the policy's value.
-        object.__setattr__(
-            self, "_rng", random.Random(self.jitter_seed))
 
     def backoff_for(self, failure: int) -> float:
         """Backoff after the ``failure``-th failed attempt (1-based)."""
-        base = min(
-            self.backoff_seconds * self.backoff_multiplier ** (failure - 1),
-            self.max_backoff_seconds)
-        if not self.jitter:
-            return base
-        spread = base * self.jitter
-        return min(base - spread + self._rng.random() * 2.0 * spread,
-                   self.max_backoff_seconds)
+        return min(
+            self.backoff_seconds * BACKOFF_MULTIPLIER ** (failure - 1),
+            MAX_BACKOFF_SECONDS)
+
+
+def _shift_seconds(words: int) -> float:
+    """Modeled channel time of shifting ``words`` command words."""
+    return BATCH_OVERHEAD_SECONDS + words * 4 / JTAG_BYTES_PER_SECOND
+
+
+def _damage_response(fault: Fault, words: list[int]) -> list[int]:
+    """The read words as the host receives them under ``fault``.
+
+    ``truncate`` cuts the FDRO burst short; ``read_flip`` flips 1 to
+    :data:`MAX_FLIPS` distinct bits. Other kinds leave the words alone.
+    """
+    rng = fault.rng
+    if fault.kind == "truncate":
+        return words[:rng.randrange(len(words))]
+    if fault.kind != "read_flip":
+        return words
+    damaged = list(words)
+    for bit in rng.sample(range(len(words) * 32),
+                          rng.randint(1, MAX_FLIPS)):
+        damaged[bit >> 5] ^= 1 << (bit & 31)
+    return damaged
 
 
 @dataclass
@@ -270,17 +137,16 @@ class TransportStats:
 class VerifiedTransport:
     """Retrying, CRC-verified transactions over one :class:`JtagRing`.
 
-    With no fault plan installed this is a zero-overhead pass-through:
-    the returned result (words *and* modeled seconds) is bit-identical
-    to calling ``ring.run`` directly — verification is host-side
-    arithmetic and charges no channel time.
+    Every batch runs through one bounded retry loop. With no fault
+    schedule installed it takes a single attempt, and the returned
+    result (words *and* modeled seconds) is bit-identical to calling
+    ``ring.run`` directly — verification is host-side arithmetic and
+    charges no channel time.
     """
 
     def __init__(self, ring: "JtagRing",
-                 plan: Optional[FaultPlan] = None,
                  policy: Optional[RetryPolicy] = None):
         self.ring = ring
-        self.plan = plan
         self.policy = policy or RetryPolicy()
         self.stats = TransportStats()
         # Process-wide mirror of the per-ring counters: every ring sums
@@ -295,8 +161,11 @@ class VerifiedTransport:
         }
         self._batch_seconds = registry.histogram(
             "transport.batch_seconds")
-        #: Injected host-death schedule (see :class:`CrashPlan`).
-        self.crash_plan: Optional[CrashPlan] = None
+        #: Set by :meth:`crash` (an injected kill point). A dead host
+        #: answers nothing: every later batch, journaled command,
+        #: readback and snapshot of this session raises
+        #: :class:`SessionCrashedError`; recovery runs on a fresh fabric.
+        self.crashed = False
         #: Optional per-fabric circuit breaker
         #: (:class:`~repro.chaos.supervise.CircuitBreaker`): consulted
         #: before every batch, fed every terminal outcome. None (the
@@ -309,6 +178,20 @@ class VerifiedTransport:
         #: controller terminates within the deadline instead of
         #: spinning through an arbitrarily generous retry policy.
         self.deadline_remaining: Optional[float] = None
+
+    # -- host death (injected kill points) ------------------------------
+
+    def crash(self, where: str) -> None:
+        """The host process dies at ``where``; the session stays dead."""
+        self.crashed = True
+        raise SessionCrashedError(
+            f"host process died at {where} (injected)")
+
+    def check_alive(self) -> None:
+        if self.crashed:
+            raise SessionCrashedError(
+                "session is dead (the host crashed); recover on a fresh "
+                "fabric")
 
     # -- watchdog window (driven by ZoomieDebugger) ---------------------
 
@@ -398,8 +281,7 @@ class VerifiedTransport:
                                  - before["seconds_in_retry"])
 
     def _run_verified(self, words: list[int]) -> "JtagResult":
-        if self.crash_plan is not None:
-            self.crash_plan.observe_batch()
+        self.check_alive()
         if self.breaker is not None:
             # May raise CircuitOpenError — refused without touching the
             # channel, charging nothing, counting nothing: the whole
@@ -421,14 +303,6 @@ class VerifiedTransport:
         return result
 
     def _run_attempts(self, words: list[int]) -> "JtagResult":
-        if self.plan is None:
-            self.stats.attempts += 1
-            self._check_chaos(words)
-            result = self.ring.run(words)
-            self._verify(result.read_words, len(result.read_words),
-                         result.read_crc)
-            self._charge_deadline(result.seconds)
-            return result
         wasted = 0.0
         last_error: Optional[TransportError] = None
         for attempt in range(1, self.policy.max_attempts + 1):
@@ -479,70 +353,14 @@ class VerifiedTransport:
 
     # ------------------------------------------------------------------
 
-    def _check_chaos(self, words: list[int]) -> None:
-        """Fabric-lifecycle faults injected per batch attempt.
-
-        ``device_hang`` is a transient non-response of the whole card
-        (retryable, charged like a stuck controller); ``power_cycle``
-        reboots the card mid-batch — the design restarts from its init
-        state, and the error is terminal for the session (recovery on
-        the rebooted or a fresh fabric is the only way forward).
-        """
-        from ..chaos.schedule import fault_point
-        fault = fault_point("transport.batch")
-        if fault is None:
-            return
-        from .jtag import BATCH_OVERHEAD_SECONDS, JTAG_BYTES_PER_SECOND
-        seconds = BATCH_OVERHEAD_SECONDS \
-            + len(words) * 4 / JTAG_BYTES_PER_SECOND
-        if fault.kind == "device_hang":
-            self.ring.total_seconds += seconds
-            self.stats.stuck_detected += 1
-            raise TransportError(
-                "device hung: no TDO activity for the whole batch "
-                "window (injected)", kind="hang", seconds=seconds)
-        if fault.kind == "power_cycle":
-            self.ring.total_seconds += seconds
-            self.ring.fabric.power_cycle()
-            from ..errors import ChaosError
-            raise ChaosError(
-                "fabric power-cycled mid-batch (injected): design "
-                "state is gone; recover the session", kind="power_cycle",
-                retryable=False)
-
     def _attempt(self, words: list[int]) -> "JtagResult":
-        from .jtag import BATCH_OVERHEAD_SECONDS, JTAG_BYTES_PER_SECOND
-        plan = self.plan
-        assert plan is not None
-        self._check_chaos(words)
-
-        # Command path: the primary controller checks the stream framing
-        # (word count + CRC) before executing anything — a dropped hop
-        # pulse must never silently retarget reads or writes.
-        delivered = plan.deliver_commands(words)
-        if len(delivered) != len(words) \
-                or crc32_stream(delivered) != crc32_stream(words):
-            seconds = BATCH_OVERHEAD_SECONDS \
-                + len(delivered) * 4 / JTAG_BYTES_PER_SECOND
-            self.ring.total_seconds += seconds
-            self.stats.command_faults_detected += 1
-            raise TransportError(
-                "command stream framing mismatch (BOUT hop pulse "
-                "dropped in transit); batch rejected before execution",
-                kind="command", seconds=seconds)
-
-        stuck = plan.stuck_target(self._secondary_targets(words))
-        if stuck is not None:
-            seconds = BATCH_OVERHEAD_SECONDS \
-                + len(words) * 4 / JTAG_BYTES_PER_SECOND
-            self.ring.total_seconds += seconds
-            self.stats.stuck_detected += 1
-            raise TransportError(
-                f"SLR{stuck} configuration controller not responding",
-                kind="stuck", seconds=seconds)
-
+        fault = fault_point("transport.batch")
+        if fault is not None:
+            self._inject(fault, words)
         result = self.ring.run(words)
-        received = plan.deliver_response(result.read_words)
+        received = result.read_words
+        if fault is not None and received:
+            received = _damage_response(fault, received)
         try:
             self._verify(received, len(result.read_words), result.read_crc)
         except CorruptReadbackError as error:
@@ -550,6 +368,57 @@ class VerifiedTransport:
             self.stats.corrupt_detected += 1
             raise
         return result
+
+    def _inject(self, fault: Fault, words: list[int]) -> None:
+        """Apply the part of a ``transport.batch`` fault that strikes
+        before the ring executes anything.
+
+        ``crash`` kills the host. ``power_cycle`` reboots the card
+        mid-batch — the design restarts from its init state, and the
+        error is terminal for the session (recovery on the rebooted or
+        a fresh fabric is the only way forward). ``device_hang`` is a
+        transient non-response of the whole card. ``drop_hop`` and
+        ``stuck`` are command-path faults the primary controller
+        rejects before executing: a stream one BOUT pulse short fails
+        its framing check (word count + CRC), and a stuck secondary
+        never acks. The response kinds act after execution (see
+        :func:`_damage_response`).
+        """
+        kind = fault.kind
+        if kind == "crash":
+            self.crash(f"transport batch visit {fault.visit}")
+        if kind == "power_cycle":
+            self.ring.total_seconds += _shift_seconds(len(words))
+            self.ring.fabric.power_cycle()
+            raise ChaosError(
+                "fabric power-cycled mid-batch (injected): design "
+                "state is gone; recover the session", kind="power_cycle",
+                retryable=False)
+        if kind == "device_hang":
+            seconds = _shift_seconds(len(words))
+            self.ring.total_seconds += seconds
+            self.stats.stuck_detected += 1
+            raise TransportError(
+                "device hung: no TDO activity for the whole batch "
+                "window (injected)", kind="hang", seconds=seconds)
+        if kind == "drop_hop" and HOP_PULSE_WORD in words:
+            seconds = _shift_seconds(len(words) - 1)
+            self.ring.total_seconds += seconds
+            self.stats.command_faults_detected += 1
+            raise TransportError(
+                "command stream framing mismatch (BOUT hop pulse "
+                "dropped in transit); batch rejected before execution",
+                kind="command", seconds=seconds)
+        if kind == "stuck":
+            secondaries = self._secondary_targets(words)
+            if secondaries:
+                seconds = _shift_seconds(len(words))
+                self.ring.total_seconds += seconds
+                self.stats.stuck_detected += 1
+                raise TransportError(
+                    f"SLR{fault.rng.choice(secondaries)} configuration "
+                    f"controller not responding", kind="stuck",
+                    seconds=seconds)
 
     def _verify(self, received: list[int], sent_count: int,
                 golden_crc: int) -> None:

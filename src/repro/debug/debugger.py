@@ -165,24 +165,28 @@ class ZoomieDebugger:
         executes; replay after a crash is idempotent because recovery
         re-executes on a fresh fabric from the last good snapshot.
         Nested commands (``step`` runs, ``restore`` writes memories)
-        journal only the outermost verb. An installed
-        :class:`~repro.config.transport.CrashPlan` is consulted at both
-        edges of the boundary.
+        journal only the outermost verb. Each new record visits the
+        ``debug.command`` fault point once, right after it is durable:
+        an injected ``crash_before`` kills the host before the command
+        applies, ``crash_after`` right after.
         """
-        crash = self.fabric.transport.crash_plan
+        transport = self.fabric.transport
+        if not self._in_command:
+            transport.check_alive()
         if self._in_command or self._replaying or self.journal is None:
-            if crash is not None and not self._in_command:
-                crash.check_alive()
             yield
             return
         self._in_command = True
         try:
             record = self.journal.append(command, args)
-            if crash is not None:
-                crash.observe_command(record.index, before=True)
+            fault = fault_point("debug.command")
+            if fault is not None and fault.kind == "crash_before":
+                transport.crash(f"command boundary #{record.index} "
+                                f"(before applying)")
             yield
-            if crash is not None:
-                crash.observe_command(record.index, before=False)
+            if fault is not None:
+                transport.crash(f"command boundary #{record.index} "
+                                f"(after applying)")
             self._maybe_checkpoint(command)
         finally:
             self._in_command = False
@@ -285,8 +289,8 @@ class ZoomieDebugger:
     def _verified_gate_write(self, mask: int) -> None:
         """Write the global gate mask; supervised sessions verify the
         control plane accepted it (dropped gate acks are a chaos fault)
-        and re-issue up to ``pause_retries`` times. Unsupervised, this
-        is exactly one write — the historical behaviour."""
+        and re-issue up to ``retries`` times. Unsupervised, this is
+        exactly one write — the historical behaviour."""
         sup = get_supervisor()
         attempts = 0
         while True:
@@ -297,7 +301,7 @@ class ZoomieDebugger:
                 return
             if self.fabric.gate_mask == mask:
                 return
-            if attempts > sup.config.pause_retries:
+            if attempts > sup.config.retries:
                 # Best effort: the caller's error (if any) still
                 # surfaces; an unacked emergency stop is better
                 # reported than spun on forever.
@@ -377,7 +381,7 @@ class ZoomieDebugger:
                 # verifying the pause actually took.
                 if not sup.enabled or self.is_paused():
                     return
-                if attempts > sup.config.pause_retries:
+                if attempts > sup.config.retries:
                     sup.note_degradation(
                         "pause.emergency_gates",
                         site="fabric.pause_write",
@@ -614,9 +618,7 @@ class ZoomieDebugger:
     def read_state(self, prefix: str = "",
                    allow_running: bool = False) -> StateSnapshot:
         """Read back all registers under ``prefix`` (full visibility)."""
-        crash = self.fabric.transport.crash_plan
-        if crash is not None:
-            crash.check_alive()
+        self.fabric.transport.check_alive()
         if not allow_running:
             self._require_paused("state readback")
         with self._traced("read_state", prefix=prefix) as span, \
@@ -686,9 +688,8 @@ class ZoomieDebugger:
         """Capture the full design state for later replay."""
         self._require_paused("snapshots")
         validate_label(label)
-        crash = self.fabric.transport.crash_plan
-        if crash is not None and not self._in_command:
-            crash.check_alive()
+        if not self._in_command:
+            self.fabric.transport.check_alive()
         with self._traced("snapshot", label=label) as span, \
                 self._op_guard("snapshot"):
             snap = self.engine.snapshot(label=label)
@@ -697,8 +698,8 @@ class ZoomieDebugger:
         self.session_seconds += snap.acquisition_seconds
         # Journaled *post hoc*: capture mutates nothing (GCAPTURE is a
         # read), and the record must carry the content key, which only
-        # exists once the snapshot does. A crash "at" this boundary
-        # still lands after the record is durable.
+        # exists once the snapshot does. A crash "at" this boundary,
+        # before or after, still lands after the record is durable.
         if (self.journal is not None and self.snapshot_store is not None
                 and not self._in_command and not self._replaying):
             key = self.snapshot_store.put(snap)
@@ -706,9 +707,9 @@ class ZoomieDebugger:
                 "label": label, "key": key, "cycle": snap.cycle,
                 "auto": False})
             self._since_checkpoint = 0
-            if crash is not None:
-                crash.observe_command(record.index, before=True)
-                crash.observe_command(record.index, before=False)
+            if fault_point("debug.command") is not None:
+                self.fabric.transport.crash(
+                    f"command boundary #{record.index} (snapshot)")
         return snap
 
     def write_memory(self, name: str, words: list[int]) -> None:

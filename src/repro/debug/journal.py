@@ -13,8 +13,10 @@ CRC32-framed, length-prefixed record:
 Durability is modeled, not assumed: records land in a volatile pending
 buffer and only become crash-survivable at a **sync point** (every
 ``sync_every`` appends, or an explicit :meth:`sync`). A modeled crash
-(:class:`~repro.config.transport.CrashPlan`) simply abandons the pending
-buffer — exactly what a dead host process does to its page cache.
+(a ``crash`` fault of an installed
+:class:`~repro.chaos.schedule.FaultSchedule`) simply abandons the
+pending buffer — exactly what a dead host process does to its page
+cache.
 
 On read-back, a torn final record (the classic crash artifact: the
 write that was in flight when the process died) is detected by its

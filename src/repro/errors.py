@@ -280,9 +280,11 @@ class RecoveryDivergenceError(RecoveryError):
 class SessionCrashedError(DebugError):
     """The (modeled) host process died mid-session.
 
-    Injected by a :class:`~repro.config.transport.CrashPlan` at a chosen
-    journaled-command or transport-batch boundary; every subsequent
-    operation on the dead session raises this too.
+    Injected by a :class:`~repro.chaos.schedule.FaultSchedule` kill
+    point — a ``crash`` at the ``transport.batch`` site, or
+    ``crash_before``/``crash_after`` at the ``debug.command`` site (a
+    journaled-command boundary); every subsequent operation on the dead
+    session raises this too.
     """
 
 

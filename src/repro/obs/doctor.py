@@ -36,6 +36,8 @@ __all__ = ["DoctorResult", "main", "run_doctor"]
 #: that the ~dozens-of-batches workload reliably exceeds the 10%
 #: retry-rate SLO, low enough that bounded retries still converge.
 CHAOS_READ_FLIP_RATE = 0.3
+#: Fire bound on those flips (the workload never reaches it).
+CHAOS_READ_FLIPS = 64
 
 
 class DoctorResult:
@@ -82,16 +84,15 @@ def _run_workload(seed: int, chaos_seed: Optional[int]) -> dict:
 
     compiled = _design_builders()["pipeline"]()
     script = _script_for("pipeline", compiled, seed)
-    fabric, debugger = _fresh_session(compiled)
+    _, debugger = _fresh_session(compiled)
 
     schedule = None
     if chaos_seed is not None:
-        schedule = FaultSchedule(
-            seed=chaos_seed,
-            specs=[FaultSpec(site="transport.batch", kind="device_hang",
-                             at=2, count=2)],
-        ).with_transport(read_flip_rate=CHAOS_READ_FLIP_RATE)
-        fabric.enable_fault_injection(schedule.transport_plan())
+        schedule = FaultSchedule(seed=chaos_seed, specs=[
+            FaultSpec(site="transport.batch", kind="device_hang", at=2),
+            FaultSpec(site="transport.batch", kind="read_flip",
+                      rate=CHAOS_READ_FLIP_RATE, count=CHAOS_READ_FLIPS),
+        ])
 
     commands = 0
     errors = 0

@@ -19,7 +19,7 @@ from repro.campaign import (
     verify_equivalents,
 )
 from repro.campaign.__main__ import main as campaign_main
-from repro.config import CrashPlan
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
 from repro.debug.cli import ZoomieCli
 from repro.designs import make_counter
 from repro.errors import CampaignError
@@ -96,56 +96,49 @@ class TestDeterminism:
         assert verify_equivalents(config, report) == []
 
 
+def kill(site, kind, **when):
+    """Install a one-spec kill-point schedule for a ``with`` block."""
+    schedule = FaultSchedule(specs=[FaultSpec(site=site, kind=kind,
+                                              **when)])
+    return install_chaos(schedule.registry())
+
+
 class TestCrashRecovery:
     def test_crash_mid_mutant_resumes_bit_identical(self, tmp_path,
                                                     small_report):
         """Kill the host mid-localization on one mutant; the recovered
         campaign must report exactly what the uninterrupted one did."""
-        fired = []
-
-        def crash_plan(design, mutant_id):
-            if not fired:
-                fired.append(mutant_id)
-                return CrashPlan(at_command=9)
-            return None
-
-        config = CampaignConfig(designs=("counters",), mutants=3,
-                                seed=7, crash_plan=crash_plan)
+        config = CampaignConfig(designs=("counters",), mutants=3, seed=7)
         recoveries = get_registry().counter("campaign.recoveries")
         before = recoveries.value
-        report = run_debug_campaign(config, tmp_path)
-        assert fired, "the crash plan never armed"
+        with kill("debug.command", "crash_before", at=9) as registry:
+            report = run_debug_campaign(config, tmp_path)
+        assert registry.faults_fired == 1, "the kill point never fired"
         assert recoveries.value > before
         assert report.to_json() == small_report.to_json()
 
     def test_mid_command_crash_also_recovers(self, tmp_path,
                                              small_report):
-        fired = []
-
-        def crash_plan(design, mutant_id):
-            if not fired:
-                fired.append(mutant_id)
-                return CrashPlan(at_batch=5)
-            return None
-
-        config = CampaignConfig(designs=("counters",), mutants=3,
-                                seed=7, crash_plan=crash_plan)
+        config = CampaignConfig(designs=("counters",), mutants=3, seed=7)
         recoveries = get_registry().counter("campaign.recoveries")
         before = recoveries.value
-        report = run_debug_campaign(config, tmp_path)
-        assert fired
+        with kill("transport.batch", "crash", at=5) as registry:
+            report = run_debug_campaign(config, tmp_path)
+        assert registry.faults_fired == 1
         assert recoveries.value > before
         assert report.to_json() == small_report.to_json()
 
     def test_unrecoverable_mutant_raises(self, tmp_path):
-        config = CampaignConfig(
-            designs=("counters",), mutants=1, seed=7,
-            max_recoveries=1,
-            # at_batch counts from installation, so re-arming on every
-            # relaunch models a host that dies on every attempt.
-            crash_plan=lambda design, mid: CrashPlan(at_batch=5))
-        with pytest.raises(CampaignError):
+        """A host that dies on every batch: the first death is
+        mid-localization, the second hits ``recover_session`` itself.
+        Both count against ``max_recoveries``, so the campaign raises
+        its typed error rather than a raw SessionCrashedError."""
+        config = CampaignConfig(designs=("counters",), mutants=1, seed=7,
+                                max_recoveries=1)
+        with kill("transport.batch", "crash", rate=1.0,
+                  count=100) as registry, pytest.raises(CampaignError):
             run_debug_campaign(config, tmp_path)
+        assert registry.faults_fired == 2
 
 
 class TestMetrics:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import Zoomie, ZoomieProject
-from repro.config import CrashPlan
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
 from repro.debug import enable_crash_safety
 from repro.debug.cli import ZoomieCli
 from repro.designs import make_cohort_soc
@@ -150,8 +150,10 @@ class TestRecoverCommand:
         crashed.debugger.run(12)
         crashed.debugger.pause()
         crashed.debugger.snapshot("mid")
-        crashed.debugger.fabric.enable_crash_plan(CrashPlan(at_command=4))
-        with pytest.raises(SessionCrashedError):
+        # Commands 0-3 are journaled; the next one (#4) dies.
+        kill = FaultSpec(site="debug.command", kind="crash_before", at=0)
+        with install_chaos(FaultSchedule(specs=[kill]).registry()), \
+                pytest.raises(SessionCrashedError):
             crashed.debugger.step(3)
 
         fresh = make_cli()

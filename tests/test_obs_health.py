@@ -433,7 +433,8 @@ class TestDoctor:
         assert result.exit_code == 1
         assert result.report.status == "degraded"
         assert "transport.retry_rate" in result.report.failed
-        assert result.workload["faults_injected"] > 0
+        # The hang *and* every channel flip are recorded injections.
+        assert result.workload["faults_injected"] > 1
         payload = result.as_dict()
         assert payload["status"] == "degraded"
         assert payload["workload"]["chaos_seed"] == 7

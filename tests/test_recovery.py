@@ -10,12 +10,8 @@ uncrashed run driven through the same commands.
 import pytest
 
 from repro import Zoomie, ZoomieProject
-from repro.config import (
-    CrashPlan,
-    FabricDevice,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.config import FabricDevice, RetryPolicy
 from repro.debug import (
     ZoomieDebugger,
     diff_snapshots,
@@ -44,6 +40,20 @@ def launch():
         design=make_cohort_soc(with_bug=False), device="TEST2",
         clocks={"clk": 100.0}, watch=["issued"])
     return Zoomie(project).launch()
+
+
+def arm(site, kind, **when):
+    """Install a one-spec fault schedule for a ``with`` block. ``at=``
+    counts visits from installation, so arm before the first command
+    it should count."""
+    spec = FaultSpec(site=site, kind=kind, **when)
+    return install_chaos(FaultSchedule(specs=[spec]).registry())
+
+
+def kill_at_command(boundary, before):
+    """Host death at journaled command ``boundary`` (0-based)."""
+    kind = "crash_before" if before else "crash_after"
+    return arm("debug.command", kind, at=boundary)
 
 
 def drive(session, upto=None):
@@ -120,13 +130,12 @@ class TestJournaledSession:
             assert record.args["key"] in store
 
 
-class TestCrashPlans:
+class TestKillPoints:
     def test_command_boundary_crash_kills_session(self, tmp_path):
         session = launch()
         enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=2, before_apply=True))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(2, before=True), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         # a dead process answers nothing
         with pytest.raises(SessionCrashedError):
@@ -139,8 +148,8 @@ class TestCrashPlans:
         enable_crash_safety(session.debugger, tmp_path)
         session.poke_input("en", 1)
         session.debugger.run(10)
-        session.fabric.enable_crash_plan(CrashPlan(at_batch=1))
-        with pytest.raises(SessionCrashedError):
+        with arm("transport.batch", "crash", at=1), \
+                pytest.raises(SessionCrashedError):
             # pause issues capture + write batches; dies between them
             session.debugger.pause()
 
@@ -156,9 +165,8 @@ class TestRecovery:
     def test_bit_identical_recovery(self, tmp_path, boundary, before):
         session = launch()
         enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=boundary, before_apply=before))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(boundary, before), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         recovered, report = self.recover_fresh(tmp_path)
         # record `boundary` is durable either way -> replay applies it
@@ -172,9 +180,8 @@ class TestRecovery:
     def test_full_replay_without_any_snapshot(self, tmp_path):
         session = launch()
         enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=2, before_apply=False))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(2, before=False), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         recovered, report = self.recover_fresh(tmp_path)
         assert report.base_index is None
@@ -186,9 +193,8 @@ class TestRecovery:
     def test_recovery_skips_corrupt_checkpoint(self, tmp_path):
         session = launch()
         journal, store = enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=6, before_apply=False))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(6, before=False), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         # rot the (only) checkpoint: recovery must fall back to full
         # replay rather than trust it
@@ -280,9 +286,8 @@ class TestRecovery:
     def test_recovered_session_continues_journaling(self, tmp_path):
         session = launch()
         enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=4, before_apply=False))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(4, before=False), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         recovered, _ = self.recover_fresh(tmp_path)
         dbg = recovered.debugger
@@ -300,9 +305,8 @@ class TestRecovery:
     def test_report_describes_recovery(self, tmp_path):
         session = launch()
         enable_crash_safety(session.debugger, tmp_path)
-        session.fabric.enable_crash_plan(
-            CrashPlan(at_command=6, before_apply=False))
-        with pytest.raises(SessionCrashedError):
+        with kill_at_command(6, before=False), \
+                pytest.raises(SessionCrashedError):
             drive(session)
         _, report = self.recover_fresh(tmp_path)
         text = report.describe()
@@ -338,13 +342,11 @@ class TestWatchdog:
                       if name.startswith("core1."))
         # a permanently stuck secondary + an absurd retry budget:
         # without the watchdog this write would retry ~forever
-        plan = FaultPlan(seed=3)
-        plan.stick(1, attempts=10**9)
-        fabric.enable_fault_injection(
-            plan, RetryPolicy(max_attempts=10**6,
-                              backoff_seconds=0.005))
+        fabric.transport.policy = RetryPolicy(max_attempts=10**6,
+                                              backoff_seconds=0.005)
         dbg.op_deadline_seconds = 1.5
-        with pytest.raises(DebugTimeoutError) as info:
+        with arm("transport.batch", "stuck", rate=1.0, count=10**9), \
+                pytest.raises(DebugTimeoutError) as info:
             dbg.force(target, 1)
         error = info.value
         assert error.operation == "write_state"
@@ -362,16 +364,15 @@ class TestWatchdog:
         fabric, dbg = launch_split_cluster()
         dbg.record_input("en", 1)
         dbg.run(20)
-        fabric.enable_fault_injection(
-            FaultPlan(seed=1, read_flip_rate=1.0),
-            RetryPolicy(max_attempts=10**6, backoff_seconds=0.005))
+        fabric.transport.policy = RetryPolicy(max_attempts=10**6,
+                                              backoff_seconds=0.005)
         dbg.op_deadline_seconds = 1.0
-        with pytest.raises(DebugTimeoutError):
+        with arm("transport.batch", "read_flip", rate=1.0, count=10**9), \
+                pytest.raises(DebugTimeoutError):
             dbg.pause()
         assert dbg.safe_paused
         # the fault clears (transient channel brownout): state is
         # readable and resume un-parks the clocks
-        fabric.disable_fault_injection()
         state = dbg.read_state()
         assert state.values
         dbg.resume()
@@ -382,12 +383,12 @@ class TestWatchdog:
         fabric, dbg = launch_split_cluster()
         dbg.record_input("en", 1)
         dbg.run(10)
-        fabric.enable_fault_injection(
-            FaultPlan(seed=2, read_flip_rate=1.0),
-            RetryPolicy(max_attempts=4, backoff_seconds=0.001))
+        fabric.transport.policy = RetryPolicy(max_attempts=4,
+                                              backoff_seconds=0.001)
         # default (no watchdog): the old TransportError behavior
         from repro.errors import TransportError
-        with pytest.raises(TransportError):
+        with arm("transport.batch", "read_flip", rate=1.0, count=10**9), \
+                pytest.raises(TransportError):
             dbg.pause()
         assert not dbg.safe_paused
 

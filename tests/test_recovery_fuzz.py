@@ -14,7 +14,14 @@ import random
 
 import pytest
 
-from repro.config import CrashPlan, FabricDevice
+from repro.chaos import (
+    FaultSchedule,
+    FaultSpec,
+    SuperviseConfig,
+    get_supervisor,
+    install_chaos,
+)
+from repro.config import FabricDevice
 from repro.debug import (
     ZoomieDebugger,
     diff_snapshots,
@@ -30,6 +37,10 @@ from repro.vendor import VivadoFlow
 from repro.vendor.place import whole_slr
 
 SEED = 2024
+
+
+def _armed(*specs, seed=0):
+    return FaultSchedule(seed=seed, specs=specs).registry()
 
 
 def compile_design(design, watch, constraints=None):
@@ -140,11 +151,13 @@ def test_recovery_is_bit_identical_at_every_boundary(name, tmp_path):
         workdir = tmp_path / f"crash{boundary}"
         fabric, debugger = fresh_session(compiled)
         enable_crash_safety(debugger, workdir)
-        fabric.enable_crash_plan(
-            CrashPlan(at_command=boundary, before_apply=before))
+        kill = FaultSpec(site="debug.command",
+                         kind="crash_before" if before else "crash_after",
+                         at=boundary)
         context = (f"design={name} seed={SEED} boundary={boundary} "
                    f"before_apply={before}")
-        with pytest.raises(SessionCrashedError):
+        with install_chaos(_armed(kill)), \
+                pytest.raises(SessionCrashedError):
             apply_script(fabric, debugger, script)
 
         _, recovered = fresh_session(compiled)
@@ -176,8 +189,8 @@ def test_multi_slr_memory_survives_crash_during_write(tmp_path):
     debugger.pause()
     mem = compiled[2].database.netlist.memories["core1.rf"]
     words = [(i * 3 + 1) % (1 << mem.width) for i in range(mem.depth)]
-    fabric.enable_crash_plan(CrashPlan(at_batch=0))
-    with pytest.raises(SessionCrashedError):
+    kill = FaultSpec(site="transport.batch", kind="crash", at=0)
+    with install_chaos(_armed(kill)), pytest.raises(SessionCrashedError):
         debugger.write_memory("core1.rf", words)
 
     _, recovered = fresh_session(compiled)
@@ -204,20 +217,8 @@ def test_multi_slr_memory_survives_crash_during_write(tmp_path):
 # every fault kind the chaos registry documents for those sites — and
 # assert recovery still converges to the golden run bit-for-bit.
 
-from repro.chaos import (  # noqa: E402
-    FaultSchedule,
-    FaultSpec,
-    SuperviseConfig,
-    get_supervisor,
-    install_chaos,
-)
-from repro.config import FaultPlan  # noqa: E402
 from repro.errors import DiskFaultError  # noqa: E402
 from repro.rtl.plan_store import PlanDiskStore  # noqa: E402
-
-
-def _armed(*specs, seed=0):
-    return FaultSchedule(seed=seed, specs=specs).registry()
 
 
 @pytest.mark.fuzz
@@ -302,7 +303,6 @@ def test_lockstep_faulted_run_matches_clean_twin(tmp_path):
     clean_fabric, clean = fresh_session(compiled)
     faulted_fabric, faulted = fresh_session(compiled)
     enable_crash_safety(faulted, tmp_path)
-    faulted_fabric.enable_fault_injection(FaultPlan(seed=SEED))
 
     sup = get_supervisor()
     sup.enable(SuperviseConfig())

@@ -1,11 +1,12 @@
 """The verified JTAG transport: fault injection, CRC verification
 against the golden channel, and the bounded retry policy.
 
-The differential guard the transport must honour: with fault injection
-disabled it is a bit-identical pass-through (same read words, same
-modeled seconds as the raw ring); with a seeded FaultPlan active,
-corrupted batches are always *detected* — never silently consumed — and
-operations complete via retry with the damage visible in the stats.
+The differential guard the transport must honour: with no fault
+schedule installed it is a bit-identical pass-through (same read words,
+same modeled seconds as the raw ring); with seeded ``transport.batch``
+faults armed, corrupted batches are always *detected* — never silently
+consumed — and operations complete via retry with the damage visible in
+the stats.
 """
 
 import pytest
@@ -13,10 +14,30 @@ import pytest
 from repro import Zoomie, ZoomieProject
 from repro.bitstream.assembler import BitstreamAssembler
 from repro.bitstream.crc import crc32_stream
-from repro.config import FaultPlan, RetryPolicy
-from repro.config.transport import HOP_PULSE_WORD
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.config import RetryPolicy
+from repro.config.transport import (
+    BACKOFF_MULTIPLIER,
+    HOP_PULSE_WORD,
+    MAX_BACKOFF_SECONDS,
+)
 from repro.designs import make_cluster
 from repro.errors import CorruptReadbackError, TransportError
+from repro.obs import get_flight_recorder, get_registry
+
+#: Fire bound for faults meant to last the whole test.
+PERSISTENT = 10**6
+
+
+def channel_fault(kind, rate=1.0, count=PERSISTENT):
+    return FaultSpec(site="transport.batch", kind=kind, rate=rate,
+                     count=count)
+
+
+def arm(*specs, seed=0):
+    """Install a seeded schedule for a ``with`` block (yields its
+    registry)."""
+    return install_chaos(FaultSchedule(seed=seed, specs=specs).registry())
 
 
 @pytest.fixture()
@@ -49,7 +70,8 @@ def capture_read_program(fabric, slr, frames):
 
 class TestCleanChannel:
     def test_transact_is_bit_identical_to_raw_ring(self, session):
-        """Differential guard: no plan -> pass-through, zero overhead."""
+        """Differential guard: no schedule -> pass-through, zero
+        overhead."""
         fabric = session.fabric
         frames = session.debugger.engine.all_frames_of_slr(0)[:8]
         direct = fabric.jtag.run(capture_read_program(fabric, 0, frames))
@@ -84,77 +106,77 @@ class TestCleanChannel:
         assert fabric.jtag.batches > before
 
 
-class TestFaultPlan:
-    def test_same_seed_same_faults(self):
-        words = list(range(64))
-        a = FaultPlan(seed=7, read_flip_rate=0.5, truncate_rate=0.3)
-        b = FaultPlan(seed=7, read_flip_rate=0.5, truncate_rate=0.3)
-        for _ in range(16):
-            assert a.deliver_response(list(words)) \
-                == b.deliver_response(list(words))
+class TestChannelFaults:
+    def test_same_seed_same_faults(self, session):
+        """Two registries armed from one schedule fire the same faults
+        on the same batches, with the same damage."""
+        fabric, dbg = session.fabric, session.debugger
+        fabric.transport.policy = RetryPolicy(max_attempts=12)
+        stats = fabric.transport.stats
+        schedule = FaultSchedule(seed=7, specs=[
+            channel_fault("read_flip", rate=0.5, count=8),
+            channel_fault("truncate", rate=0.3, count=8)])
 
-    def test_reset_rewinds_the_stream(self):
-        words = list(range(64))
-        plan = FaultPlan(seed=3, read_flip_rate=0.7)
-        first = [plan.deliver_response(list(words)) for _ in range(8)]
-        plan.reset()
-        again = [plan.deliver_response(list(words)) for _ in range(8)]
-        assert first == again
+        def replay():
+            before = stats.as_dict()
+            with install_chaos(schedule.registry()) as registry:
+                state = dbg.read_state()
+            after = stats.as_dict()
+            counts = {key: after[key] - before[key] for key in after
+                      if key != "seconds_in_retry"}
+            return registry.injections, counts, state.values
 
-    def test_drop_hop_removes_exactly_one_pulse(self):
-        plan = FaultPlan(seed=1, drop_hop_rate=1.0)
-        words = [HOP_PULSE_WORD, HOP_PULSE_WORD, 0x123, HOP_PULSE_WORD]
-        delivered = plan.deliver_commands(list(words))
-        assert len(delivered) == len(words) - 1
-        assert delivered.count(HOP_PULSE_WORD) == 2
-        assert 0x123 in delivered
+        first = replay()
+        assert first[0], "the schedule never fired"
+        assert replay() == first
 
-    def test_no_pulses_nothing_to_drop(self):
-        plan = FaultPlan(seed=1, drop_hop_rate=1.0)
-        words = [0x123, 0x456]
-        assert plan.deliver_commands(list(words)) == words
+    def test_no_pulses_nothing_to_drop(self, session):
+        """``drop_hop`` on a batch with no hop pulse is a recorded no-op:
+        the batch runs exactly as on a clean channel."""
+        fabric = session.fabric
+        primary = fabric.device.primary_slr
+        frames = session.debugger.engine.all_frames_of_slr(primary)[:4]
+        words = capture_read_program(fabric, primary, frames)
+        assert HOP_PULSE_WORD not in words
+        clean = fabric.transact(list(words))
+        stats = fabric.transport.stats
+        before = stats.as_dict()
+        with arm(channel_fault("drop_hop", count=1)) as registry:
+            faulted = fabric.transact(list(words))
+        assert [i.kind for i in registry.injections] == ["drop_hop"]
+        assert faulted.read_words == clean.read_words
+        assert faulted.seconds == clean.seconds
+        assert stats.command_faults_detected \
+            == before["command_faults_detected"]
+        assert stats.retries == before["retries"]
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(max_attempts=8, backoff_seconds=0.01,
-                             backoff_multiplier=2.0,
-                             max_backoff_seconds=0.05)
-        waits = [policy.backoff_for(n) for n in range(1, 6)]
-        assert waits == [0.01, 0.02, 0.04, 0.05, 0.05]
+        assert BACKOFF_MULTIPLIER == 2.0
+        assert MAX_BACKOFF_SECONDS == 0.25
+        policy = RetryPolicy(max_attempts=8, backoff_seconds=0.01)
+        waits = [policy.backoff_for(n) for n in range(1, 8)]
+        assert waits == [0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
 
-    def test_zero_jitter_is_bit_identical_to_plain_backoff(self):
-        plain = RetryPolicy(max_attempts=8, backoff_seconds=0.01,
-                            backoff_multiplier=2.0,
-                            max_backoff_seconds=0.05)
-        zeroed = RetryPolicy(max_attempts=8, backoff_seconds=0.01,
-                             backoff_multiplier=2.0,
-                             max_backoff_seconds=0.05,
-                             jitter=0.0, jitter_seed=99)
-        for failure in range(1, 9):
-            assert plain.backoff_for(failure) \
-                == zeroed.backoff_for(failure)
-
-    def test_jitter_is_deterministic_per_seed_and_bounded(self):
-        def waves(seed):
-            policy = RetryPolicy(max_attempts=8, backoff_seconds=0.01,
-                                 backoff_multiplier=2.0,
-                                 max_backoff_seconds=0.05,
-                                 jitter=0.3, jitter_seed=seed)
-            return [policy.backoff_for(n) for n in range(1, 9)]
-
-        assert waves(7) == waves(7)  # replayable
-        assert waves(7) != waves(8)  # but seed-dependent
-        plain = RetryPolicy(max_attempts=8, backoff_seconds=0.01,
-                            backoff_multiplier=2.0,
-                            max_backoff_seconds=0.05)
-        for failure, wait in enumerate(waves(7), start=1):
-            base = plain.backoff_for(failure)
-            assert base * 0.7 <= wait <= min(base * 1.3, 0.05)
-
-    def test_jitter_fraction_is_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
+    def test_every_detected_fault_has_a_recorded_cause(self, session):
+        """A channel fault the CRC catches is also on record: in the
+        registry's audit log, the per-kind counter, and the flight
+        recorder's sticky ring."""
+        fabric, engine = session.fabric, session.debugger.engine
+        primary = fabric.device.primary_slr
+        frames = engine.all_frames_of_slr(primary)[:4]
+        stats = fabric.transport.stats
+        counter = get_registry().counter("chaos.faults_injected.read_flip")
+        flight = get_flight_recorder()
+        flight.clear()
+        corrupt_before, counted_before = \
+            stats.corrupt_detected, counter.value
+        with arm(channel_fault("read_flip", count=3)) as registry:
+            engine.read_slr(primary, frames)
+        assert stats.corrupt_detected - corrupt_before == 3
+        assert [i.kind for i in registry.injections] == ["read_flip"] * 3
+        assert counter.value - counted_before == 3
+        assert [e["name"] for e in flight.events
+                if e["kind"] == "chaos"] == ["read_flip"] * 3
 
 
 class TestFaultDetectionAndRetry:
@@ -164,12 +186,12 @@ class TestFaultDetectionAndRetry:
         fabric, dbg = session.fabric, session.debugger
         stats = fabric.transport.stats
         tripped = False
+        fabric.transport.policy = RetryPolicy(max_attempts=12)
         for seed in range(40):
-            fabric.enable_fault_injection(
-                FaultPlan(seed=seed, read_flip_rate=0.5),
-                RetryPolicy(max_attempts=12))
             before = stats.corrupt_detected
-            state = dbg.read_state()
+            with arm(channel_fault("read_flip", rate=0.5, count=8),
+                     seed=seed):
+                state = dbg.read_state()
             for name, value in state.values.items():
                 assert value == fabric.sim.peek(name), (
                     f"seed={seed}: silently corrupt value for {name}")
@@ -182,20 +204,18 @@ class TestFaultDetectionAndRetry:
 
     def test_persistent_corruption_raises_typed_error(self, session):
         fabric, dbg = session.fabric, session.debugger
-        fabric.enable_fault_injection(
-            FaultPlan(seed=2, read_flip_rate=1.0),
-            RetryPolicy(max_attempts=3))
-        with pytest.raises(CorruptReadbackError) as info:
+        fabric.transport.policy = RetryPolicy(max_attempts=3)
+        with arm(channel_fault("read_flip"), seed=2), \
+                pytest.raises(CorruptReadbackError) as info:
             dbg.read_state()
         assert info.value.attempts == 3
         assert fabric.transport.stats.exhausted == 1
 
     def test_truncated_burst_detected(self, session):
         fabric, dbg = session.fabric, session.debugger
-        fabric.enable_fault_injection(
-            FaultPlan(seed=4, truncate_rate=1.0),
-            RetryPolicy(max_attempts=2))
-        with pytest.raises(CorruptReadbackError) as info:
+        fabric.transport.policy = RetryPolicy(max_attempts=2)
+        with arm(channel_fault("truncate"), seed=4), \
+                pytest.raises(CorruptReadbackError) as info:
             dbg.read_state()
         assert info.value.kind == "truncated"
 
@@ -208,10 +228,9 @@ class TestFaultDetectionAndRetry:
             % fabric.device.slr_count
         frames = engine.all_frames_of_slr(secondary)[:4]
         logs_before = [list(mc.command_log) for mc in fabric.mcs]
-        fabric.enable_fault_injection(
-            FaultPlan(seed=3, drop_hop_rate=1.0),
-            RetryPolicy(max_attempts=3))
-        with pytest.raises(TransportError) as info:
+        fabric.transport.policy = RetryPolicy(max_attempts=3)
+        with arm(channel_fault("drop_hop"), seed=3), \
+                pytest.raises(TransportError) as info:
             engine.read_slr(secondary, frames)
         assert info.value.kind == "command"
         assert [list(mc.command_log) for mc in fabric.mcs] == logs_before
@@ -225,12 +244,11 @@ class TestFaultDetectionAndRetry:
         frames = engine.all_frames_of_slr(secondary)[:4]
         clean = engine.read_slr(secondary, frames)
 
-        plan = FaultPlan(seed=0)
-        plan.stick(secondary, attempts=2)
-        fabric.enable_fault_injection(plan, RetryPolicy(max_attempts=6))
+        fabric.transport.policy = RetryPolicy(max_attempts=6)
         stats = fabric.transport.stats
         wasted_before = stats.seconds_in_retry
-        faulted = engine.read_slr(secondary, frames)
+        with arm(channel_fault("stuck", count=2)):
+            faulted = engine.read_slr(secondary, frames)
 
         assert stats.stuck_detected == 2
         assert stats.retries == 2
@@ -245,22 +263,20 @@ class TestFaultDetectionAndRetry:
         engine = dbg.engine
         secondary = (fabric.device.primary_slr + 1) \
             % fabric.device.slr_count
-        plan = FaultPlan(seed=0)
-        plan.stick(secondary, attempts=1)
-        fabric.enable_fault_injection(plan)
         stats = fabric.transport.stats
         frames = engine.all_frames_of_slr(fabric.device.primary_slr)[:4]
-        engine.read_slr(fabric.device.primary_slr, frames)
+        with arm(channel_fault("stuck", count=1)) as registry:
+            engine.read_slr(fabric.device.primary_slr, frames)
+        assert registry.faults_fired == 1
         assert stats.stuck_detected == 0  # primary batch sails through
 
 
 class TestRetryIdempotentOperations:
     def test_write_state_exact_under_faults(self, session):
         fabric, dbg = session.fabric, session.debugger
-        fabric.enable_fault_injection(
-            FaultPlan(seed=5, read_flip_rate=0.4),
-            RetryPolicy(max_attempts=12))
-        dbg.write_state({"core0.acc": 3})
+        fabric.transport.policy = RetryPolicy(max_attempts=12)
+        with arm(channel_fault("read_flip", rate=0.4), seed=5):
+            dbg.write_state({"core0.acc": 3})
         assert fabric.sim.peek("core0.acc") == 3
 
     def test_write_memory_exact_under_faults(self, session):
@@ -268,22 +284,22 @@ class TestRetryIdempotentOperations:
         mem = fabric.db.netlist.memories["imem"]
         words = [(index * 7 + 1) % (1 << mem.width)
                  for index in range(mem.depth)]
-        fabric.enable_fault_injection(
-            FaultPlan(seed=6, read_flip_rate=0.4, drop_hop_rate=0.2),
-            RetryPolicy(max_attempts=12))
-        dbg.write_memory("imem", words)
+        fabric.transport.policy = RetryPolicy(max_attempts=12)
+        with arm(channel_fault("read_flip", rate=0.4),
+                 channel_fault("drop_hop", rate=0.2), seed=6):
+            dbg.write_memory("imem", words)
         assert list(fabric.sim.memories["imem"]) == words
 
     def test_snapshot_restore_roundtrip_under_faults(self, session):
         fabric, dbg = session.fabric, session.debugger
-        fabric.enable_fault_injection(
-            FaultPlan(seed=8, read_flip_rate=0.25, truncate_rate=0.1),
-            RetryPolicy(max_attempts=12))
-        snap = dbg.snapshot(label="before")
-        dbg.resume()
-        dbg.run(17)
-        dbg.pause()
-        dbg.restore(snap)
+        fabric.transport.policy = RetryPolicy(max_attempts=12)
+        with arm(channel_fault("read_flip", rate=0.25),
+                 channel_fault("truncate", rate=0.1), seed=8):
+            snap = dbg.snapshot(label="before")
+            dbg.resume()
+            dbg.run(17)
+            dbg.pause()
+            dbg.restore(snap)
         for name, value in snap.values.items():
             if name in fabric.db.netlist.registers:
                 assert fabric.sim.peek(name) == value, name
@@ -292,11 +308,10 @@ class TestRetryIdempotentOperations:
 
     def test_disable_returns_to_clean_channel(self, session):
         fabric, dbg = session.fabric, session.debugger
-        fabric.enable_fault_injection(FaultPlan(seed=1, read_flip_rate=1.0),
-                                      RetryPolicy(max_attempts=2))
-        with pytest.raises(TransportError):
+        fabric.transport.policy = RetryPolicy(max_attempts=2)
+        with arm(channel_fault("read_flip"), seed=1), \
+                pytest.raises(TransportError):
             dbg.read_state()
-        fabric.disable_fault_injection()
         retries_before = fabric.transport.stats.retries
         state = dbg.read_state()
         assert fabric.transport.stats.retries == retries_before

@@ -2,7 +2,8 @@
 
 Mutation testing for the configuration plane: each case drives a full
 debug workload (readback, state writes, memory writes, snapshot/
-restore) over a channel perturbed by a seeded :class:`FaultPlan`, and
+restore) over a channel perturbed by a seeded
+:class:`~repro.chaos.FaultSchedule` of ``transport.batch`` faults, and
 cross-checks every value the transport delivers against simulator
 truth. The invariant fuzzed for: *corruption is either detected (typed
 TransportError) or absent — never a silently wrong value.*
@@ -15,7 +16,8 @@ the test id and every assertion message, so it reproduces with e.g.
 import pytest
 
 from repro import Zoomie, ZoomieProject
-from repro.config import FaultPlan, RetryPolicy
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.config import RetryPolicy
 from repro.designs import make_cluster
 from repro.errors import TransportError
 
@@ -31,9 +33,13 @@ def launch():
     return session
 
 
-def harsh_plan(seed):
-    return FaultPlan(seed=seed, read_flip_rate=0.3, truncate_rate=0.15,
-                     drop_hop_rate=0.2, stuck_rate=0.2)
+def harsh_channel(seed):
+    """Install a hostile channel for a ``with`` block."""
+    rates = {"read_flip": 0.3, "truncate": 0.15, "drop_hop": 0.2,
+             "stuck": 0.2}
+    specs = [FaultSpec(site="transport.batch", kind=kind, rate=rate,
+                       count=10**6) for kind, rate in rates.items()]
+    return install_chaos(FaultSchedule(seed=seed, specs=specs).registry())
 
 
 @pytest.mark.fuzz
@@ -41,28 +47,28 @@ def harsh_plan(seed):
 def test_fuzzed_channel_never_yields_wrong_values(seed):
     session = launch()
     fabric, dbg = session.fabric, session.debugger
-    fabric.enable_fault_injection(harsh_plan(seed),
-                                  RetryPolicy(max_attempts=16))
+    fabric.transport.policy = RetryPolicy(max_attempts=16)
     detected = 0
-    for round_index in range(4):
-        dbg.resume()
-        dbg.run(11 + round_index)
-        dbg.pause()
-        context = f"seed={seed} round={round_index}"
-        try:
-            state = dbg.read_state()
-        except TransportError:
-            detected += 1
-            continue
-        for name, value in state.values.items():
-            assert value == fabric.sim.peek(name), (
-                f"{context}: silently corrupt register {name}")
-        for name, words in state.memories.items():
-            truth = list(fabric.sim.memories[name])
-            assert words == truth, (
-                f"{context}: silently corrupt memory {name}")
+    with harsh_channel(seed):
+        for round_index in range(4):
+            dbg.resume()
+            dbg.run(11 + round_index)
+            dbg.pause()
+            context = f"seed={seed} round={round_index}"
+            try:
+                state = dbg.read_state()
+            except TransportError:
+                detected += 1
+                continue
+            for name, value in state.values.items():
+                assert value == fabric.sim.peek(name), (
+                    f"{context}: silently corrupt register {name}")
+            for name, words in state.memories.items():
+                truth = list(fabric.sim.memories[name])
+                assert words == truth, (
+                    f"{context}: silently corrupt memory {name}")
     stats = fabric.transport.stats
-    # The harsh plan must actually have bitten somewhere: either a
+    # The harsh channel must actually have bitten somewhere: either a
     # detected-and-retried fault or an exhausted batch.
     assert stats.corrupt_detected + stats.command_faults_detected \
         + stats.stuck_detected + detected > 0, f"seed={seed}: no faults?"
@@ -75,15 +81,15 @@ def test_fuzzed_writes_apply_exactly_or_error(seed):
     fabric, dbg = session.fabric, session.debugger
     dbg.run(20)
     dbg.pause()
-    fabric.enable_fault_injection(harsh_plan(seed),
-                                  RetryPolicy(max_attempts=16))
+    fabric.transport.policy = RetryPolicy(max_attempts=16)
     mem = fabric.db.netlist.memories["imem"]
     rng_words = [(seed * 31 + i * 7) % (1 << mem.width)
                  for i in range(mem.depth)]
     try:
-        dbg.write_state({"core0.acc": (seed + 1) & 0xF,
-                         "core1.acc": (seed + 2) & 0xF})
-        dbg.write_memory("imem", rng_words)
+        with harsh_channel(seed):
+            dbg.write_state({"core0.acc": (seed + 1) & 0xF,
+                             "core1.acc": (seed + 2) & 0xF})
+            dbg.write_memory("imem", rng_words)
     except TransportError:
         return  # detected, surfaced, acceptable
     assert fabric.sim.peek("core0.acc") == (seed + 1) & 0xF, f"seed={seed}"
@@ -98,14 +104,14 @@ def test_fuzzed_snapshot_restore_roundtrip(seed):
     fabric, dbg = session.fabric, session.debugger
     dbg.run(25 + seed)
     dbg.pause()
-    fabric.enable_fault_injection(harsh_plan(seed),
-                                  RetryPolicy(max_attempts=16))
+    fabric.transport.policy = RetryPolicy(max_attempts=16)
     try:
-        snap = dbg.snapshot(label=f"fuzz{seed}")
-        dbg.resume()
-        dbg.run(13)
-        dbg.pause()
-        dbg.restore(snap)
+        with harsh_channel(seed):
+            snap = dbg.snapshot(label=f"fuzz{seed}")
+            dbg.resume()
+            dbg.run(13)
+            dbg.pause()
+            dbg.restore(snap)
     except TransportError:
         return
     for name, value in snap.values.items():
