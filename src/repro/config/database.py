@@ -41,6 +41,10 @@ class DesignDatabase:
     domain_bits: dict[str, int] = field(default_factory=dict)
     #: Memory name -> content-frame placement (BRAM/LUTRAM capture).
     memory_map: dict[str, object] = field(default_factory=dict)
+    #: SLR -> its capture plan, built on first use by
+    #: :func:`repro.config.capture_plan.capture_plan`.
+    capture_plans: dict[int, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain_bits:

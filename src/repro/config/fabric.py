@@ -25,8 +25,9 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..fpga.device import Device
-from ..fpga.frames import ConfigMemory, FrameSpace
+from ..fpga.frames import BLOCK_BRAM, ConfigMemory, FrameSpace
 from ..rtl.simulator import Simulator
+from .capture_plan import capture_plan
 from .database import DesignDatabase
 from .jtag import JtagResult, JtagRing
 from .microcontroller import Microcontroller
@@ -189,7 +190,13 @@ class FabricDevice:
                 new_sim.force(name, old_sim.peek(name))
         for name, memory in self.db.netlist.memories.items():
             if name in old_memories:
-                new_sim.memories[name][:] = old_sim.memories[name]
+                # The new design may have resized the memory: keep the
+                # overlapping words, truncated to the new width; the
+                # rest stays at the new design's init.
+                live = new_sim.memories[name]
+                kept = old_sim.memories[name][:len(live)]
+                mask = (1 << memory.width) - 1
+                live[:len(kept)] = [word & mask for word in kept]
         for name, domain in new_sim.domains.items():
             if name in old_sim.domains:
                 domain.cycles = old_sim.domains[name].cycles
@@ -291,44 +298,8 @@ class FabricDevice:
         refresh memory (BRAM/LUTRAM) content frames."""
         self._require_booted()
         assert self.sim is not None and self.db is not None
-        memory = self.config[slr_index]
-        for entry in self.db.ll.entries_for_slr(slr_index):
-            if regions is not None and entry.frame.region not in regions:
-                continue
-            value = (self.sim.peek(entry.name) >> entry.bit) & 1
-            memory.set_bit(entry.frame, entry.offset, value)
-        self._capture_memories(slr_index, regions)
-
-    def _capture_memories(self, slr_index: int,
-                          regions: Optional[set[int]]) -> None:
-        """Pack live memory words into content frames."""
-        assert self.sim is not None and self.db is not None
-        space = self.spaces[slr_index]
-        config = self.config[slr_index]
-        for name, placement in self.db.memory_map.items():
-            if placement.slr != slr_index:
-                continue
-            first_region = placement.frame_addresses(space)[0].region
-            if regions is not None and first_region not in regions:
-                continue
-            mem = self.db.netlist.memories[name]
-            words = self.sim.memories[name]
-            frames: dict = {}
-            for index, word in enumerate(words):
-                for bit in range(mem.width):
-                    address, offset = placement.locate_bit(
-                        space, index * mem.width + bit)
-                    frame = frames.get(address)
-                    if frame is None:
-                        frame = frames[address] = \
-                            config.read_frame(address)
-                    word_i, word_off = divmod(offset, 32)
-                    if (word >> bit) & 1:
-                        frame[word_i] |= 1 << word_off
-                    else:
-                        frame[word_i] &= ~(1 << word_off)
-            for address, frame in frames.items():
-                config._frames[address] = frame  # capture, not "dirty"
+        capture_plan(self.db, slr_index).capture(
+            self.sim, self.config[slr_index], regions)
 
     def apply_content_frame(self, slr_index: int, address) -> None:
         """Apply one written content frame back to the live memory.
@@ -340,60 +311,22 @@ class FabricDevice:
         """
         if self.sim is None or self.db is None:
             return
-        from ..fpga.frames import BLOCK_BRAM, FRAME_WORDS
         if address.block_type != BLOCK_BRAM:
             return
-        space = self.spaces[slr_index]
-        config = self.config[slr_index]
-        frame_bits = FRAME_WORDS * 32
-        for name, placement in self.db.memory_map.items():
-            if placement.slr != slr_index:
-                continue
-            frame_start = placement.covers_frame(space, address)
-            if frame_start is None or frame_start >= placement.bits:
-                continue
-            mem = self.db.netlist.memories[name]
-            live = self.sim.memories[name]
-            first_word = frame_start // mem.width
-            last_word = min(
-                mem.depth - 1,
-                (frame_start + frame_bits - 1) // mem.width)
-            for index in range(first_word, last_word + 1):
-                value = 0
-                for bit in range(mem.width):
-                    frame_addr, offset = placement.locate_bit(
-                        space, index * mem.width + bit)
-                    value |= config.get_bit(frame_addr, offset) << bit
-                live[index] = value
+        capture_plan(self.db, slr_index).apply_content_frame(
+            self.sim, self.config[slr_index], address)
         self.sim._dirty = True
 
     def restore(self, slr_index: int, regions: Optional[set[int]]) -> None:
         """GRESTORE: load FF values from this SLR's capture frames."""
         self._require_booted()
         assert self.sim is not None and self.db is not None
-        memory = self.config[slr_index]
-        updates: dict[str, int] = {}
-        for entry in self.db.ll.entries_for_slr(slr_index):
-            if regions is not None and entry.frame.region not in regions:
-                continue
-            bit = memory.get_bit(entry.frame, entry.offset)
-            current = updates.get(entry.name, self.sim.peek(entry.name))
-            if bit:
-                current |= 1 << entry.bit
-            else:
-                current &= ~(1 << entry.bit)
-            updates[entry.name] = current
-        for name, value in updates.items():
-            self.sim.force(name, value)
+        capture_plan(self.db, slr_index).restore(
+            self.sim, self.config[slr_index], regions)
 
     def apply_gsr(self, slr_index: int,
                   regions: Optional[set[int]]) -> None:
         """Global set/reset: registers return to their init values."""
         if self.sim is None or self.db is None:
             return
-        for entry in self.db.ll.entries_for_slr(slr_index):
-            if regions is not None and entry.frame.region not in regions:
-                continue
-            register = self.db.netlist.registers.get(entry.name)
-            if register is not None:
-                self.sim.force(entry.name, register.init)
+        capture_plan(self.db, slr_index).gsr(self.sim, regions)

@@ -40,11 +40,6 @@ class Microcontroller:
         self.slr_index = slr_index
         self.space = fabric.spaces[slr_index]
         self.memory = fabric.config[slr_index]
-        self._frame_order = list(self.space.frames())
-        self._frame_index = {
-            address: position
-            for position, address in enumerate(self._frame_order)
-        }
         self.far: Optional[FrameAddress] = None
         self.mode: str = "idle"  # idle | write | read
         self.mask: int = 0
@@ -170,9 +165,10 @@ class Microcontroller:
 
     def _advance_far(self) -> None:
         assert self.far is not None
-        position = self._frame_index[self.far] + 1
-        if position < len(self._frame_order):
-            self.far = self._frame_order[position]
+        order = self.space.frame_order
+        position = self.space.frame_index[self.far] + 1
+        if position < len(order):
+            self.far = order[position]
         else:
             self.far = None  # ran off the end; next access errors
 

@@ -23,6 +23,7 @@ from typing import Optional
 from ..bitstream.assembler import BitstreamAssembler
 from ..chaos.schedule import fault_point
 from ..chaos.supervise import get_supervisor
+from ..config.capture_plan import RegisterLayout, capture_plan
 from ..config.fabric import FabricDevice
 from ..errors import (
     BreakpointError,
@@ -32,7 +33,7 @@ from ..errors import (
     NotPausedError,
     TransportError,
 )
-from ..fpga.frames import FRAME_WORDS, FrameAddress
+from ..fpga.frames import FRAME_WORDS
 from ..obs import get_flight_recorder, get_logger, get_registry, \
     get_tracer
 from ..obs.health import get_health_engine
@@ -730,16 +731,8 @@ class ZoomieDebugger:
                 self._journaled("write_memory", name=name,
                              words=list(words)), \
                 self._op_guard("write_memory"):
-            space = self.fabric.spaces[placement.slr]
-            frames: dict[FrameAddress, list[int]] = {}
-            for index, word in enumerate(words):
-                for bit in range(mem.width):
-                    address, offset = placement.locate_bit(
-                        space, index * mem.width + bit)
-                    frame = frames.setdefault(address, [0] * FRAME_WORDS)
-                    word_i, word_off = divmod(offset, 32)
-                    if (word >> bit) & 1:
-                        frame[word_i] |= 1 << word_off
+            image = capture_plan(db, placement.slr).memories[name]
+            frames = dict(zip(image.frames, image.pack(words)))
             device = self.fabric.device
             asm = BitstreamAssembler(device)
             asm.preamble()
@@ -747,7 +740,7 @@ class ZoomieDebugger:
             asm.command("WCFG")
             for address in sorted(frames):
                 asm.write_register("FAR", [address.to_word()])
-                asm.write_register("FDRI", frames[address])
+                asm.write_register("FDRI", list(frames[address]))
             asm.command("DESYNC").dummy(2)
             result = self.fabric.transact(asm.words)
             self.session_seconds += result.seconds
@@ -766,7 +759,7 @@ class ZoomieDebugger:
             args["key"] = self.snapshot_store.put(snapshot)
         # Anything the logic-location file knows is restorable — netlist
         # registers plus BRAM output latches (sync read-port data).
-        locatable = self.fabric.db.ll.by_register()
+        locatable = self.fabric.db.ll.layout().runs
         writable = {
             name: value for name, value in snapshot.values.items()
             if name in locatable
@@ -792,28 +785,23 @@ class ZoomieDebugger:
     def _write_registers(self, updates: dict[str, int]) -> None:
         db = self.fabric.db
         assert db is not None
-        by_register = db.ll.by_register()
+        layout = db.ll.layout()
         by_slr: dict[int, dict[str, int]] = {}
         for name, value in updates.items():
-            entries = by_register.get(name)
-            if not entries:
+            runs = layout.runs.get(name)
+            if not runs:
                 raise DebugError(
                     f"register {name!r} has no logic-location entries")
-            by_slr.setdefault(entries[0].slr, {})[name] = value
+            by_slr.setdefault(runs[0][0], {})[name] = value
         for slr, slr_updates in sorted(by_slr.items()):
-            self._write_slr(slr, slr_updates, by_register)
+            self._write_slr(slr, slr_updates, layout)
 
     def _write_slr(self, slr: int, updates: dict[str, int],
-                   by_register) -> None:
+                   layout: RegisterLayout) -> None:
         device = self.fabric.device
 
         # 1. Capture current state and read the frames we must edit.
-        frames_needed: list[FrameAddress] = []
-        for name in updates:
-            for entry in by_register[name]:
-                if entry.frame not in frames_needed:
-                    frames_needed.append(entry.frame)
-        frames_needed.sort()
+        frames_needed = layout.frames_of(updates)
 
         asm = BitstreamAssembler(device)
         asm.preamble()
@@ -831,15 +819,7 @@ class ZoomieDebugger:
         }
 
         # 2. Modify the target bits locally.
-        for name, value in updates.items():
-            for entry in by_register[name]:
-                words = frame_words[entry.frame]
-                word, offset = divmod(entry.offset, 32)
-                bit = (value >> entry.bit) & 1
-                if bit:
-                    words[word] |= 1 << offset
-                else:
-                    words[word] &= ~(1 << offset)
+        layout.write(frame_words, updates)
 
         # 3. Write the edited capture frames back and GRESTORE: every
         #    register reloads its just-captured value, except the edits.

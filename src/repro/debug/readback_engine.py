@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bitstream.assembler import BitstreamAssembler
+from ..config.capture_plan import capture_plan
 from ..config.fabric import FabricDevice
 from ..config.jtag import BATCH_OVERHEAD_SECONDS, HOP_SECONDS, JTAG_BYTES_PER_SECOND
 from ..errors import DebugError
@@ -77,7 +78,7 @@ class ReadbackEngine:
     # ------------------------------------------------------------------
 
     def all_frames_of_slr(self, slr: int) -> list[FrameAddress]:
-        return list(self.fabric.spaces[slr].frames())
+        return list(self.fabric.spaces[slr].frame_order)
 
     def mut_frames_of_slr(self, slr: int, prefix: str = "",
                           granularity: str = "column"
@@ -92,10 +93,10 @@ class ReadbackEngine:
         cost of trusting the logic-location file completely (evaluated
         as an ablation in the benchmarks).
         """
-        entries = [e for e in self.db.ll.entries_under(prefix)
-                   if e.slr == slr]
         if granularity == "frame":
-            pairs = {(e.frame.column, e.frame.region) for e in entries}
+            pairs = {(e.frame.column, e.frame.region)
+                     for e in self.db.ll.entries_under(prefix)
+                     if e.slr == slr}
             return [
                 FrameAddress(block_type=BLOCK_MAIN, region=region,
                              column=column, minor=CAPTURE_MINOR)
@@ -104,13 +105,9 @@ class ReadbackEngine:
         if granularity != "column":
             raise DebugError(
                 f"unknown readback granularity {granularity!r}")
-        columns = sorted({e.frame.column for e in entries})
-        space = self.fabric.spaces[slr]
-        return [
-            address for address in space.frames()
-            if address.column in set(columns)
-            and address.block_type == BLOCK_MAIN
-        ]
+        columns = self.db.ll.layout().columns_under(prefix).get(slr, set())
+        return self.fabric.spaces[slr].frames_of_columns(
+            columns, BLOCK_MAIN)
 
     # ------------------------------------------------------------------
     # executable readback
@@ -121,16 +118,18 @@ class ReadbackEngine:
                              list[tuple[FrameAddress, int]]]:
         """Dedupe + order ``frames`` by the SLR's frame space, then
         coalesce contiguous addresses into (start, count) FDRO runs."""
-        order = {addr: idx for idx, addr
-                 in enumerate(self.fabric.spaces[slr].frames())}
-        wanted = sorted(dict.fromkeys(frames), key=lambda a: order[a])
-        runs: list[tuple[FrameAddress, int]] = []
-        for address in wanted:
-            if runs and order[address] == order[runs[-1][0]] + runs[-1][1]:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        space = self.fabric.spaces[slr]
+        index = space.frame_index
+        positions = sorted({index[address] for address in frames})
+        spans: list[list[int]] = []
+        for position in positions:
+            if spans and position == spans[-1][0] + spans[-1][1]:
+                spans[-1][1] += 1
             else:
-                runs.append((address, 1))
-        return wanted, runs
+                spans.append([position, 1])
+        order = space.frame_order
+        return ([order[position] for position in positions],
+                [(order[start], count) for start, count in spans])
 
     def read_slr(self, slr: int, frames: list[FrameAddress],
                  prefix: str = "") -> ReadbackResult:
@@ -183,8 +182,7 @@ class ReadbackEngine:
         values: dict[str, int] = {}
         frames = 0
         seconds = 0.0
-        slrs = sorted({
-            entry.slr for entry in self.db.ll.entries_under(prefix)})
+        slrs = sorted(self.db.ll.layout().columns_under(prefix))
         for slr in slrs:
             result = self.read_slr_optimized(slr, prefix)
             values.update(result.values)
@@ -202,8 +200,8 @@ class ReadbackEngine:
         placement = self.db.memory_map.get(name)
         if placement is None:
             raise DebugError(f"memory {name!r} has no content mapping")
-        space = self.fabric.spaces[placement.slr]
-        return placement.frame_addresses(space)
+        return list(
+            capture_plan(self.db, placement.slr).memories[name].frames)
 
     def read_memories(self, prefix: str = ""
                       ) -> tuple[dict[str, list[int]], float]:
@@ -252,21 +250,11 @@ class ReadbackEngine:
                     i * FRAME_WORDS:(i + 1) * FRAME_WORDS]
                 for i, address in enumerate(wanted)
             }
-            space = self.fabric.spaces[slr]
+            plan = capture_plan(self.db, slr)
             for name in slr_names:
-                placement = self.db.memory_map[name]
-                mem = self.db.netlist.memories[name]
-                words: list[int] = []
-                for index in range(mem.depth):
-                    value = 0
-                    for bit in range(mem.width):
-                        address, offset = placement.locate_bit(
-                            space, index * mem.width + bit)
-                        frame = frame_words[address]
-                        word_i, word_off = divmod(offset, 32)
-                        value |= ((frame[word_i] >> word_off) & 1) << bit
-                    words.append(value)
-                out[name] = words
+                image = plan.memories[name]
+                out[name] = image.unpack(
+                    [frame_words[address] for address in image.frames])
         return out, seconds
 
     def snapshot(self, prefix: str = "", label: str = "",

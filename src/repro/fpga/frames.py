@@ -13,7 +13,9 @@ state extraction uses (paper Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from ..errors import DeviceError
 from .device import BRAM, CLBM, REGION_ROWS, Slr
@@ -77,11 +79,44 @@ class FrameAddress:
         return (f"{block}/R{self.region}/C{self.column}/M{self.minor}")
 
 
+@lru_cache(maxsize=None)
+def _frame_order(slr: Slr) -> tuple[tuple[FrameAddress, ...],
+                                    Mapping[FrameAddress, int]]:
+    """One SLR geometry's frames in FAR order, and each one's position.
+
+    Enumerated once per :class:`Slr` (a frozen, hashable geometry) and
+    shared by every :class:`FrameSpace` of it: the microcontrollers'
+    FAR auto-increment and readback's FDRO run coalescing both walk it.
+    """
+    space = FrameSpace(slr)
+    order = tuple(
+        FrameAddress(block_type=block_type, region=region,
+                     column=column.index, minor=minor)
+        for block_type in (BLOCK_MAIN, BLOCK_BRAM)
+        for region in range(slr.clock_regions)
+        for column in slr.columns
+        for minor in range(space.minors_of(column.kind, block_type)))
+    return order, MappingProxyType(
+        {address: index for index, address in enumerate(order)})
+
+
 class FrameSpace:
     """Enumerates the valid frames of one SLR."""
 
     def __init__(self, slr: Slr):
         self.slr = slr
+
+    @cached_property
+    def frame_order(self) -> tuple[FrameAddress, ...]:
+        """All frames in FAR order (block, region, column, minor),
+        shared by every space of this SLR geometry."""
+        return _frame_order(self.slr)[0]
+
+    @cached_property
+    def frame_index(self) -> Mapping[FrameAddress, int]:
+        """Each frame's position in :attr:`frame_order` (shared, read
+        only)."""
+        return _frame_order(self.slr)[1]
 
     def minors_of(self, column_kind: str, block_type: int) -> int:
         if block_type == BLOCK_MAIN:
@@ -122,14 +157,7 @@ class FrameSpace:
 
     def frames(self) -> Iterator[FrameAddress]:
         """All frames in FAR order (block, region, column, minor)."""
-        for block_type in (BLOCK_MAIN, BLOCK_BRAM):
-            for region in range(self.slr.clock_regions):
-                for column in self.slr.columns:
-                    minors = self.minors_of(column.kind, block_type)
-                    for minor in range(minors):
-                        yield FrameAddress(
-                            block_type=block_type, region=region,
-                            column=column.index, minor=minor)
+        return iter(self.frame_order)
 
     def frame_count(self) -> int:
         total = 0
@@ -180,7 +208,6 @@ class FrameSpace:
         return address, bit
 
 
-
 class ConfigMemory:
     """Sparse frame storage for one SLR.
 
@@ -221,18 +248,21 @@ class ConfigMemory:
     def clear(self) -> None:
         self._frames.clear()
 
-    # -- bit-level access (used by capture/restore) -------------------------
+    # -- in-place access for capture plans ----------------------------------
+    # A capture plan (repro.config.capture_plan) validates each of its
+    # frame addresses once, when it is built; these skip the per-call
+    # check and copy of read_frame/write_frame.
 
-    def get_bit(self, address: FrameAddress, bit: int) -> int:
-        frame = self.read_frame(address)
-        word, offset = divmod(bit, 32)
-        return (frame[word] >> offset) & 1
+    def stored(self, address: FrameAddress) -> Optional[list[int]]:
+        """A frame's stored words (not a copy; do not mutate), or None
+        if it was never written."""
+        return self._frames.get(address)
 
-    def set_bit(self, address: FrameAddress, bit: int, value: int) -> None:
-        frame = self.read_frame(address)
-        word, offset = divmod(bit, 32)
-        if value:
-            frame[word] |= 1 << offset
-        else:
-            frame[word] &= ~(1 << offset)
-        self._frames[address] = frame
+    def capture_frame(self, address: FrameAddress) -> list[int]:
+        """A frame's stored words for GCAPTURE to overwrite in place; a
+        frame never written is created as zeros. Capture does not mark
+        the frame dirty: it is state traffic, not reconfiguration."""
+        frame = self._frames.get(address)
+        if frame is None:
+            frame = self._frames[address] = [0] * FRAME_WORDS
+        return frame

@@ -94,14 +94,6 @@ class TestConfigMemory:
         memory.write_frame(address, words)
         assert memory.read_frame(address) == words
 
-    def test_bit_access(self):
-        memory = self.make()
-        address = FrameAddress(BLOCK_MAIN, 0, 0, CAPTURE_MINOR)
-        memory.set_bit(address, 40, 1)
-        assert memory.get_bit(address, 40) == 1
-        memory.set_bit(address, 40, 0)
-        assert memory.get_bit(address, 40) == 0
-
     def test_dirty_tracking(self):
         memory = self.make()
         address = FrameAddress(BLOCK_MAIN, 0, 0, 0)

@@ -209,8 +209,9 @@ class TestStateTraffic:
         # Write a new value into the capture frame, then GRESTORE.
         entry = db.ll.entries_for_slr(primary)[0]
         memory = fabric.config[primary]
-        for bit in range(8):
-            memory.set_bit(entry.frame, bit, (0x5A >> bit) & 1)
+        words = memory.read_frame(entry.frame)
+        words[0] = (words[0] & ~0xFF) | 0x5A
+        memory.write_frame(entry.frame, words)
         asm = BitstreamAssembler(fabric.device)
         asm.preamble().clear_mask().restore()
         fabric.jtag.run(asm.words)

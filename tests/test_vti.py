@@ -299,6 +299,88 @@ class TestPartialReconfiguration:
         # ...while the reconfigured partition restarted and steps by 2.
         assert fabric.sim.peek("it_out") == 10
 
+    def test_reload_that_adds_a_register_reads_and_writes_it(self):
+        """State verbs after a reload run on the new database's plan."""
+        from tests.test_capture_plan import parked_debugger
+
+        device = make_test_device()
+        top, _leaf = self.build_two_counter_top()
+        vti = VtiFlow(device)
+        initial = vti.compile_initial(
+            top, {"clk": 100.0}, [PartitionSpec("iterated")],
+            debug_slr=0)
+        fabric = FabricDevice(device)
+        fabric.expect(initial.database)
+        fabric.jtag.run(initial.base.bitstream)
+        debugger = parked_debugger(fabric)
+        assert "iterated.extra" not in debugger.read_state()
+
+        # Edit the partition: it gains a 12-bit register.
+        leaf_b = ModuleBuilder("leaf")
+        en = leaf_b.input("en", 1)
+        count = leaf_b.reg("count", 8)
+        extra = leaf_b.reg("extra", 12, init=0x2A5)
+        leaf_b.next(count, mux(en, count + 1, count))
+        leaf_b.output_expr("out", count ^ extra[7:0])
+        incr = vti.compile_incremental(initial, "iterated", leaf_b.build())
+        fabric.expect(incr.database)
+        fabric.jtag.run(incr.partial_bitstream)
+
+        assert debugger.read_state()["iterated.extra"] == 0x2A5
+        debugger.write_state({"iterated.extra": 0x13C})
+        assert fabric.sim.peek("iterated.extra") == 0x13C
+        assert debugger.read_state()["iterated.extra"] == 0x13C
+
+    @staticmethod
+    def memory_leaf(depth: int):
+        """A partition leaf whose 8-bit memory logs a running count."""
+        b = ModuleBuilder("leaf")
+        en = b.input("en", 1)
+        count = b.reg("count", 8)
+        b.next(count, mux(en, count + 1, count))
+        mem = b.memory("mem", 8, depth,
+                       init={i: (i * 7 + 1) & 0xFF for i in range(depth)})
+        addr = count[depth.bit_length() - 2:0]
+        b.write_port(mem, addr, count, en)
+        b.output_expr("out", b.read_port(mem, "q", addr))
+        return b.build()
+
+    @pytest.mark.parametrize("old_depth,new_depth", [(16, 32), (32, 16)])
+    def test_reload_resizes_a_surviving_memory(self, old_depth, new_depth):
+        from repro.debug import ReadbackEngine
+
+        b = ModuleBuilder("memtop")
+        en = b.input("en", 1)
+        leaf = b.instantiate(self.memory_leaf(old_depth), "iterated",
+                             inputs={"en": en})
+        b.output_expr("out", leaf["out"])
+        device = make_test_device()
+        vti = VtiFlow(device)
+        initial = vti.compile_initial(
+            b.build(), {"clk": 100.0}, [PartitionSpec("iterated")],
+            debug_slr=0)
+        fabric = FabricDevice(device)
+        fabric.expect(initial.database)
+        fabric.jtag.run(initial.base.bitstream)
+        fabric.sim.poke("en", 1)
+        fabric.run(40)
+        before = list(fabric.sim.memories["iterated.mem"])
+
+        incr = vti.compile_incremental(
+            initial, "iterated", self.memory_leaf(new_depth))
+        fabric.expect(incr.database)
+        fabric.jtag.run(incr.partial_bitstream)
+        live = fabric.sim.memories["iterated.mem"]
+        kept = min(old_depth, new_depth)
+        assert len(live) == new_depth
+        assert live[:kept] == before[:kept]
+        assert live[kept:] == [(i * 7 + 1) & 0xFF
+                               for i in range(kept, new_depth)]
+
+        fabric.run(40)  # every address of the new depth is written
+        read, _seconds = ReadbackEngine(fabric).read_memories()
+        assert read["iterated.mem"] == fabric.sim.memories["iterated.mem"]
+
     def test_partial_bitstream_much_smaller_than_full(self):
         device = make_test_device()
         top, _leaf = self.build_two_counter_top()
