@@ -10,6 +10,7 @@ anything (Section 4.5, "Mutating Device ID in Bitstream").
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigError
@@ -31,6 +32,10 @@ _CRC = REGISTERS["CRC"]
 _CLK_GATE = REGISTERS["CLK_GATE"]
 _BOUT = REGISTERS["BOUT"]
 
+#: CMD names kept per controller (most recent last): enough to see the
+#: last few batches, bounded so a long session does not grow memory.
+COMMAND_LOG_DEPTH = 256
+
 
 class Microcontroller:
     """One SLR's configuration controller."""
@@ -46,7 +51,7 @@ class Microcontroller:
         self.idcode_received: Optional[int] = None
         self.stored: dict[int, int] = {}
         self.crc = CrcAccumulator()
-        self.command_log: list[str] = []
+        self.command_log: deque[str] = deque(maxlen=COMMAND_LOG_DEPTH)
 
     @property
     def is_primary(self) -> bool:

@@ -1,11 +1,20 @@
 """Compile netlists to Python code for fast simulation.
 
-The simulator's fused engine runs the code generated here: one function
-per *tick* of an active clock-domain set, performing settle →
-register/memory-port sampling → commit in a single pass over local
-variables, plus a ``run(n)`` variant that keeps the whole hot loop
-inside compiled code (signals are loaded from the environment dict once
-before the loop and stored back once after it).
+The simulator runs the code generated here: one function per *tick* of
+an active clock-domain set, performing settle → register/memory-port
+sampling → commit in a single pass over local variables, plus a
+``run(n)`` variant that keeps the whole hot loop inside compiled code
+(signals are loaded from the environment dict once before the loop and
+stored back once after it), a capture variant of it that samples into
+a ring, and the settle kernel every ``peek`` uses.
+
+One emitter skeleton (:class:`_Emitter`) owns the atom naming, the
+settle and edge statement order and the source assembly. Two value
+representations plug into it: plain ints (:class:`_ScalarEmitter`,
+expressions composed by :func:`_to_py`) and K runs packed per int (the
+lane emitter of :mod:`repro.rtl.batch`). One :class:`KernelSet` per
+representation caches the kernels per active-domain set, so the scalar
+and K-lane kernels share every ordering decision.
 
 Kernel semantics are identical to ``Expr.eval`` and to the simulator's
 interpreted tick (the differential test suite cross-checks them
@@ -25,13 +34,8 @@ fingerprint (:mod:`repro.rtl.plan_store`), so a fresh process skips the
 expression-tree walks entirely and goes straight to ``compile()`` of the
 stored text. Sources — not code objects — are stored because generated
 text is stable across CPython versions and trivially verifiable, and any
-load defect degrades to a counted miss.
-
-A second kernel family rides on the same plans: bit-parallel *batched*
-kernels (:mod:`repro.rtl.batch`) that advance K independent runs per
-tick by packing one lane per run into each Python integer. Batch plans
-are reached through :meth:`CompiledPlan.batch_plan` so they share both
-cache tiers.
+load defect degrades to a counted miss. K-lane kernel sets are reached
+through :meth:`CompiledPlan.batch_plan`, so they share both tiers.
 """
 
 from __future__ import annotations
@@ -189,10 +193,30 @@ class _MemSnap:
 # kernel code generation
 # ---------------------------------------------------------------------------
 
-class _KernelBuilder:
-    """Shared state while emitting one kernel: the signal-to-local map,
-    the memory-to-local map, and the set of locals stored back to the
-    environment when the kernel exits."""
+#: Kernel kind -> (function name, parameter list). ``run`` and ``crun``
+#: keep the cycle loop inside the kernel; ``crun`` also threads the
+#: capture ring and its four cursors (write head, lifetime sample
+#: count, stride phase, cycle) through the loop and returns them.
+_KERNELS = {
+    "settle": ("_settle", "e, mems"),
+    "tick": ("_tick", "e, mems"),
+    "run": ("_run", "e, mems, n"),
+    "crun": ("_crun", "e, mems, n, ring, head, total, stride, k, cyc"),
+}
+
+
+class _Emitter:
+    """Emits one kernel.
+
+    The base class owns what every value representation shares: atom
+    naming (signal, memory, temp and hoisted-constant locals), the set
+    of locals stored back to the environment when the kernel exits, the
+    settle and edge statement order, and the assembly of the kernel
+    source. Subclasses supply the value primitives — how an assign, an
+    async read, a register sample and a memory-port sample/commit
+    compute on their values (:class:`_ScalarEmitter`: plain ints; the
+    lane emitter of :mod:`repro.rtl.batch`: K runs packed per int).
+    """
 
     def __init__(self, plan: "CompiledPlan"):
         self.plan = plan
@@ -200,6 +224,13 @@ class _KernelBuilder:
         self.mem_of: dict[str, str] = {}
         self.stores: dict[str, None] = {}
         self._tmp = 0
+        #: Module-level definitions emitted before the kernel function:
+        #: hoisted constants (value -> name) and helper function sources
+        #: (name -> source). Only the lane emitter uses them.
+        self.consts: dict[int, str] = {}
+        self.helpers: dict[str, str] = {}
+
+    # -- atoms -------------------------------------------------------------
 
     def sym(self, name: str) -> str:
         local = self.locals_of.get(name)
@@ -221,30 +252,63 @@ class _KernelBuilder:
         self.stores[name] = None
         return self.sym(name)
 
-    # -- body fragments ----------------------------------------------------
+    def const(self, value: int) -> str:
+        name = self.consts.get(value)
+        if name is None:
+            name = self.consts[value] = f"B{len(self.consts)}"
+        return name
 
-    def emit_async_reads(self, lines: list[str], ind: str) -> None:
-        """Combinational memory read ports, applied in memory/port order
-        (matches ``Simulator._apply_async_reads``: each port's result is
-        visible to later ports and to the settle pass)."""
-        for memory in self.plan.memories:
-            for port in memory.read_ports:
-                if port.sync:
-                    continue
-                addr = self.temp()
-                out = self.store(port.name)
-                lines.append(f"{ind}{addr} = {_to_py(port.addr, self.sym)}")
-                lines.append(
-                    f"{ind}{out} = {self.mem(memory.name)}[{addr}] "
-                    f"if {addr} < {memory.depth} else 0")
+    # -- value primitives (per representation) -----------------------------
+
+    def assign(self, name: str, expr: Expr, lines: list[str],
+               ind: str) -> None:
+        """Settle one continuous assign into ``name``'s local."""
+        raise NotImplementedError
+
+    def async_read(self, memory: _MemSnap, port: _ReadPortSnap,
+                   lines: list[str], ind: str) -> None:
+        """One combinational read port into its output local."""
+        raise NotImplementedError
+
+    def sample_register(self, reg: _RegSnap, value: str, lines: list[str],
+                        ind: str) -> str:
+        """Compute a register's next value (``value`` is its local);
+        returns an atom that stays valid until the commit phase."""
+        raise NotImplementedError
+
+    def sample_write(self, memory: _MemSnap, port: _WritePortSnap,
+                     lines: list[str], ind: str) -> tuple:
+        """Sample a write port; returns what :meth:`commit_write` needs."""
+        raise NotImplementedError
+
+    def commit_write(self, commit: tuple, lines: list[str],
+                     ind: str) -> None:
+        raise NotImplementedError
+
+    def sample_sync_read(self, memory: _MemSnap, port: _ReadPortSnap,
+                         out: str, lines: list[str], ind: str) -> str:
+        """Sample a synchronous read port whose output local is ``out``;
+        returns the atom committed into it."""
+        raise NotImplementedError
+
+    # -- statement order ---------------------------------------------------
 
     def emit_settle(self, lines: list[str], ind: str) -> None:
         """Async read pre-pass, topologically ordered assigns, async read
-        post-pass — the full combinational settle."""
-        self.emit_async_reads(lines, ind)
+        post-pass — the full combinational settle. Async reads apply in
+        memory/port order, matching ``Simulator._apply_async_reads``:
+        each port's result is visible to later ports and to the settle
+        pass."""
+        self._emit_async_reads(lines, ind)
         for name, expr in self.plan.assigns:
-            lines.append(f"{ind}{self.store(name)} = {_to_py(expr, self.sym)}")
-        self.emit_async_reads(lines, ind)
+            self.assign(name, expr, lines, ind)
+        self._emit_async_reads(lines, ind)
+
+    def _emit_async_reads(self, lines: list[str], ind: str) -> None:
+        for memory in self.plan.memories:
+            for port in memory.read_ports:
+                if not port.sync:
+                    self.async_read(memory, port, lines, ind)
 
     def emit_edge(self, lines: list[str], ind: str,
                   active: tuple[str, ...]) -> None:
@@ -262,134 +326,164 @@ class _KernelBuilder:
                 if reg.next is None and reg.reset is None:
                     continue
                 value = self.sym(reg_name)
-                sample = self.temp()
-                nxt = (f"({_to_py(reg.next, self.sym)}) & {mask(reg.width)}"
-                       if reg.next is not None else value)
-                if reg.reset is not None:
-                    body = (f"{sample} = {reg.reset_value} "
-                            f"if ({_to_py(reg.reset, self.sym)}) else {nxt}")
-                else:
-                    body = f"{sample} = {nxt}"
-                if reg.enable is not None:
-                    lines.append(f"{ind}{sample} = {value}")
-                    lines.append(
-                        f"{ind}if {_to_py(reg.enable, self.sym)}:")
-                    lines.append(f"{ind}    {body}")
-                else:
-                    lines.append(f"{ind}{body}")
+                sample = self.sample_register(reg, value, lines, ind)
                 self.stores[reg_name] = None
                 reg_commits.append((value, sample))
 
-        write_commits: list[tuple[str, str, str]] = []
+        write_commits: list[tuple] = []
         read_commits: list[tuple[str, str]] = []
         for domain in active:
             for kind, memory, port in self.plan.port_plans.get(domain, ()):
                 if kind == "w":
-                    addr = self.temp()
-                    data = self.temp()
-                    lines.append(f"{ind}{addr} = -1")
-                    lines.append(
-                        f"{ind}if {_to_py(port.enable, self.sym)}:")
-                    lines.append(
-                        f"{ind}    {addr} = {_to_py(port.addr, self.sym)}")
-                    lines.append(f"{ind}    if {addr} < {memory.depth}:")
-                    lines.append(
-                        f"{ind}        {data} = "
-                        f"({_to_py(port.data, self.sym)}) "
-                        f"& {mask(memory.width)}")
-                    lines.append(f"{ind}    else:")
-                    lines.append(f"{ind}        {addr} = -1")
-                    write_commits.append((self.mem(memory.name), addr, data))
+                    write_commits.append(
+                        self.sample_write(memory, port, lines, ind))
                 else:
                     out = self.store(port.name)
-                    sample = self.temp()
-                    addr = self.temp()
-                    lines.append(f"{ind}{sample} = {out}")
-                    inner = ind
-                    if port.enable is not None:
-                        lines.append(
-                            f"{ind}if {_to_py(port.enable, self.sym)}:")
-                        inner = ind + "    "
-                    lines.append(
-                        f"{inner}{addr} = {_to_py(port.addr, self.sym)}")
-                    lines.append(
-                        f"{inner}{sample} = "
-                        f"{self.mem(memory.name)}[{addr}] "
-                        f"if {addr} < {memory.depth} else 0")
-                    read_commits.append((out, sample))
+                    read_commits.append((out, self.sample_sync_read(
+                        memory, port, out, lines, ind)))
 
         for value, sample in reg_commits:
             lines.append(f"{ind}{value} = {sample}")
-        for mem_local, addr, data in write_commits:
-            lines.append(f"{ind}if {addr} >= 0: {mem_local}[{addr}] = {data}")
+        for commit in write_commits:
+            self.commit_write(commit, lines, ind)
         for out, sample in read_commits:
             lines.append(f"{ind}{out} = {sample}")
 
+    def emit_capture(self, lines: list[str], ind: str,
+                     signals: tuple[str, ...], bounded: bool) -> None:
+        """In-loop sampling: every ``stride``-th iteration appends one
+        ``(cycle, sig0, sig1, ...)`` row into the ring.
 
-def _kernel_source(name: str, kb: _KernelBuilder, params: str,
-                   body: list[str], loop: bool,
-                   prologue: tuple[str, ...] = (),
-                   epilogue: tuple[str, ...] = ()) -> str:
-    """Wrap a generated body in loads/stores; returns the full source.
-
-    The source is self-contained (it only needs ``min`` in its globals),
-    deterministic for a given plan structure, and therefore safe to
-    persist on disk keyed by the netlist fingerprint. ``prologue`` lines
-    run before the loads, ``epilogue`` lines after the stores (capture
-    kernels use them for ring setup and state return).
-    """
-    lines = [f"def {name}({params}):"]
-    lines.extend(prologue)
-    for mem_name, local in kb.mem_of.items():
-        lines.append(f"    {local} = mems[{mem_name!r}]")
-    for sig_name, local in kb.locals_of.items():
-        lines.append(f"    {local} = e[{sig_name!r}]")
-    if loop:
-        lines.append("    for _ in range(n):")
-        lines.extend(body if body else ["        pass"])
-    else:
-        lines.extend(body if body else ["    pass"])
-    for sig_name in kb.stores:
-        lines.append(f"    e[{sig_name!r}] = {kb.locals_of[sig_name]}")
-    lines.extend(epilogue)
-    return "\n".join(lines)
-
-
-def _capture_body_lines(sym: Callable[[str], str], signals: tuple[str, ...],
-                        bounded: bool, ind: str) -> list[str]:
-    """The in-loop sampling fragment shared by scalar and batched
-    capture kernels: every ``stride``-th iteration appends one
-    ``(cycle, sig0, sig1, ...)`` row into the ring.
-
-    Sampling happens between settle and edge, so a row holds the
-    settled state *after* ``cyc`` committed edges — exactly what an
-    edge-hook observer reading back after commit ``cyc`` sees.
-    """
-    atoms = ", ".join(sym(name) for name in signals)
-    lines = [f"{ind}if k == 0:"]
-    if bounded:
+        Sampling happens between settle and edge, so a row holds the
+        settled state *after* ``cyc`` committed edges — exactly what an
+        edge-hook observer reading back after commit ``cyc`` sees.
+        """
+        atoms = ", ".join(self.sym(name) for name in signals)
+        lines.append(f"{ind}if k == 0:")
+        if bounded:
+            lines += [
+                f"{ind}    ring[head] = (cyc, {atoms})",
+                f"{ind}    head += 1",
+                f"{ind}    if head == _rl:",
+                f"{ind}        head = 0",
+            ]
+        else:
+            lines.append(f"{ind}    ring.append((cyc, {atoms}))")
         lines += [
-            f"{ind}    ring[head] = (cyc, {atoms})",
-            f"{ind}    head += 1",
-            f"{ind}    if head == _rl:",
-            f"{ind}        head = 0",
+            f"{ind}    total += 1",
+            f"{ind}k += 1",
+            f"{ind}if k == stride:",
+            f"{ind}    k = 0",
         ]
-    else:
-        lines.append(f"{ind}    ring.append((cyc, {atoms}))")
-    lines += [
-        f"{ind}    total += 1",
-        f"{ind}k += 1",
-        f"{ind}if k == stride:",
-        f"{ind}    k = 0",
-    ]
-    return lines
+
+    # -- source assembly ---------------------------------------------------
+
+    def source(self, kind: str, active: tuple[str, ...] = (),
+               capture: Optional[tuple[tuple[str, ...], bool]] = None
+               ) -> str:
+        """The full source of one kernel of ``kind`` (see
+        :data:`_KERNELS`); ``capture`` is ``(signals, bounded)`` for
+        ``crun``.
+
+        The source is self-contained (it only needs ``min`` in its
+        globals), deterministic for a given plan structure, and
+        therefore safe to persist on disk keyed by the netlist
+        fingerprint.
+        """
+        name, params = _KERNELS[kind]
+        loop = kind in ("run", "crun")
+        ind = "        " if loop else "    "
+        body: list[str] = []
+        self.emit_settle(body, ind)
+        if capture is not None:
+            self.emit_capture(body, ind, *capture)
+        if kind != "settle":
+            self.emit_edge(body, ind, active)
+        if capture is not None:
+            body.append(f"{ind}cyc += 1")
+        lines = [f"{const} = {hex(value)}"
+                 for value, const in self.consts.items()]
+        lines.extend(self.helpers.values())
+        lines.append(f"def {name}({params}):")
+        if capture is not None and capture[1]:
+            lines.append("    _rl = len(ring)")
+        for mem_name, local in self.mem_of.items():
+            lines.append(f"    {local} = mems[{mem_name!r}]")
+        for sig_name, local in self.locals_of.items():
+            lines.append(f"    {local} = e[{sig_name!r}]")
+        if loop:
+            lines.append("    for _ in range(n):")
+        lines.extend(body if body else [f"{ind}pass"])
+        for sig_name in self.stores:
+            lines.append(f"    e[{sig_name!r}] = {self.locals_of[sig_name]}")
+        if capture is not None:
+            lines.append("    return head, total, k, cyc")
+        return "\n".join(lines)
 
 
-#: Parameter list of every capture kernel (scalar and batched): the
-#: ring list plus the four cursors the kernel threads through and
-#: returns — write head, lifetime sample count, stride phase, cycle.
-CAPTURE_PARAMS = "e, mems, n, ring, head, total, stride, k, cyc"
-CAPTURE_EPILOGUE = ("    return head, total, k, cyc",)
+class _ScalarEmitter(_Emitter):
+    """Plain-int kernels: expressions compose textually via
+    :func:`_to_py`."""
+
+    def assign(self, name, expr, lines, ind):
+        lines.append(f"{ind}{self.store(name)} = {_to_py(expr, self.sym)}")
+
+    def async_read(self, memory, port, lines, ind):
+        addr = self.temp()
+        out = self.store(port.name)
+        lines.append(f"{ind}{addr} = {_to_py(port.addr, self.sym)}")
+        lines.append(
+            f"{ind}{out} = {self.mem(memory.name)}[{addr}] "
+            f"if {addr} < {memory.depth} else 0")
+
+    def sample_register(self, reg, value, lines, ind):
+        sample = self.temp()
+        nxt = (f"({_to_py(reg.next, self.sym)}) & {mask(reg.width)}"
+               if reg.next is not None else value)
+        if reg.reset is not None:
+            body = (f"{sample} = {reg.reset_value} "
+                    f"if ({_to_py(reg.reset, self.sym)}) else {nxt}")
+        else:
+            body = f"{sample} = {nxt}"
+        if reg.enable is not None:
+            lines.append(f"{ind}{sample} = {value}")
+            lines.append(f"{ind}if {_to_py(reg.enable, self.sym)}:")
+            lines.append(f"{ind}    {body}")
+        else:
+            lines.append(f"{ind}{body}")
+        return sample
+
+    def sample_write(self, memory, port, lines, ind):
+        addr = self.temp()
+        data = self.temp()
+        lines.append(f"{ind}{addr} = -1")
+        lines.append(f"{ind}if {_to_py(port.enable, self.sym)}:")
+        lines.append(f"{ind}    {addr} = {_to_py(port.addr, self.sym)}")
+        lines.append(f"{ind}    if {addr} < {memory.depth}:")
+        lines.append(
+            f"{ind}        {data} = ({_to_py(port.data, self.sym)}) "
+            f"& {mask(memory.width)}")
+        lines.append(f"{ind}    else:")
+        lines.append(f"{ind}        {addr} = -1")
+        return self.mem(memory.name), addr, data
+
+    def commit_write(self, commit, lines, ind):
+        mem_local, addr, data = commit
+        lines.append(f"{ind}if {addr} >= 0: {mem_local}[{addr}] = {data}")
+
+    def sample_sync_read(self, memory, port, out, lines, ind):
+        sample = self.temp()
+        addr = self.temp()
+        lines.append(f"{ind}{sample} = {out}")
+        inner = ind
+        if port.enable is not None:
+            lines.append(f"{ind}if {_to_py(port.enable, self.sym)}:")
+            inner = ind + "    "
+        lines.append(f"{inner}{addr} = {_to_py(port.addr, self.sym)}")
+        lines.append(
+            f"{inner}{sample} = {self.mem(memory.name)}[{addr}] "
+            f"if {addr} < {memory.depth} else 0")
+        return sample
 
 
 def _materialize(source: str, name: str) -> Callable:
@@ -399,17 +493,92 @@ def _materialize(source: str, name: str) -> Callable:
     return namespace[name]
 
 
+class KernelSet:
+    """The settle, tick, run and capture kernels of one plan in one
+    value representation, cached per active clock-domain set.
+
+    Eagerly built: the settle kernel (used by every ``peek``). Lazily
+    built: the tick/run/capture kernels. Sources live in the plan's
+    two cache tiers under ``prefix`` + ``settle``, ``tick:<domains>``,
+    ``run:<domains>`` and ``crun:<domains>:ring:<signals>`` (or
+    ``:grow:`` for an unbounded ring). This class emits plain-int
+    kernels with an empty prefix;
+    :class:`~repro.rtl.batch.BatchPlan` swaps in the lane emitter.
+    """
+
+    prefix = ""
+
+    def __init__(self, plan: "CompiledPlan"):
+        self.plan = plan
+        self._ticks: dict[tuple[str, ...], Callable] = {}
+        self._runs: dict[tuple[str, ...], Callable] = {}
+        self._captures: dict[str, Callable] = {}
+        #: ``settle(env, mems)`` with async memory read ports compiled
+        #: in (the interpreted engine walks them with ``Expr.eval``).
+        self.settle: Callable = self._build("settle", "settle")
+
+    def emitter(self) -> _Emitter:
+        return _ScalarEmitter(self.plan)
+
+    def _build(self, kind: str, key: str, active: tuple[str, ...] = (),
+               capture: Optional[tuple[tuple[str, ...], bool]] = None
+               ) -> Callable:
+        return self.plan.kernel_from_source(
+            self.prefix + key, _KERNELS[kind][0],
+            lambda: self.emitter().source(kind, active, capture))
+
+    def tick_kernel(self, active: tuple[str, ...]) -> Callable:
+        """``tick(env, mems)``: one full edge of ``active`` domains."""
+        kernel = self._ticks.get(active)
+        if kernel is None:
+            kernel = self._ticks[active] = self._build(
+                "tick", "tick:" + "+".join(active), active)
+        return kernel
+
+    def run_kernel(self, active: tuple[str, ...]) -> Callable:
+        """``run(env, mems, n)``: ``n`` consecutive edges of ``active``
+        domains with the loop inside compiled code — signals live in
+        local variables for the whole run."""
+        kernel = self._runs.get(active)
+        if kernel is None:
+            kernel = self._runs[active] = self._build(
+                "run", "run:" + "+".join(active), active)
+        return kernel
+
+    def capture_run_kernel(self, active: tuple[str, ...],
+                           signals: tuple[str, ...],
+                           bounded: bool) -> Callable:
+        """``crun(env, mems, n, ring, head, total, stride, k, cyc)``:
+        the run loop with in-kernel trace capture.
+
+        Each loop iteration settles, then (every ``stride``-th
+        iteration) appends a ``(cycle, sig0, sig1, ...)`` tuple into
+        ``ring`` — a preallocated circular list when ``bounded``, an
+        append-only list otherwise — then commits the edge. Returns the
+        updated ``(head, total, k, cyc)`` cursors so the caller can
+        resume a later chunk exactly where this one stopped. Tracing
+        therefore costs one tuple build per sample instead of dropping
+        off the fast path entirely. K-lane rows hold the packed values,
+        so one row samples every lane.
+        """
+        key = ("crun:" + "+".join(active)
+               + (":ring:" if bounded else ":grow:") + ",".join(signals))
+        kernel = self._captures.get(key)
+        if kernel is None:
+            kernel = self._captures[key] = self._build(
+                "crun", key, active, (signals, bounded))
+        return kernel
+
+
 # ---------------------------------------------------------------------------
 # compiled plans
 # ---------------------------------------------------------------------------
 
 class CompiledPlan:
     """Everything compiled once per netlist structure and shared by all
-    simulators of that structure.
-
-    Eagerly built: the fused settle kernel (used by every ``peek``).
-    Lazily built: the per-domain-set tick/run/capture kernels and the
-    per-lane-count batch plans.
+    simulators of that structure: a snapshot of the design, the kernel
+    source table, the plain-int :attr:`kernels` and the per-lane-count
+    batch plans (:meth:`batch_plan`).
 
     ``sources`` seeds the kernel-source table from the disk tier: a
     kernel whose key is present is materialized by compiling the stored
@@ -463,16 +632,9 @@ class CompiledPlan:
                     self.port_plans.setdefault(rport.clock, []).append(
                         ("r", memory, rport))
 
-        #: Fused settle kernel ``settle(env, mems)`` with async memory
-        #: read ports compiled in (the interpreted engine walks them
-        #: with ``Expr.eval`` instead).
-        self.settle: Callable = self.kernel_from_source(
-            "settle", "_settle", self._settle_source)
-
-        self._tick_kernels: dict[tuple[str, ...], Callable] = {}
-        self._run_kernels: dict[tuple[str, ...], Callable] = {}
-        self._capture_kernels: dict[str, Callable] = {}
-        self._batch_plans: dict[int, object] = {}
+        #: The fused engine's kernels (settle is built eagerly).
+        self.kernels = KernelSet(self)
+        self._batch_plans: dict[int, KernelSet] = {}
 
     # -- kernel source management ------------------------------------------
 
@@ -501,86 +663,9 @@ class CompiledPlan:
             store.merge(self.fingerprint, {key: source})
         return _materialize(source, name)
 
-    def _settle_source(self) -> str:
-        kb = _KernelBuilder(self)
-        body: list[str] = []
-        kb.emit_settle(body, "    ")
-        return _kernel_source("_settle", kb, "e, mems", body, loop=False)
-
-    # -- fused kernels (lazy, per active domain set) -----------------------
-
-    def tick_kernel(self, active: tuple[str, ...]) -> Callable:
-        """``tick(env, mems)``: one full edge of ``active`` domains."""
-        kernel = self._tick_kernels.get(active)
-        if kernel is None:
-            def build() -> str:
-                kb = _KernelBuilder(self)
-                body: list[str] = []
-                kb.emit_settle(body, "    ")
-                kb.emit_edge(body, "    ", active)
-                return _kernel_source("_tick", kb, "e, mems", body,
-                                      loop=False)
-            kernel = self.kernel_from_source(
-                "tick:" + "+".join(active), "_tick", build)
-            self._tick_kernels[active] = kernel
-        return kernel
-
-    def run_kernel(self, active: tuple[str, ...]) -> Callable:
-        """``run(env, mems, n)``: ``n`` consecutive edges of ``active``
-        domains with the loop inside compiled code — signals live in
-        local variables for the whole run."""
-        kernel = self._run_kernels.get(active)
-        if kernel is None:
-            def build() -> str:
-                kb = _KernelBuilder(self)
-                body: list[str] = []
-                kb.emit_settle(body, "        ")
-                kb.emit_edge(body, "        ", active)
-                return _kernel_source("_run", kb, "e, mems, n", body,
-                                      loop=True)
-            kernel = self.kernel_from_source(
-                "run:" + "+".join(active), "_run", build)
-            self._run_kernels[active] = kernel
-        return kernel
-
-    def capture_run_kernel(self, active: tuple[str, ...],
-                           signals: tuple[str, ...],
-                           bounded: bool) -> Callable:
-        """``crun(env, mems, n, ring, head, total, stride, k, cyc)``:
-        the fused run loop with in-kernel trace capture.
-
-        Each loop iteration settles, then (every ``stride``-th
-        iteration) appends a ``(cycle, sig0, sig1, ...)`` tuple into
-        ``ring`` — a preallocated circular list when ``bounded``, an
-        append-only list otherwise — then commits the edge. Returns the
-        updated ``(head, total, k, cyc)`` cursors so the caller can
-        resume a later chunk exactly where this one stopped. Tracing
-        therefore costs one tuple build per sample instead of dropping
-        off the fused fast path entirely.
-        """
-        key = ("crun:" + "+".join(active)
-               + (":ring:" if bounded else ":grow:") + ",".join(signals))
-        kernel = self._capture_kernels.get(key)
-        if kernel is None:
-            def build() -> str:
-                kb = _KernelBuilder(self)
-                body: list[str] = []
-                kb.emit_settle(body, "        ")
-                body.extend(_capture_body_lines(
-                    kb.sym, signals, bounded, "        "))
-                kb.emit_edge(body, "        ", active)
-                body.append("        cyc += 1")
-                prologue = ("    _rl = len(ring)",) if bounded else ()
-                return _kernel_source(
-                    "_crun", kb, CAPTURE_PARAMS, body, loop=True,
-                    prologue=prologue, epilogue=CAPTURE_EPILOGUE)
-            kernel = self.kernel_from_source(key, "_crun", build)
-            self._capture_kernels[key] = kernel
-        return kernel
-
     # -- batched (bit-parallel) tier ---------------------------------------
 
-    def batch_plan(self, lanes: int):
+    def batch_plan(self, lanes: int) -> KernelSet:
         """The K-lane :class:`~repro.rtl.batch.BatchPlan` of this design.
 
         Batch plans are cached per lane count and their kernel sources

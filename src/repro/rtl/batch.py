@@ -43,21 +43,32 @@ and there are no per-lane hooks. Anything needing per-run control flow
 :class:`~repro.rtl.simulator.Simulator` — use :meth:`BatchSimulator
 .extract_lane` to pull a run out into one. The differential suite pins
 every lane of a batched run bit-identical to its scalar twin.
+
+What this module adds
+---------------------
+
+Only the lane representation. The lane emitter supplies the value
+primitives of :class:`~repro.rtl._codegen._Emitter` (expressions,
+register samples, memory ports), whose skeleton fixes the statement
+order for both representations; :class:`BatchPlan` is the
+:class:`~repro.rtl._codegen.KernelSet` that uses it; and
+:class:`BatchSimulator` is a :class:`~repro.rtl.simulator.Simulator`
+running those kernels, adding only per-lane value access and the
+packed snapshot format. Clock schedule, stepping, run bookkeeping and
+instrumentation are the scalar simulator's.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .._bits import mask, truncate
-from ..errors import SimulationError, UnknownSignalError
+from ..errors import SimulationError
 from ..obs import get_registry
-from ._codegen import (
-    _SIGNED_CMP, CAPTURE_EPILOGUE, CAPTURE_PARAMS, CompiledPlan,
-    _capture_body_lines, compiled_plan_for)
+from ._codegen import _SIGNED_CMP, CompiledPlan, KernelSet, _Emitter
 from .expr import BinaryOp, Concat, Const, Expr, Mux, Ref, Repl, Slice, UnaryOp
 from .netlist import Netlist
-from .simulator import DEFAULT_PERIOD_PS, ClockDomain
+from .simulator import Simulator
 
 
 def _replicate(value: int, lanes: int, stride: int) -> int:
@@ -97,73 +108,39 @@ def _plan_stride(plan: CompiledPlan) -> int:
 # lane-parallel code emission
 # ---------------------------------------------------------------------------
 
-class _BatchEmitter:
-    """Emits one batched kernel as straight-line statements.
+class _LaneEmitter(_Emitter):
+    """Emits one K-lane kernel as straight-line statements.
 
-    Unlike the scalar tier's expression-composition (``_to_py``), every
-    compound node lands in its own single-assignment temp: the mux blend
-    references each arm twice, so textual composition would blow up
-    exponentially on mux chains. Temps are never reassigned, so any
+    Unlike the scalar emitter's expression composition (``_to_py``),
+    every compound node lands in its own single-assignment temp: the mux
+    blend references each arm twice, so textual composition would blow
+    up exponentially on mux chains. Temps are never reassigned, so any
     ``t``/``B`` atom stays valid until the commit phase; signal locals
     (``v``) are copied before being held across commits.
     """
 
     def __init__(self, plan: CompiledPlan, lanes: int, stride: int):
-        self.plan = plan
+        super().__init__(plan)
         self.lanes = lanes
         self.stride = stride
-        #: replicated-constant value -> hoisted module-level name.
-        self.consts: dict[int, str] = {}
-        #: helper function name -> its source (per-lane slow paths).
-        self.helpers: dict[str, str] = {}
-        self.locals_of: dict[str, str] = {}
-        self.mem_of: dict[str, str] = {}
-        self.stores: dict[str, None] = {}
-        self._tmp = 0
         self.lsb = self.repl(1)
 
-    # -- atoms -------------------------------------------------------------
-
-    def sym(self, name: str) -> str:
-        local = self.locals_of.get(name)
-        if local is None:
-            local = self.locals_of[name] = f"v{len(self.locals_of)}"
-        return local
-
-    def mem(self, name: str) -> str:
-        local = self.mem_of.get(name)
-        if local is None:
-            local = self.mem_of[name] = f"m{len(self.mem_of)}"
-        return local
-
-    def temp(self) -> str:
-        self._tmp += 1
-        return f"t{self._tmp}"
-
-    def store(self, name: str) -> str:
-        self.stores[name] = None
-        return self.sym(name)
-
-    def const(self, value: int) -> str:
-        name = self.consts.get(value)
-        if name is None:
-            name = self.consts[value] = f"B{len(self.consts)}"
-        return name
-
     def repl(self, value: int) -> str:
+        """``value`` replicated into every lane, as a hoisted constant."""
         return self.const(_replicate(value, self.lanes, self.stride))
 
     def rmask(self, width: int) -> str:
         return self.repl(mask(width))
 
-    def snap(self, atom: str) -> tuple[str, Optional[str]]:
+    def snap(self, atom: str, lines: list[str], ind: str) -> str:
         """An atom safe to hold across the commit phase. Signal locals
         get copied into a temp (commits reassign them); temps and consts
         are immutable already."""
-        if atom.startswith("v"):
-            t = self.temp()
-            return t, f"{t} = {atom}"
-        return atom, None
+        if not atom.startswith("v"):
+            return atom
+        t = self.temp()
+        lines.append(f"{ind}{t} = {atom}")
+        return t
 
     # -- lane-parallel building blocks -------------------------------------
 
@@ -213,82 +190,51 @@ class _BatchEmitter:
 
     # -- per-lane helper functions (slow-path ops) -------------------------
 
-    def helper(self, name: str, build: Callable[[], str]) -> str:
+    def _lane_helper(self, name: str, params: str, body: list[str]) -> str:
+        """Register a helper whose ``body`` runs once per lane (``s`` is
+        the lane's shift) and ORs that lane's result into ``r``."""
         if name not in self.helpers:
-            self.helpers[name] = build()
+            self.helpers[name] = "\n".join([
+                f"def {name}({params}):",
+                "    r = 0",
+                f"    for i in range({self.lanes}):",
+                f"        s = i * {self.stride}",
+                *(f"        {line}" for line in body),
+                "    return r",
+            ])
         return name
 
     def _mul_helper(self, width: int) -> str:
-        name = f"_mul{width}"
         m = hex(mask(width))
-
-        def build() -> str:
-            return "\n".join([
-                f"def {name}(a, b):",
-                "    r = 0",
-                f"    for i in range({self.lanes}):",
-                f"        s = i * {self.stride}",
-                f"        r |= ((((a >> s) & {m}) * ((b >> s) & {m}))"
-                f" & {m}) << s",
-                "    return r",
-            ])
-        return self.helper(name, build)
+        return self._lane_helper(f"_mul{width}", "a, b", [
+            f"r |= ((((a >> s) & {m}) * ((b >> s) & {m})) & {m}) << s"])
 
     def _shift_helper(self, op: str, width: int, b_width: int) -> str:
         kind = {"<<": "shl", ">>": "shr"}[op]
-        name = f"_{kind}{width}_{b_width}"
         m, mb = hex(mask(width)), hex(mask(b_width))
         apply = (f"(((av << bv) & {m}) << s)" if op == "<<"
                  else "((av >> bv) << s)")
-
-        def build() -> str:
-            return "\n".join([
-                f"def {name}(a, b):",
-                "    r = 0",
-                f"    for i in range({self.lanes}):",
-                f"        s = i * {self.stride}",
-                f"        bv = (b >> s) & {mb}",
-                f"        if bv < {width}:",
-                f"            av = (a >> s) & {m}",
-                f"            r |= {apply}",
-                "    return r",
-            ])
-        return self.helper(name, build)
+        return self._lane_helper(f"_{kind}{width}_{b_width}", "a, b", [
+            f"bv = (b >> s) & {mb}",
+            f"if bv < {width}:",
+            f"    av = (a >> s) & {m}",
+            f"    r |= {apply}",
+        ])
 
     def _sra_helper(self, width: int, b_width: int) -> str:
-        name = f"_sra{width}_{b_width}"
         m, mb = hex(mask(width)), hex(mask(b_width))
-
-        def build() -> str:
-            return "\n".join([
-                f"def {name}(a, b):",
-                "    r = 0",
-                f"    for i in range({self.lanes}):",
-                f"        s = i * {self.stride}",
-                f"        av = (a >> s) & {m}",
-                f"        bv = (b >> s) & {mb}",
-                f"        if av & {hex(1 << (width - 1))}:",
-                f"            av -= {hex(1 << width)}",
-                f"        r |= ((av >> (bv if bv < {width} else {width}))"
-                f" & {m}) << s",
-                "    return r",
-            ])
-        return self.helper(name, build)
+        return self._lane_helper(f"_sra{width}_{b_width}", "a, b", [
+            f"av = (a >> s) & {m}",
+            f"bv = (b >> s) & {mb}",
+            f"if av & {hex(1 << (width - 1))}:",
+            f"    av -= {hex(1 << width)}",
+            f"r |= ((av >> (bv if bv < {width} else {width})) & {m}) << s",
+        ])
 
     def _rxor_helper(self, width: int) -> str:
-        name = f"_rxor{width}"
         m = hex(mask(width))
-
-        def build() -> str:
-            return "\n".join([
-                f"def {name}(a):",
-                "    r = 0",
-                f"    for i in range({self.lanes}):",
-                f"        s = i * {self.stride}",
-                f"        r |= (((a >> s) & {m}).bit_count() & 1) << s",
-                "    return r",
-            ])
-        return self.helper(name, build)
+        return self._lane_helper(f"_rxor{width}", "a", [
+            f"r |= (((a >> s) & {m}).bit_count() & 1) << s"])
 
     # -- expression emission -----------------------------------------------
 
@@ -477,299 +423,161 @@ class _BatchEmitter:
             return out
         raise AssertionError(f"unhandled binary op {op!r}")
 
-    # -- kernel body fragments ---------------------------------------------
+    # -- value primitives --------------------------------------------------
 
-    def emit_async_reads(self, lines: list[str], ind: str) -> None:
-        """Combinational read ports: per-lane gather (addresses differ
-        across lanes), same memory/port order as the scalar tiers."""
-        for memory in self.plan.memories:
-            for port in memory.read_ports:
-                if port.sync:
-                    continue
-                addr = self.emit(port.addr, lines, ind)
-                out = self.store(port.name)
-                lines.append(f"{ind}{out} = 0")
-                sh = self.lane_loop(lines, ind)
-                inner = ind + "    "
-                lines.append(f"{inner}_a = ({addr} >> {sh}) "
-                             f"& {hex(mask(port.addr.width))}")
-                lines.append(
-                    f"{inner}if _a < {memory.depth}:")
-                lines.append(f"{inner}    {out} |= "
-                             f"{self.mem(memory.name)}[_i][_a] << {sh}")
+    def assign(self, name, expr, lines, ind):
+        atom = self.emit(expr, lines, ind)
+        lines.append(f"{ind}{self.store(name)} = {atom}")
 
-    def emit_settle(self, lines: list[str], ind: str) -> None:
-        self.emit_async_reads(lines, ind)
-        for name, expr in self.plan.assigns:
-            atom = self.emit(expr, lines, ind)
-            lines.append(f"{ind}{self.store(name)} = {atom}")
-        self.emit_async_reads(lines, ind)
+    def async_read(self, memory, port, lines, ind):
+        """Per-lane gather: addresses differ across lanes."""
+        addr = self.emit(port.addr, lines, ind)
+        out = self.store(port.name)
+        lines.append(f"{ind}{out} = 0")
+        sh = self.lane_loop(lines, ind)
+        inner = ind + "    "
+        lines.append(f"{inner}_a = ({addr} >> {sh}) "
+                     f"& {hex(mask(port.addr.width))}")
+        lines.append(
+            f"{inner}if _a < {memory.depth}:")
+        lines.append(f"{inner}    {out} |= "
+                     f"{self.mem(memory.name)}[_i][_a] << {sh}")
 
-    def emit_edge(self, lines: list[str], ind: str,
-                  active: tuple[str, ...]) -> None:
-        """Sample-and-commit for one edge, lane-parallel.
-
-        Group ordering matches the scalar tiers exactly — register
-        samples, write-port samples, sync-read samples (read-before-
-        write), then the three commit groups — so cross-checking a lane
-        against a scalar run is bit-exact.
-        """
-        reg_commits: list[tuple[str, str]] = []
-        for domain in active:
-            for reg_name in self.plan.regs_by_domain.get(domain, ()):
-                reg = self.plan.regs[reg_name]
-                if reg.next is None and reg.reset is None:
-                    continue
-                value = self.sym(reg_name)
-                if reg.next is not None:
-                    nxt = self.emit(reg.next, lines, ind)
-                    if reg.next.width != reg.width:
-                        masked = self.temp()
-                        lines.append(f"{ind}{masked} = {nxt} "
-                                     f"& {self.rmask(reg.width)}")
-                        nxt = masked
-                else:
-                    nxt = value
-                if reg.reset is not None:
-                    rv = self.repl(truncate(reg.reset_value, reg.width))
-                    rst = self.emit(reg.reset, lines, ind)
-                    nxt = self.blend(rst, reg.reset.width, rv, nxt,
-                                     reg.width, lines, ind)
-                if reg.enable is not None:
-                    en = self.emit(reg.enable, lines, ind)
-                    sample = self.blend(en, reg.enable.width, nxt, value,
-                                        reg.width, lines, ind)
-                else:
-                    sample, copy = self.snap(nxt)
-                    if copy is not None:
-                        lines.append(f"{ind}{copy}")
-                self.stores[reg_name] = None
-                reg_commits.append((value, sample))
-
-        write_commits: list[tuple] = []
-        read_commits: list[tuple[str, str]] = []
-        for domain in active:
-            for kind, memory, port in self.plan.port_plans.get(domain, ()):
-                if kind == "w":
-                    en = self.emit(port.enable, lines, ind)
-                    addr = self.emit(port.addr, lines, ind)
-                    data = self.emit(port.data, lines, ind)
-                    write_commits.append(
-                        (self.mem(memory.name),
-                         self.snap_now(en, lines, ind),
-                         port.enable.width,
-                         self.snap_now(addr, lines, ind), port.addr.width,
-                         self.snap_now(data, lines, ind),
-                         memory.width, memory.depth))
-                else:
-                    out = self.store(port.name)
-                    en = (self.emit(port.enable, lines, ind)
-                          if port.enable is not None else None)
-                    addr = self.emit(port.addr, lines, ind)
-                    sample = self.temp()
-                    lines.append(f"{ind}{sample} = {out}")
-                    sh = self.lane_loop(lines, ind)
-                    inner = ind + "    "
-                    if en is not None:
-                        lines.append(f"{inner}if ({en} >> {sh}) "
-                                     f"& {hex(mask(port.enable.width))}:")
-                        inner += "    "
-                    lines.append(f"{inner}_a = ({addr} >> {sh}) "
-                                 f"& {hex(mask(port.addr.width))}")
-                    lines.append(
-                        f"{inner}_v = {self.mem(memory.name)}[_i][_a] "
-                        f"if _a < {memory.depth} else 0")
-                    lines.append(
-                        f"{inner}{sample} = ({sample} "
-                        f"& ~({hex(mask(memory.width))} << {sh})) "
-                        f"| (_v << {sh})")
-                    read_commits.append((out, sample))
-
-        for value, sample in reg_commits:
-            lines.append(f"{ind}{value} = {sample}")
-        for (mem_local, en, en_w, addr, addr_w, data,
-             mem_w, depth) in write_commits:
-            sh = self.lane_loop(lines, ind)
-            inner = ind + "    "
-            lines.append(f"{inner}if ({en} >> {sh}) & {hex(mask(en_w))}:")
-            lines.append(f"{inner}    _a = ({addr} >> {sh}) "
-                         f"& {hex(mask(addr_w))}")
-            lines.append(f"{inner}    if _a < {depth}:")
-            lines.append(f"{inner}        {mem_local}[_i][_a] = "
-                         f"({data} >> {sh}) & {hex(mask(mem_w))}")
-        for out, sample in read_commits:
-            lines.append(f"{ind}{out} = {sample}")
-
-    def snap_now(self, atom: str, lines: list[str], ind: str) -> str:
-        atom, copy = self.snap(atom)
-        if copy is not None:
-            lines.append(f"{ind}{copy}")
-        return atom
-
-    # -- kernel module assembly --------------------------------------------
-
-    def module_source(self, name: str, params: str, body: list[str],
-                      loop: bool, prologue: tuple[str, ...] = (),
-                      epilogue: tuple[str, ...] = ()) -> str:
-        """A self-contained module: hoisted lane constants, per-lane
-        helper functions, then the kernel wrapped in loads/stores.
-        ``prologue``/``epilogue`` bracket the function body the same way
-        the scalar ``_kernel_source`` does (capture kernels only)."""
-        lines: list[str] = []
-        for value, const_name in self.consts.items():
-            lines.append(f"{const_name} = {hex(value)}")
-        for helper_source in self.helpers.values():
-            lines.append(helper_source)
-        lines.append(f"def {name}({params}):")
-        lines.extend(prologue)
-        for mem_name, local in self.mem_of.items():
-            lines.append(f"    {local} = mems[{mem_name!r}]")
-        for sig_name, local in self.locals_of.items():
-            lines.append(f"    {local} = e[{sig_name!r}]")
-        if loop:
-            lines.append("    for _ in range(n):")
-            lines.extend(body if body else ["        pass"])
+    def sample_register(self, reg, value, lines, ind):
+        if reg.next is not None:
+            nxt = self.emit(reg.next, lines, ind)
+            if reg.next.width != reg.width:
+                masked = self.temp()
+                lines.append(f"{ind}{masked} = {nxt} "
+                             f"& {self.rmask(reg.width)}")
+                nxt = masked
         else:
-            lines.extend(body if body else ["    pass"])
-        for sig_name in self.stores:
-            lines.append(f"    e[{sig_name!r}] = {self.locals_of[sig_name]}")
-        lines.extend(epilogue)
-        return "\n".join(lines)
+            nxt = value
+        if reg.reset is not None:
+            rv = self.repl(truncate(reg.reset_value, reg.width))
+            rst = self.emit(reg.reset, lines, ind)
+            nxt = self.blend(rst, reg.reset.width, rv, nxt,
+                             reg.width, lines, ind)
+        if reg.enable is not None:
+            en = self.emit(reg.enable, lines, ind)
+            return self.blend(en, reg.enable.width, nxt, value,
+                              reg.width, lines, ind)
+        return self.snap(nxt, lines, ind)
+
+    def sample_write(self, memory, port, lines, ind):
+        en = self.emit(port.enable, lines, ind)
+        addr = self.emit(port.addr, lines, ind)
+        data = self.emit(port.data, lines, ind)
+        return (self.mem(memory.name),
+                self.snap(en, lines, ind), port.enable.width,
+                self.snap(addr, lines, ind), port.addr.width,
+                self.snap(data, lines, ind),
+                memory.width, memory.depth)
+
+    def commit_write(self, commit, lines, ind):
+        mem_local, en, en_w, addr, addr_w, data, mem_w, depth = commit
+        sh = self.lane_loop(lines, ind)
+        inner = ind + "    "
+        lines.append(f"{inner}if ({en} >> {sh}) & {hex(mask(en_w))}:")
+        lines.append(f"{inner}    _a = ({addr} >> {sh}) "
+                     f"& {hex(mask(addr_w))}")
+        lines.append(f"{inner}    if _a < {depth}:")
+        lines.append(f"{inner}        {mem_local}[_i][_a] = "
+                     f"({data} >> {sh}) & {hex(mask(mem_w))}")
+
+    def sample_sync_read(self, memory, port, out, lines, ind):
+        en = (self.emit(port.enable, lines, ind)
+              if port.enable is not None else None)
+        addr = self.emit(port.addr, lines, ind)
+        sample = self.temp()
+        lines.append(f"{ind}{sample} = {out}")
+        sh = self.lane_loop(lines, ind)
+        inner = ind + "    "
+        if en is not None:
+            lines.append(f"{inner}if ({en} >> {sh}) "
+                         f"& {hex(mask(port.enable.width))}:")
+            inner += "    "
+        lines.append(f"{inner}_a = ({addr} >> {sh}) "
+                     f"& {hex(mask(port.addr.width))}")
+        lines.append(
+            f"{inner}_v = {self.mem(memory.name)}[_i][_a] "
+            f"if _a < {memory.depth} else 0")
+        lines.append(
+            f"{inner}{sample} = ({sample} "
+            f"& ~({hex(mask(memory.width))} << {sh})) "
+            f"| (_v << {sh})")
+        return sample
+
 
 
 # ---------------------------------------------------------------------------
 # batch plans
 # ---------------------------------------------------------------------------
 
-class BatchPlan:
-    """K-lane kernels of one :class:`CompiledPlan`.
+class BatchPlan(KernelSet):
+    """K-lane kernels of one :class:`CompiledPlan`: its kernel set with
+    the lane emitter.
 
     Reached through :meth:`CompiledPlan.batch_plan`, so batch kernels
     share the plan's fingerprint-keyed memory cache and disk store
     (source keys ``b<K>:settle``, ``b<K>:tick:<domains>``, ...).
+    Capture rows hold the packed values, decoded by ``BatchTrace``.
     """
 
     def __init__(self, plan: CompiledPlan, lanes: int):
         if lanes < 1:
             raise SimulationError(
                 f"batch lane count must be positive, got {lanes}")
-        self.plan = plan
         self.lanes = lanes
         self.stride = _plan_stride(plan)
-        self._tick_kernels: dict[tuple[str, ...], Callable] = {}
-        self._run_kernels: dict[tuple[str, ...], Callable] = {}
-        self._capture_kernels: dict[str, Callable] = {}
-        self.settle: Callable = plan.kernel_from_source(
-            f"b{lanes}:settle", "_settle",
-            lambda: self._source("_settle", "e, mems", None, loop=False))
+        self.prefix = f"b{lanes}:"
+        super().__init__(plan)
 
-    def _source(self, name: str, params: str,
-                active: Optional[tuple[str, ...]], loop: bool) -> str:
-        em = _BatchEmitter(self.plan, self.lanes, self.stride)
-        body: list[str] = []
-        ind = "        " if loop else "    "
-        em.emit_settle(body, ind)
-        if active is not None:
-            em.emit_edge(body, ind, active)
-        return em.module_source(name, params, body, loop)
-
-    def tick_kernel(self, active: tuple[str, ...]) -> Callable:
-        kernel = self._tick_kernels.get(active)
-        if kernel is None:
-            kernel = self.plan.kernel_from_source(
-                f"b{self.lanes}:tick:" + "+".join(active), "_tick",
-                lambda: self._source("_tick", "e, mems", active,
-                                     loop=False))
-            self._tick_kernels[active] = kernel
-        return kernel
-
-    def run_kernel(self, active: tuple[str, ...]) -> Callable:
-        kernel = self._run_kernels.get(active)
-        if kernel is None:
-            kernel = self.plan.kernel_from_source(
-                f"b{self.lanes}:run:" + "+".join(active), "_run",
-                lambda: self._source("_run", "e, mems, n", active,
-                                     loop=True))
-            self._run_kernels[active] = kernel
-        return kernel
-
-    def capture_run_kernel(self, active: tuple[str, ...],
-                           signals: tuple[str, ...],
-                           bounded: bool) -> Callable:
-        """The batched twin of :meth:`CompiledPlan.capture_run_kernel`:
-        each ring row stores the *packed* K-lane integers, so one row
-        samples all lanes at once (decoded by ``BatchTrace``)."""
-        key = (f"b{self.lanes}:crun:" + "+".join(active)
-               + (":ring:" if bounded else ":grow:") + ",".join(signals))
-        kernel = self._capture_kernels.get(key)
-        if kernel is None:
-            def build() -> str:
-                em = _BatchEmitter(self.plan, self.lanes, self.stride)
-                body: list[str] = []
-                em.emit_settle(body, "        ")
-                body.extend(_capture_body_lines(
-                    em.sym, signals, bounded, "        "))
-                em.emit_edge(body, "        ", active)
-                body.append("        cyc += 1")
-                prologue = ("    _rl = len(ring)",) if bounded else ()
-                return em.module_source(
-                    "_crun", CAPTURE_PARAMS, body, loop=True,
-                    prologue=prologue, epilogue=CAPTURE_EPILOGUE)
-            kernel = self.plan.kernel_from_source(key, "_crun", build)
-            self._capture_kernels[key] = kernel
-        return kernel
+    def emitter(self) -> _LaneEmitter:
+        return _LaneEmitter(self.plan, self.lanes, self.stride)
 
 
 # ---------------------------------------------------------------------------
 # the batched simulator
 # ---------------------------------------------------------------------------
 
-class BatchSimulator:
+def _copy_lanes(memories: dict) -> dict:
+    return {name: [list(words) for words in per_lane]
+            for name, per_lane in memories.items()}
+
+
+class BatchSimulator(Simulator):
     """Advances K independent runs of one netlist per kernel tick.
 
-    The clock schedule (periods, phases, gating) is shared by all lanes;
-    stimuli, state, and memories are per-lane. There are no hooks and no
-    engine choice — batch always runs generated kernels; anything that
-    needs per-edge observability belongs on a scalar simulator.
+    A :class:`~repro.rtl.simulator.Simulator` over packed values: the
+    clock schedule (periods, phases, gating) and every stepping entry
+    point are the scalar simulator's and apply to all lanes at once;
+    stimuli, state, and memories are per-lane. Batch always runs the
+    generated K-lane kernels (also for K=1) and takes no hooks —
+    anything that needs per-edge observability belongs on a scalar
+    simulator. Steps tally into ``sim.batch.runs`` and
+    ``sim.batch.lane_ticks`` (cycles x lanes), never the scalar
+    ``sim.runs``/``sim.ticks``.
 
     Lanes interoperate with :class:`~repro.rtl.simulator.Simulator`
     snapshots in both directions: :meth:`extract_lane` produces a dict
     ``Simulator.restore`` accepts, and :meth:`inject_lane` loads one.
     """
 
+    _COUNTERS = ("sim.batch.runs", "sim.batch.lane_ticks")
+
     def __init__(self, netlist: Netlist, lanes: int,
                  clocks: Optional[dict[str, int]] = None):
-        plan = compiled_plan_for(netlist)
-        self._bplan = plan.batch_plan(lanes)
-        self._plan = plan
-        self.netlist = netlist
+        super().__init__(netlist, clocks)
+        self._kernels = self._plan.batch_plan(lanes)
+        self._settle_fn = self._kernels.settle
         self.lanes = lanes
-        self.stride = self._bplan.stride
-        clocks = dict(clocks or {})
-        self.domains: dict[str, ClockDomain] = {}
-        for domain in sorted(netlist.clock_domains() | set(clocks)):
-            self.domains[domain] = ClockDomain(
-                name=domain, period_ps=clocks.get(domain, DEFAULT_PERIOD_PS))
-        self.time_ps = 0
-
-        self.env: dict[str, int] = {}
-        for name in netlist.signals:
-            self.env[name] = 0
-        for name, reg in netlist.registers.items():
-            self.env[name] = _replicate(
-                truncate(reg.init, reg.width), lanes, self.stride)
-        self.memories: dict[str, list[list[int]]] = {}
-        for name, memory in netlist.memories.items():
-            words = [0] * memory.depth
-            for addr, value in memory.init.items():
-                words[addr] = truncate(value, memory.width)
+        self.stride = self._kernels.stride
+        for name in netlist.registers:
+            self.env[name] = _replicate(self.env[name], lanes, self.stride)
+        for name, words in self.memories.items():
             self.memories[name] = [list(words) for _ in range(lanes)]
-
-        registry = get_registry()
-        registry.gauge("sim.batch_lanes").set(lanes)
-        self._m_runs = registry.counter("sim.batch.runs")
-        self._m_lane_ticks = registry.counter("sim.batch.lane_ticks")
-        self._dirty = True
+        get_registry().gauge("sim.batch_lanes").set(lanes)
 
     # -- lane addressing ---------------------------------------------------
 
@@ -788,6 +596,16 @@ class BatchSimulator:
         self.env[name] = ((self.env[name] & ~(mask(width) << shift))
                           | (truncate(value, width) << shift))
 
+    def _put(self, name: str, value: int, lane: Optional[int]) -> None:
+        if lane is None:
+            self.env[name] = _replicate(
+                truncate(value, self.netlist.width(name)), self.lanes,
+                self.stride)
+        else:
+            self._check_lane(lane)
+            self._set_lane(name, lane, value)
+        self._dirty = True
+
     # -- value access ------------------------------------------------------
 
     def poke(self, name: str, value: int,
@@ -796,20 +614,11 @@ class BatchSimulator:
         if name not in self.netlist.inputs:
             raise SimulationError(
                 f"{name!r} is not a top-level input; use force() for state")
-        width = self.netlist.width(name)
-        if lane is None:
-            self.env[name] = _replicate(
-                truncate(value, width), self.lanes, self.stride)
-        else:
-            self._check_lane(lane)
-            self._set_lane(name, lane, value)
-        self._dirty = True
+        self._put(name, value, lane)
 
     def peek(self, name: str, lane: Optional[int] = None):
         """A signal's settled value on one lane, or a list across all."""
-        if name not in self.env:
-            raise UnknownSignalError(f"unknown signal {name!r}")
-        self._settle()
+        super().peek(name)  # validates the name and settles
         if lane is None:
             return [self._get_lane(name, i) for i in range(self.lanes)]
         self._check_lane(lane)
@@ -823,229 +632,35 @@ class BatchSimulator:
             raise SimulationError(
                 f"{name!r} is not a register; poke() inputs, "
                 f"write_memory() memories")
-        width = self.netlist.width(name)
-        if lane is None:
-            self.env[name] = _replicate(
-                truncate(value, width), self.lanes, self.stride)
-        else:
-            self._check_lane(lane)
-            self._set_lane(name, lane, value)
-        self._dirty = True
+        self._put(name, value, lane)
 
     def read_memory(self, name: str, addr: int, lane: int) -> int:
         self._check_lane(lane)
+        per_lane = self._memory_words(name)
         self._check_addr(name, addr)
-        return self.memories[name][lane][addr]
+        return per_lane[lane][addr]
 
     def write_memory(self, name: str, addr: int, value: int,
                      lane: Optional[int] = None) -> None:
+        per_lane = self._memory_words(name)
         self._check_addr(name, addr)
         value = truncate(value, self.netlist.memories[name].width)
         if lane is None:
-            for words in self.memories[name]:
+            for words in per_lane:
                 words[addr] = value
         else:
             self._check_lane(lane)
-            self.memories[name][lane][addr] = value
-        self._dirty = True
-
-    def _check_addr(self, name: str, addr: int) -> None:
-        memory = self.netlist.memories.get(name)
-        if memory is None:
-            raise UnknownSignalError(f"unknown memory {name!r}")
-        if not 0 <= addr < memory.depth:
-            raise SimulationError(
-                f"memory {name!r}: address {addr} out of range "
-                f"0..{memory.depth - 1}")
-
-    # -- clocking ----------------------------------------------------------
-
-    def set_clock_gate(self, domain: str, gated: bool) -> None:
-        """Gate a domain — for *all* lanes; lanes share one schedule."""
-        self._domain(domain).gated = gated
-
-    def is_gated(self, domain: str) -> bool:
-        return self._domain(domain).gated
-
-    def cycles(self, domain: str = "clk") -> int:
-        return self._domain(domain).cycles
-
-    def _domain(self, name: str) -> ClockDomain:
-        try:
-            return self.domains[name]
-        except KeyError:
-            raise SimulationError(f"unknown clock domain {name!r}") from None
-
-    # -- stepping ----------------------------------------------------------
-
-    def _settle(self) -> None:
-        if self._dirty:
-            self._bplan.settle(self.env, self.memories)
-            self._dirty = False
-
-    def step(self, cycles: int = 1, domain: Optional[str] = None) -> None:
-        """Advance all lanes; same stepping semantics as the scalar
-        :meth:`Simulator.step`, minus hooks."""
-        if cycles < 0:
-            raise SimulationError("cannot step a negative number of cycles")
-        self._m_runs.inc()
-        self._m_lane_ticks.inc(cycles * self.lanes)
-        if domain is not None:
-            dom = self._domain(domain)
-            if cycles and not dom.gated:
-                self._run((domain,), cycles, advance_time=False)
-                return
-            for _ in range(cycles):
-                self._tick(frozenset({domain}))
-            return
-        if cycles and not any(d.gated for d in self.domains.values()) \
-                and len({(d.period_ps, d.next_edge_ps)
-                         for d in self.domains.values()}) == 1:
-            self._run(tuple(self.domains), cycles, advance_time=True)
-            return
-        for _ in range(cycles):
-            self._advance_one_event()
-
-    def step_captured(self, cycles: int, capture,
-                      domain: Optional[str] = None) -> None:
-        """Advance all lanes like :meth:`step` while streaming packed
-        samples of ``capture.signals`` into its ring (the capture side
-        of :class:`~repro.rtl.waveform.BatchTrace`)."""
-        if cycles < 0:
-            raise SimulationError("cannot step a negative number of cycles")
-        self._domain(capture.domain)
-        self._m_runs.inc()
-        self._m_lane_ticks.inc(cycles * self.lanes)
-        if domain is not None:
-            dom = self._domain(domain)
-            if domain != capture.domain:
-                raise SimulationError(
-                    f"capture samples domain {capture.domain!r}; "
-                    f"cannot step domain {domain!r} alone")
-            if cycles and not dom.gated:
-                self._captured_run((domain,), cycles, capture,
-                                   advance_time=False)
-                return
-            for _ in range(cycles):
-                self._capture_event(frozenset({domain}), capture)
-            return
-        if cycles and not any(d.gated for d in self.domains.values()) \
-                and len({(d.period_ps, d.next_edge_ps)
-                         for d in self.domains.values()}) == 1:
-            self._captured_run(tuple(self.domains), cycles, capture,
-                               advance_time=True)
-            return
-        for _ in range(cycles):
-            self._advance_one_event(capture)
-
-    def run_to_time(self, time_ps: int) -> None:
-        if not self.domains:
-            raise SimulationError(
-                "design has no clock domains; nothing can advance time")
-        while min(d.next_edge_ps for d in self.domains.values()) <= time_ps:
-            self._advance_one_event()
-
-    def _run(self, active: tuple[str, ...], cycles: int,
-             advance_time: bool) -> None:
-        self._bplan.run_kernel(tuple(sorted(active)))(
-            self.env, self.memories, cycles)
-        for name in active:
-            dom = self.domains[name]
-            dom.cycles += cycles
-            dom.edges_seen += cycles
-            if advance_time:
-                dom.next_edge_ps += cycles * dom.period_ps
-        if advance_time:
-            dom = next(iter(self.domains.values()))
-            self.time_ps = dom.next_edge_ps - dom.period_ps
-        self._dirty = True
-
-    def _captured_run(self, active: tuple[str, ...], cycles: int,
-                      capture, advance_time: bool) -> None:
-        kernel = self._bplan.capture_run_kernel(
-            tuple(sorted(active)), capture.signals, capture.bounded)
-        (capture.head, capture.total, capture.phase,
-         capture.cycle) = kernel(
-            self.env, self.memories, cycles, capture.ring, capture.head,
-            capture.total, capture.stride, capture.phase, capture.cycle)
-        for name in active:
-            dom = self.domains[name]
-            dom.cycles += cycles
-            dom.edges_seen += cycles
-            if advance_time:
-                dom.next_edge_ps += cycles * dom.period_ps
-        if advance_time:
-            dom = next(iter(self.domains.values()))
-            self.time_ps = dom.next_edge_ps - dom.period_ps
-        self._dirty = True
-
-    def _capture_event(self, ticking: frozenset[str], capture) -> None:
-        dom = self.domains[capture.domain]
-        if capture.domain in ticking and not dom.gated:
-            self._settle()
-            capture.sample_scalar(self.env)
-        self._tick(ticking)
-
-    def _advance_one_event(self, capture=None) -> None:
-        if not self.domains:
-            raise SimulationError(
-                "design has no clock domains; nothing can advance time")
-        event_time = min(d.next_edge_ps for d in self.domains.values())
-        ticking = frozenset(
-            name for name, d in self.domains.items()
-            if d.next_edge_ps == event_time)
-        self.time_ps = event_time
-        for name in ticking:
-            dom = self.domains[name]
-            dom.next_edge_ps += dom.period_ps
-        if capture is not None:
-            self._capture_event(ticking, capture)
-        else:
-            self._tick(ticking)
-
-    def _tick(self, ticking: frozenset[str]) -> None:
-        active = []
-        for name in sorted(ticking):
-            dom = self._domain(name)
-            dom.edges_seen += 1
-            if not dom.gated:
-                active.append(name)
-                dom.cycles += 1
-        if not active:
-            return
-        self._bplan.tick_kernel(tuple(active))(self.env, self.memories)
+            per_lane[lane][addr] = value
         self._dirty = True
 
     # -- snapshot / lane interop -------------------------------------------
 
-    def _clock_state(self) -> dict:
-        return {
-            name: {
-                "cycles": d.cycles,
-                "edges_seen": d.edges_seen,
-                "next_edge_ps": d.next_edge_ps,
-                "gated": d.gated,
-            }
-            for name, d in self.domains.items()}
-
     def snapshot(self) -> dict:
         """All lanes' architectural state, packed (batch-native)."""
-        self._settle()
-        sync_outs = list(self.netlist.sync_read_outputs())
-        return {
-            "lanes": self.lanes,
-            "stride": self.stride,
-            "registers": {
-                name: self.env[name] for name in self.netlist.registers},
-            "memories": {
-                name: [list(words) for words in per_lane]
-                for name, per_lane in self.memories.items()},
-            "inputs": {name: self.env[name] for name in self.netlist.inputs},
-            "read_ports": {name: self.env[name] for name in sync_outs},
-            "time_ps": self.time_ps,
-            "cycles": {name: d.cycles for name, d in self.domains.items()},
-            "clocks": self._clock_state(),
-        }
+        snap = {"lanes": self.lanes, "stride": self.stride,
+                **super().snapshot()}
+        snap["memories"] = _copy_lanes(self.memories)
+        return snap
 
     def restore(self, snapshot: dict) -> None:
         if snapshot.get("lanes") != self.lanes \
@@ -1054,32 +669,8 @@ class BatchSimulator:
                 f"snapshot shape {snapshot.get('lanes')}x"
                 f"{snapshot.get('stride')} does not match this simulator "
                 f"({self.lanes}x{self.stride})")
-        for name, value in snapshot["registers"].items():
-            if name not in self.netlist.registers:
-                raise SimulationError(
-                    f"snapshot register {name!r} not in design")
-            self.env[name] = value
-        for name, per_lane in snapshot["memories"].items():
-            if name not in self.memories:
-                raise SimulationError(
-                    f"snapshot memory {name!r} not in design")
-            for lane, words in enumerate(per_lane):
-                self.memories[name][lane][:] = words
-        for name, value in snapshot["inputs"].items():
-            self.env[name] = value
-        for name, value in snapshot.get("read_ports", {}).items():
-            if name in self.env:
-                self.env[name] = value
-        self.time_ps = snapshot["time_ps"]
-        for name, state in snapshot["clocks"].items():
-            if name not in self.domains:
-                continue
-            dom = self.domains[name]
-            dom.cycles = state["cycles"]
-            dom.edges_seen = state["edges_seen"]
-            dom.next_edge_ps = state["next_edge_ps"]
-            dom.gated = state["gated"]
-        self._dirty = True
+        super().restore(
+            {**snapshot, "memories": _copy_lanes(snapshot["memories"])})
 
     def extract_lane(self, lane: int) -> dict:
         """One lane's state as a *scalar* snapshot — the exact dict

@@ -31,6 +31,15 @@ exact observability is required: pre-edge hooks run between settle and
 the tick kernel, edge hooks fire after every commit, and gating is
 re-checked at each edge, so hooks, gating, and single-stepping keep
 identical semantics across engines (the differential suite pins this).
+
+This class is also the one stepping core of K-lane simulation:
+:class:`~repro.rtl.batch.BatchSimulator` subclasses it, swapping in the
+K-lane kernel set and per-lane value access, so the clock schedule,
+:meth:`Simulator.step`, :meth:`Simulator.step_captured`,
+:meth:`Simulator.run_to_time`, the per-event loop, the run bookkeeping
+and the clock snapshot exist once. Both step entry points share one
+dispatch and one instrumentation block (metrics, flight note,
+``sim.run`` span).
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ class Simulator:
         ``"interp"`` (AST walking, the reference semantics).
     """
 
+    #: Runs packed into every value (K in a ``BatchSimulator``).
+    lanes = 1
+    #: Registry counters a step tallies into: runs, and cycles x lanes.
+    _COUNTERS = ("sim.runs", "sim.ticks")
+
     def __init__(self, netlist: Netlist,
                  clocks: Optional[dict[str, int]] = None,
                  engine: str = ENGINE_FUSED):
@@ -124,7 +138,8 @@ class Simulator:
         # Pre-compile (or look up) the evaluation plan.
         if engine == ENGINE_FUSED:
             self._plan = compiled_plan_for(netlist)
-            self._settle_fn = self._plan.settle
+            self._kernels = self._plan.kernels
+            self._settle_fn = self._kernels.settle
         else:
             self._plan = None
             order = netlist.comb_order()
@@ -154,8 +169,8 @@ class Simulator:
 
         # Execute-side tallies (compile-side live in rtl._codegen).
         registry = get_registry()
-        self._m_runs = registry.counter("sim.runs")
-        self._m_ticks = registry.counter("sim.ticks")
+        self._m_runs, self._m_ticks = (
+            registry.counter(name) for name in self._COUNTERS)
 
         self._dirty = True
         # Post-commit hooks: fn(simulator, ticked_domains).
@@ -314,80 +329,11 @@ class Simulator:
         ticking every domain whose edge falls at each event time.
 
         Each call tallies into the metrics registry (``sim.runs`` /
-        ``sim.ticks``) and, with tracing enabled, records a ``sim.run``
-        span whose modeled clock is the simulated hardware time the run
-        covered.
+        ``sim.ticks``), notes a ``sim``/``run`` flight event and, with
+        tracing enabled, records a ``sim.run`` span whose modeled clock
+        is the simulated hardware time the run covered.
         """
-        if cycles < 0:
-            raise SimulationError("cannot step a negative number of cycles")
-        self._m_runs.inc()
-        self._m_ticks.inc(cycles)
-        if _FLIGHT.enabled:
-            _FLIGHT.note("sim", "run", cycles=cycles)
-        if not _TRACER.enabled:
-            return self._step_impl(cycles, domain)
-        with _TRACER.span("sim.run", cycles=cycles, engine=self.engine,
-                          domain=domain or "*") as span:
-            time_before = self.time_ps
-            self._step_impl(cycles, domain)
-            if domain is not None:
-                modeled = cycles * self.domains[domain].period_ps * 1e-12
-            else:
-                modeled = (self.time_ps - time_before) * 1e-12
-            span.set(time_ps=self.time_ps)
-            span.add_modeled(modeled)
-
-    def _step_impl(self, cycles: int, domain: Optional[str]) -> None:
-        if cycles < 0:
-            raise SimulationError("cannot step a negative number of cycles")
-        if domain is not None:
-            dom = self._domain(domain)
-            if cycles and self._hot_loop_ok() and not dom.gated:
-                self._fused_run((domain,), cycles, advance_time=False)
-                return
-            for _ in range(cycles):
-                self._tick(frozenset({domain}))
-            return
-        if cycles and self._hot_loop_ok() \
-                and not any(d.gated for d in self.domains.values()) \
-                and len({(d.period_ps, d.next_edge_ps)
-                         for d in self.domains.values()}) == 1:
-            # Every domain edges at every event: the whole run stays in
-            # one compiled hot loop, with time fixed up arithmetically.
-            self._fused_run(tuple(self.domains), cycles, advance_time=True)
-            return
-        for _ in range(cycles):
-            self._advance_one_event()
-
-    def _hot_loop_ok(self) -> bool:
-        """Whether the compiled run kernel may replace per-event ticks.
-
-        Hooks observe every edge and gating is re-evaluated per edge, so
-        any hook or any gated domain routes through the general path.
-        """
-        return (self.engine == ENGINE_FUSED
-                and not self.edge_hooks and not self.pre_edge_hooks)
-
-    def _fused_run(self, active: tuple[str, ...], cycles: int,
-                   advance_time: bool) -> None:
-        """Execute ``cycles`` edges of ``active`` domains in one kernel
-        call, then apply the clock bookkeeping arithmetically."""
-        self._plan.run_kernel(tuple(sorted(active)))(
-            self.env, self.memories, cycles)
-        for name in active:
-            dom = self.domains[name]
-            dom.cycles += cycles
-            dom.edges_seen += cycles
-            if advance_time:
-                dom.next_edge_ps += cycles * dom.period_ps
-        if advance_time:
-            dom = next(iter(self.domains.values()))
-            self.time_ps = dom.next_edge_ps - dom.period_ps
-        self._dirty = True
-
-    # ------------------------------------------------------------------
-    # streaming capture
-    # ------------------------------------------------------------------
+        self._instrumented_step(cycles, domain, None)
 
     def step_captured(self, cycles: int, capture,
                       domain: Optional[str] = None) -> None:
@@ -401,47 +347,88 @@ class Simulator:
         kernel, so observing the design does not forfeit the hot path.
         Otherwise (hooks, gating, the interp engine, skewed clock
         schedules) each event settles and samples in Python with the
-        exact same pre-edge ordering the kernel uses.
+        exact same pre-edge ordering the kernel uses. Metrics, flight
+        note and span are exactly :meth:`step`'s.
         """
+        self._instrumented_step(cycles, domain, capture)
+
+    def _instrumented_step(self, cycles: int, domain: Optional[str],
+                           capture) -> None:
+        """The instrumentation block both step entry points share."""
         if cycles < 0:
             raise SimulationError("cannot step a negative number of cycles")
-        cap_dom = self._domain(capture.domain)
-        self._m_runs.inc()
-        self._m_ticks.inc(cycles)
-        if domain is not None:
-            dom = self._domain(domain)
-            if domain != capture.domain:
+        if capture is not None:
+            self._domain(capture.domain)
+            if domain is not None and domain != capture.domain:
                 raise SimulationError(
                     f"capture samples domain {capture.domain!r}; "
                     f"cannot step domain {domain!r} alone")
+        self._m_runs.inc()
+        self._m_ticks.inc(cycles * self.lanes)
+        if _FLIGHT.enabled:
+            _FLIGHT.note("sim", "run", cycles=cycles)
+        if not _TRACER.enabled:
+            return self._step_impl(cycles, domain, capture)
+        with _TRACER.span("sim.run", cycles=cycles, engine=self.engine,
+                          domain=domain or "*") as span:
+            time_before = self.time_ps
+            self._step_impl(cycles, domain, capture)
+            if domain is not None:
+                modeled = cycles * self.domains[domain].period_ps * 1e-12
+            else:
+                modeled = (self.time_ps - time_before) * 1e-12
+            span.set(time_ps=self.time_ps)
+            span.add_modeled(modeled)
+
+    def _step_impl(self, cycles: int, domain: Optional[str],
+                   capture=None) -> None:
+        """The uninstrumented stepping body both entry points share."""
+        if domain is not None:
+            dom = self._domain(domain)
             if cycles and self._hot_loop_ok() and not dom.gated:
-                self._captured_run((domain,), cycles, capture,
-                                   advance_time=False)
+                self._fused_run((domain,), cycles, capture,
+                                advance_time=False)
                 return
+            ticking = frozenset({domain})
             for _ in range(cycles):
-                self._capture_event(frozenset({domain}), capture)
+                self._tick(ticking, capture)
             return
         if cycles and self._hot_loop_ok() \
                 and not any(d.gated for d in self.domains.values()) \
                 and len({(d.period_ps, d.next_edge_ps)
                          for d in self.domains.values()}) == 1:
-            self._captured_run(tuple(self.domains), cycles, capture,
-                               advance_time=True)
+            # Every domain edges at every event: the whole run stays in
+            # one compiled hot loop, with time fixed up arithmetically.
+            self._fused_run(tuple(self.domains), cycles, capture,
+                            advance_time=True)
             return
-        del cap_dom
         for _ in range(cycles):
             self._advance_one_event(capture)
 
-    def _captured_run(self, active: tuple[str, ...], cycles: int,
-                      capture, advance_time: bool) -> None:
-        """One capture-kernel call plus the same clock bookkeeping as
-        :meth:`_fused_run`; the kernel hands back the ring cursors."""
-        kernel = self._plan.capture_run_kernel(
-            tuple(sorted(active)), capture.signals, capture.bounded)
-        (capture.head, capture.total, capture.phase,
-         capture.cycle) = kernel(
-            self.env, self.memories, cycles, capture.ring, capture.head,
-            capture.total, capture.stride, capture.phase, capture.cycle)
+    def _hot_loop_ok(self) -> bool:
+        """Whether the compiled run kernel may replace per-event ticks.
+
+        Hooks observe every edge and gating is re-evaluated per edge, so
+        any hook or any gated domain routes through the general path.
+        """
+        return (self.engine == ENGINE_FUSED
+                and not self.edge_hooks and not self.pre_edge_hooks)
+
+    def _fused_run(self, active: tuple[str, ...], cycles: int, capture,
+                   advance_time: bool) -> None:
+        """Execute ``cycles`` edges of ``active`` domains in one kernel
+        call (the capture kernel hands back the ring cursors), then
+        apply the clock bookkeeping arithmetically."""
+        key = tuple(sorted(active))
+        if capture is None:
+            self._kernels.run_kernel(key)(self.env, self.memories, cycles)
+        else:
+            kernel = self._kernels.capture_run_kernel(
+                key, capture.signals, capture.bounded)
+            (capture.head, capture.total, capture.phase,
+             capture.cycle) = kernel(
+                self.env, self.memories, cycles, capture.ring, capture.head,
+                capture.total, capture.stride, capture.phase, capture.cycle)
         for name in active:
             dom = self.domains[name]
             dom.cycles += cycles
@@ -452,15 +439,6 @@ class Simulator:
             dom = next(iter(self.domains.values()))
             self.time_ps = dom.next_edge_ps - dom.period_ps
         self._dirty = True
-
-    def _capture_event(self, ticking: frozenset[str], capture) -> None:
-        """General-path twin of one capture-kernel iteration: settle and
-        sample (if the capture domain commits this event), then tick."""
-        dom = self.domains[capture.domain]
-        if capture.domain in ticking and not dom.gated:
-            self._settle()
-            capture.sample_scalar(self.env)
-        self._tick(ticking)
 
     def run_to_time(self, time_ps: int) -> None:
         """Advance global time up to and including ``time_ps``."""
@@ -482,13 +460,15 @@ class Simulator:
         for name in ticking:
             dom = self.domains[name]
             dom.next_edge_ps += dom.period_ps
-        if capture is not None:
-            self._capture_event(ticking, capture)
-        else:
-            self._tick(ticking)
+        self._tick(ticking, capture)
 
-    def _tick(self, ticking: frozenset[str]) -> None:
-        """Apply one edge to the given domains (honouring gating)."""
+    def _tick(self, ticking: frozenset[str], capture=None) -> None:
+        """Apply one edge to the given domains (honouring gating).
+
+        With ``capture``, an edge that commits the capture domain first
+        settles and samples — the Python twin of one capture-kernel
+        iteration.
+        """
         active = []
         for name in sorted(ticking):
             dom = self._domain(name)
@@ -496,6 +476,9 @@ class Simulator:
             if not dom.gated:
                 active.append(name)
                 dom.cycles += 1
+        if capture is not None and capture.domain in active:
+            self._settle()
+            capture.sample_scalar(self.env)
         if not active:
             return
         ticked = frozenset(active)
@@ -508,7 +491,8 @@ class Simulator:
                     hook(self, ticked)
             # Whole tick in one fused kernel; post-commit hooks still
             # fire per edge, so observers see every committed cycle.
-            self._plan.tick_kernel(tuple(active))(self.env, self.memories)
+            self._kernels.tick_kernel(tuple(active))(
+                self.env, self.memories)
             self._dirty = True
             for hook in self.edge_hooks:
                 hook(self, ticked)
@@ -586,12 +570,7 @@ class Simulator:
         for lane in range(lanes):
             batch.inject_lane(lane, snap)
         batch.time_ps = snap["time_ps"]
-        for name, state in snap["clocks"].items():
-            dom = batch.domains[name]
-            dom.cycles = state["cycles"]
-            dom.edges_seen = state["edges_seen"]
-            dom.next_edge_ps = state["next_edge_ps"]
-            dom.gated = state["gated"]
+        batch._restore_clocks(snap["clocks"])
         return batch
 
     # ------------------------------------------------------------------
@@ -615,15 +594,28 @@ class Simulator:
             "read_ports": {name: self.env[name] for name in sync_outs},
             "time_ps": self.time_ps,
             "cycles": {name: d.cycles for name, d in self.domains.items()},
-            "clocks": {
-                name: {
-                    "cycles": d.cycles,
-                    "edges_seen": d.edges_seen,
-                    "next_edge_ps": d.next_edge_ps,
-                    "gated": d.gated,
-                }
-                for name, d in self.domains.items()},
+            "clocks": self._clock_state(),
         }
+
+    def _clock_state(self) -> dict:
+        return {
+            name: {
+                "cycles": d.cycles,
+                "edges_seen": d.edges_seen,
+                "next_edge_ps": d.next_edge_ps,
+                "gated": d.gated,
+            }
+            for name, d in self.domains.items()}
+
+    def _restore_clocks(self, clocks: dict) -> None:
+        for name, state in clocks.items():
+            dom = self.domains.get(name)
+            if dom is None:
+                continue
+            dom.cycles = state["cycles"]
+            dom.edges_seen = state["edges_seen"]
+            dom.next_edge_ps = state["next_edge_ps"]
+            dom.gated = state["gated"]
 
     def restore(self, snapshot: dict) -> None:
         """Restore a snapshot captured by :meth:`snapshot`.
@@ -650,14 +642,7 @@ class Simulator:
         self.time_ps = snapshot["time_ps"]
         clocks = snapshot.get("clocks")
         if clocks is not None:
-            for name, state in clocks.items():
-                if name not in self.domains:
-                    continue
-                dom = self.domains[name]
-                dom.cycles = state["cycles"]
-                dom.edges_seen = state["edges_seen"]
-                dom.next_edge_ps = state["next_edge_ps"]
-                dom.gated = state["gated"]
+            self._restore_clocks(clocks)
         else:  # legacy snapshots carry committed cycle counts only
             for name, cycles in snapshot["cycles"].items():
                 if name in self.domains:

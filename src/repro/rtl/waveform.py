@@ -8,10 +8,12 @@ Two capture tiers share one read-side protocol (:class:`TraceView`):
   breakpoint or another hook is in play anyway.
 - :class:`StreamingTrace` / :class:`BatchTrace` — streaming, bounded-
   memory capture that rides inside the generated run kernels
-  (:meth:`CompiledPlan.capture_run_kernel`). Samples append into a
+  (:meth:`KernelSet.capture_run_kernel`). Samples append into a
   preallocated ring every ``stride``-th cycle, ILA-style trigger
   windows carve a view around an event, and the simulator keeps its
-  fused-loop throughput while being observed.
+  fused-loop throughput while being observed. A :class:`BatchTrace` is
+  a :class:`StreamingTrace` over a K-lane simulator whose rows hold
+  packed values; only its queries decode lanes.
 
 Any view serializes through :func:`write_vcd` with true cycle
 timestamps and real per-signal widths (including BRAM output latches,
@@ -254,7 +256,7 @@ class StreamingTrace(TraceView):
             signals = list(simulator.netlist.signals)
         self.signals = [str(s) for s in signals]
         if not self.signals:
-            raise SimulationError("streaming trace needs at least one signal")
+            raise SimulationError("a trace needs at least one signal")
         for name in self.signals:
             if name not in simulator.env:
                 raise SimulationError(f"cannot trace unknown signal {name!r}")
@@ -290,7 +292,8 @@ class StreamingTrace(TraceView):
             raise SimulationError("streaming trace already stopped")
         before = self._cap.total
         self.simulator.step_captured(cycles, self._cap, domain=domain)
-        self._m_samples.inc(self._cap.total - before)
+        self._m_samples.inc(
+            (self._cap.total - before) * self.simulator.lanes)
         self._g_ring.set(self._cap.occupancy)
 
     def stop(self) -> "StreamingTrace":
@@ -309,7 +312,7 @@ class StreamingTrace(TraceView):
             self._cap.push(
                 (self._cap.cycle,)
                 + tuple(env[s] for s in self.signals))
-            self._m_samples.inc()
+            self._m_samples.inc(self.simulator.lanes)
             self._g_ring.set(self._cap.occupancy)
         self._stopped = True
         return self
@@ -438,7 +441,7 @@ class BatchLaneTrace(TraceView):
 
     def iter_rows(self) -> Iterator[tuple[int, dict[str, int]]]:
         bt = self._bt
-        shift = self.lane * bt.lane_stride
+        shift = self.lane * bt.simulator.stride
         for row in bt._rows():
             yield row[0], {
                 name: (row[i + 1] >> shift) & mask(bt.widths[name])
@@ -448,107 +451,45 @@ class BatchLaneTrace(TraceView):
         return self._bt._cap.occupancy
 
 
-class BatchTrace(TraceView):
+class BatchTrace(StreamingTrace):
     """Streaming capture over a :class:`~repro.rtl.batch.BatchSimulator`.
 
     One ring row stores the *packed* K-lane integers, so a single
-    in-kernel sample covers all lanes; :meth:`series` decodes one
-    lane's values and :meth:`lane_view` wraps a lane as a standalone
-    :class:`TraceView` (VCD export, detectors). The default
-    :meth:`iter_rows` yields lane 0.
+    in-kernel sample covers all lanes. Capture (constructor,
+    :meth:`run`, :meth:`stop`) is :class:`StreamingTrace`'s; the
+    queries decode lanes: :meth:`series` takes a ``lane``,
+    :meth:`value_at` and :meth:`iter_rows` read lane 0, and
+    :meth:`lane_view` wraps any lane as a standalone
+    :class:`TraceView` (VCD export, detectors). Trigger windows are
+    scalar-only.
     """
 
-    def __init__(self, batch,
-                 signals: Optional[Iterable[str]] = None,
-                 domain: str = "clk",
-                 depth: Optional[int] = DEFAULT_RING_DEPTH,
-                 stride: int = 1):
-        self.batch = batch
-        if signals is None:
-            signals = list(batch.netlist.signals)
-        self.signals = [str(s) for s in signals]
-        if not self.signals:
-            raise SimulationError("batch trace needs at least one signal")
-        for name in self.signals:
-            if name not in batch.env:
-                raise SimulationError(f"cannot trace unknown signal {name!r}")
-        if depth is not None and depth < 1:
-            raise SimulationError(f"ring depth must be positive, got {depth}")
-        if stride < 1:
-            raise SimulationError(
-                f"sample stride must be positive, got {stride}")
-        batch._domain(domain)
-        self.domain = domain
-        self.depth = depth
-        self.stride = stride
-        self.lane_stride = batch.stride
-        widths = signal_widths(batch.netlist)
-        self.widths = {name: widths.get(name, 1) for name in self.signals}
-        self._cap = _CaptureBuffer(
-            tuple(self.signals), domain, depth, stride,
-            batch.cycles(domain))
-        self._pos = {name: i + 1 for i, name in enumerate(self.signals)}
-        self._stopped = False
-        registry = get_registry()
-        self._m_samples = registry.counter("sim.trace.samples")
-        self._g_ring = registry.gauge("sim.trace.ring_occupancy")
+    def _lane_shift(self, lane: int) -> int:
+        if not 0 <= lane < self.simulator.lanes:
+            raise SimulationError(f"lane {lane} out of range")
+        return lane * self.simulator.stride
 
-    def run(self, cycles: int, domain: Optional[str] = None) -> None:
-        """Advance all lanes ``cycles`` cycles while capturing."""
-        if self._stopped:
-            raise SimulationError("batch trace already stopped")
-        before = self._cap.total
-        self.batch.step_captured(cycles, self._cap, domain=domain)
-        self._m_samples.inc((self._cap.total - before) * self.batch.lanes)
-        self._g_ring.set(self._cap.occupancy)
-
-    def stop(self) -> "BatchTrace":
-        """Record the closing post-run sample (if due) and freeze."""
-        if self._stopped:
-            return self
-        if self._cap.phase == 0:
-            self.batch._settle()
-            env = self.batch.env
-            self._cap.push(
-                (self._cap.cycle,)
-                + tuple(env[s] for s in self.signals))
-            self._m_samples.inc(self.batch.lanes)
-            self._g_ring.set(self._cap.occupancy)
-        self._stopped = True
-        return self
-
-    # -- queries -----------------------------------------------------------
-
-    def _rows(self) -> list[tuple]:
-        return self._cap.rows_in_order()
-
-    def __len__(self) -> int:
-        return self._cap.occupancy
+    def value_at(self, cycle: int, signal: str) -> int:
+        """Lane 0's value of ``signal`` at the recorded ``cycle``."""
+        return super().value_at(cycle, signal) & mask(self.widths[signal])
 
     def series(self, signal: str, lane: int = 0) -> list[int]:
         """One lane's recorded values of ``signal``, oldest first."""
-        try:
-            index = self._pos[signal]
-        except KeyError:
-            raise SimulationError(
-                f"signal {signal!r} not captured") from None
-        if not 0 <= lane < self.batch.lanes:
-            raise SimulationError(f"lane {lane} out of range")
-        shift = lane * self.lane_stride
+        shift = self._lane_shift(lane)
+        values = super().series(signal)
         signal_mask = mask(self.widths[signal])
-        return [(row[index] >> shift) & signal_mask for row in self._rows()]
-
-    def cycles_recorded(self) -> list[int]:
-        return [row[0] for row in self._rows()]
+        return [(value >> shift) & signal_mask for value in values]
 
     def lane_view(self, lane: int) -> BatchLaneTrace:
         """A per-lane :class:`TraceView` over the shared ring."""
-        if not 0 <= lane < self.batch.lanes:
-            raise SimulationError(f"lane {lane} out of range")
+        self._lane_shift(lane)
         return BatchLaneTrace(self, lane)
 
     def iter_rows(self) -> Iterator[tuple[int, dict[str, int]]]:
         return self.lane_view(0).iter_rows()
+
+    def capture_window(self, *args, **kwargs) -> bool:
+        raise SimulationError("trigger windows are scalar-only")
 
 
 # ---------------------------------------------------------------------------

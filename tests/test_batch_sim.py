@@ -365,13 +365,22 @@ def test_lane_and_argument_validation():
 
 
 def test_batch_lanes_gauge_and_tick_counter():
+    """Batch steps tally lane ticks only: the scalar ``sim.ticks`` and
+    ``sim.runs`` (the end-to-end benchmark's simulated-cycle count)
+    must not move."""
     net = elaborate(make_counter(8))
     registry = get_registry()
-    before = registry.counter("sim.batch.lane_ticks").value
+    names = ("sim.batch.lane_ticks", "sim.batch.runs", "sim.ticks",
+             "sim.runs")
+    before = {name: registry.counter(name).value for name in names}
     batch = BatchSimulator(net, 16)
     assert registry.gauge("sim.batch_lanes").value == 16
     batch.step(10)
-    assert registry.counter("sim.batch.lane_ticks").value == before + 160
+    batch.step(3, domain="clk")
+    after = {name: registry.counter(name).value - before[name]
+             for name in names}
+    assert after == {"sim.batch.lane_ticks": 208, "sim.batch.runs": 2,
+                     "sim.ticks": 0, "sim.runs": 0}
 
 
 def test_broadcast_poke_and_peek_all_lanes():

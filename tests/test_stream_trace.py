@@ -11,7 +11,7 @@ import pytest
 
 from repro.designs import make_cohort_soc, make_counter
 from repro.errors import SimulationError
-from repro.obs import get_registry
+from repro.obs import get_flight_recorder, get_registry, get_tracer
 from repro.rtl import (
     ENGINE_INTERPRETED,
     BatchSimulator,
@@ -231,6 +231,24 @@ class TestBatchTrace:
             assert list(view.iter_rows()) == list(twin.iter_rows())
             for probe in PROBES:
                 assert trace.series(probe, lane) == twin.series(probe)
+                for cycle in (0, 3, 30):
+                    assert view.value_at(cycle, probe) == \
+                        twin.value_at(cycle, probe)
+            if lane == 0:
+                # The lane-less queries read lane 0, decoded — never
+                # the packed K-lane integers the ring holds.
+                assert list(trace.iter_rows()) == list(twin.iter_rows())
+                assert trace.cycles_recorded() == twin.cycles_recorded()
+                assert len(trace) == len(twin) == 31
+                for probe in PROBES:
+                    assert trace.series(probe) == twin.series(probe)
+                    for cycle in (0, 3, 30):
+                        assert trace.value_at(cycle, probe) == \
+                            twin.value_at(cycle, probe)
+        with pytest.raises(SimulationError):
+            trace.value_at(31, "issued")
+        with pytest.raises(SimulationError):
+            trace.capture_window({"issued": 5})
 
     def test_ring_and_validation(self):
         batch = BatchSimulator(elaborate(make_counter(8)), 3)
@@ -258,3 +276,40 @@ class TestObservabilityCounters:
         trace.stop()
         assert counter.value - before == 21
         assert gauge.value == 8
+
+    def test_captured_run_records_the_same_span_and_flight_note_as_step(
+            self):
+        """A streamed run is a simulator run like ``step``: one
+        ``sim.run`` span whose modeled clock is cycles x period, and
+        one ``sim``/``run`` flight note — so a traced ``trace_capture``
+        charges the cycles it simulated."""
+        tracer = get_tracer()
+        flight = get_flight_recorder()
+        was_tracing, was_recording = tracer.enabled, flight.enabled
+        recorded = {}
+        try:
+            tracer.start()
+            flight.enabled = True
+            for mode in ("step", "captured"):
+                sim = Simulator(elaborate(make_counter(8)),
+                                clocks={"clk": 10_000})
+                sim.poke("en", 1)
+                tracer.clear()
+                flight.clear()
+                if mode == "step":
+                    sim.step(10)
+                else:
+                    StreamingTrace(sim, ["count"]).run(10)
+                spans = tracer.find("sim.run")
+                notes = [(r["kind"], r["name"], r["cycles"])
+                         for r in flight.records if r["kind"] == "sim"]
+                recorded[mode] = (
+                    [(span.attrs["cycles"], span.modeled_seconds)
+                     for span in spans], notes)
+        finally:
+            tracer.enabled, flight.enabled = was_tracing, was_recording
+            tracer.clear()
+            flight.clear()
+        assert recorded["step"] == ([(10, pytest.approx(1e-7))],
+                                    [("sim", "run", 10)])
+        assert recorded["captured"] == recorded["step"]

@@ -16,6 +16,7 @@ from repro.bitstream.assembler import BitstreamAssembler
 from repro.bitstream.crc import crc32_stream
 from repro.chaos import FaultSchedule, FaultSpec, install_chaos
 from repro.config import RetryPolicy
+from repro.config.microcontroller import COMMAND_LOG_DEPTH
 from repro.config.transport import (
     BACKOFF_MULTIPLIER,
     HOP_PULSE_WORD,
@@ -104,6 +105,23 @@ class TestCleanChannel:
         before = fabric.jtag.batches
         session.debugger.read_state(allow_running=True)
         assert fabric.jtag.batches > before
+
+
+    def test_long_session_keeps_command_log_at_its_bound(self, session):
+        """Each controller keeps only its most recent
+        ``COMMAND_LOG_DEPTH`` CMD names, however long the session."""
+        dbg = session.debugger
+        log = session.fabric.mcs[session.fabric.device.primary_slr] \
+            .command_log
+        start = len(log)
+        dbg.read_state()
+        one_read = list(log)[start:]
+        for _ in range(COMMAND_LOG_DEPTH // len(one_read) + 1):
+            dbg.read_state()
+            dbg.step(1)
+        dbg.read_state()
+        assert len(log) == COMMAND_LOG_DEPTH
+        assert list(log)[-len(one_read):] == one_read
 
 
 class TestChannelFaults:
