@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..fpga.device import Device
 from ..fpga.frames import BLOCK_BRAM, ConfigMemory, FrameSpace
 from ..rtl.simulator import Simulator
@@ -223,24 +223,22 @@ class FabricDevice:
         self._gate_mask = mask
         self._apply_gates()
 
-    def _design_gate_requests(self) -> dict[str, bool]:
-        """Gate requests driven by the design itself (Debug Controller)."""
-        out: dict[str, bool] = {}
+    def _apply_gates(self) -> dict[str, bool]:
+        """Gate every domain from shutdown, the host mask and the gate
+        requests the design drives itself (the Debug Controller's
+        ``pause_out``); returns each gate-driving request's level."""
+        levels: dict[str, bool] = {}
         if self.sim is None or self.db is None:
-            return out
-        for domain, signal in self.db.gate_signals.items():
-            out[domain] = bool(self.sim.peek(signal))
-        return out
-
-    def _apply_gates(self) -> None:
-        if self.sim is None or self.db is None:
-            return
-        requests = self._design_gate_requests()
+            return levels
         for domain, bit in self.db.domain_bits.items():
+            signal = self.db.gate_signals.get(domain)
+            if signal is not None and signal not in levels:
+                levels[signal] = bool(self.sim.peek(signal))
             gated = self._shutdown \
                 or bool(self._gate_mask & (1 << bit)) \
-                or requests.get(domain, False)
+                or levels.get(signal, False)
             self.sim.set_clock_gate(domain, gated)
+        return levels
 
     @property
     def gate_mask(self) -> int:
@@ -255,9 +253,9 @@ class FabricDevice:
         return self.sim.is_gated(domain)
 
     def sync_gates(self) -> None:
-        """Re-evaluate gate requests once — the per-cycle check
-        :meth:`run` performs, exposed for capture paths that batch many
-        cycles after proving the requests cannot change mid-run."""
+        """Apply the gates once — what :meth:`run` does before its first
+        event — for capture paths that step the simulator themselves
+        with the gate requests in their stop set."""
         self._require_booted()
         self._apply_gates()
 
@@ -265,25 +263,38 @@ class FabricDevice:
     # execution
     # ------------------------------------------------------------------
 
-    def run(self, cycles: int = 1) -> None:
-        """Advance the data plane; gate requests re-evaluate every cycle.
+    def run(self, cycles: int = 1, until: tuple[str, ...] = ()) -> int:
+        """Advance the data plane up to ``cycles`` events; returns the
+        events run.
 
-        The Debug Controller's pause output takes effect at the *next*
-        edge after it asserts — the same glitchless BUFGCE behaviour the
-        paper builds timing-precise pausing on.
+        ``until`` names design signals that end the run before the
+        first event at which one of them is high (the debugger passes
+        the Debug Controller's ``pause_out``).
+
+        A gate request takes effect at the *next* edge after it
+        asserts — the same glitchless BUFGCE behaviour the paper builds
+        timing-precise pausing on. The gates are applied once, and again
+        only when a request changes: each leg is one simulator call
+        whose stop set also holds the low requests, so a rising one ends
+        the leg. A raised request can only fall, which a stop set cannot
+        watch, so while one is raised (a paused design's free clock
+        running) each leg is one event.
         """
         self._require_booted()
         assert self.sim is not None
-        if self.db is None or not self.db.gate_signals:
-            # No design-driven gate requests exist, so the gate state is
-            # constant for the whole run: apply it once and step in one
-            # batch, letting the simulator's compiled hot loop take over.
-            self._apply_gates()
-            self.sim.step(cycles)
-            return
-        for _ in range(cycles):
-            self._apply_gates()
-            self.sim.step(1)
+        if cycles < 0:
+            raise SimulationError("cannot run a negative number of cycles")
+        ran = 0
+        while ran < cycles:
+            levels = self._apply_gates()
+            rising = [signal for signal, high in levels.items()
+                      if not high and signal not in until]
+            leg = 1 if any(levels.values()) else cycles - ran
+            done = self.sim.step(leg, until=(*until, *rising))
+            ran += done
+            if done < leg and any(self.sim.peek(s) for s in until):
+                break
+        return ran
 
     def _require_booted(self) -> None:
         if not self.booted or self.sim is None:

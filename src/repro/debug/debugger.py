@@ -47,7 +47,9 @@ _LOG = get_logger()
 _FLIGHT = get_flight_recorder()
 _HEALTH = get_health_engine()
 
-#: Safety bound multiplier for run-until-pause loops.
+#: Extra fabric events :meth:`ZoomieDebugger.step` adds to its run
+#: bound (``cycles * ratio + RUN_SLACK``) beyond the events the step
+#: itself needs.
 RUN_SLACK = 64
 
 
@@ -343,16 +345,17 @@ class ZoomieDebugger:
     def run(self, max_cycles: int = 100_000) -> int:
         """Run until a breakpoint pauses the design (or the bound).
 
-        Returns the number of fabric cycles advanced.
+        Returns the number of fabric cycles (events) advanced. The whole
+        run is one fabric call whose stop set is the controller's
+        ``pause_out``: the simulator settles before every event and
+        stops at the first one the pause would gate.
         """
+        if max_cycles < 0:
+            raise BreakpointError("run bound must not be negative")
         with self._traced("run", max_cycles=max_cycles) as span, \
                 self._journaled("run", max_cycles=max_cycles):
-            ran = 0
-            while ran < max_cycles:
-                if self.is_paused():
-                    break
-                self.fabric.run(1)
-                ran += 1
+            ran = 0 if self.is_paused() else self.fabric.run(
+                max_cycles, until=(self._pause_signal,))
             if span is not None:
                 span.set(ran=ran)
         return ran
@@ -459,68 +462,36 @@ class ZoomieDebugger:
     # streaming waveform capture
     # ------------------------------------------------------------------
 
-    def _capture_fast_path_ok(self) -> bool:
-        """Whether streaming capture may batch the whole run.
-
-        The fabric re-evaluates gate requests every cycle because the
-        Debug Controller's ``pause_out`` can assert mid-run. With no
-        host pause latched, no step armed, and every trigger select /
-        watch mask / assertion enable at zero, ``pause_out`` is a
-        constant 0 for any input — so the gates are provably constant
-        and one fused capture run is cycle-identical to the per-cycle
-        loop.
-        """
-        if self.safe_paused:
-            return False
-        sim = self.fabric.sim
-        assert sim is not None
-        spec = self.inst.spec
-        registers = [spec.paused_reg, spec.host_pause_reg,
-                     spec.step_armed_reg, spec.and_sel_reg,
-                     spec.or_sel_reg, spec.assert_en_reg]
-        registers.extend(slot.watch_mask_reg for slot in spec.slots)
-        if any(sim.peek(name) for name in registers):
-            return False
-        return not any(sim.is_gated(domain) for domain in sim.domains)
-
     def trace_capture(self, signals, cycles: int, stride: int = 1,
                       depth: Optional[int] = 4096):
         """Capture a waveform of ``signals`` while running ``cycles``
         cycles — the paper's full-visibility answer to ILA probes: any
         signal, chosen now, no recompile.
 
-        A free-running session (nothing armed, nothing paused) streams
-        through the simulator's fused capture kernel: every
+        The run streams through the simulator's capture kernel: every
         ``stride``-th sample lands in a ``depth``-bounded ring at near
-        fused-run speed. If any breakpoint machinery is live, capture
-        falls back to cycle-exact per-edge recording (``stride`` is
-        ignored there) so a trigger still pauses the MUT on the precise
-        edge — and the capture stops with it. Returns the trace (a
-        :class:`~repro.rtl.waveform.TraceView`).
+        fused-run speed, whether or not breakpoints are armed (``stride``
+        is honoured either way). The controller's ``pause_out`` is the
+        run's stop set, so a trigger still pauses the MUT on the precise
+        edge and the capture stops with it; its closing row is the
+        paused state. Returns the
+        :class:`~repro.rtl.waveform.StreamingTrace`.
         """
-        from ..rtl.waveform import StreamingTrace, Trace
+        from ..rtl.waveform import StreamingTrace
         sim = self.fabric.sim
         assert sim is not None
         signals = [str(s) for s in signals]
-        domain = self.inst.mut_domains[0]
         with self._traced("trace_capture", signals=len(signals),
                           cycles=cycles) as span, \
                 self._journaled("trace_capture", signals=signals,
                                 cycles=cycles, stride=stride, depth=depth):
             self.fabric.sync_gates()
-            if self._capture_fast_path_ok():
-                trace = StreamingTrace(sim, signals, domain=domain,
-                                       depth=depth, stride=stride)
-                trace.run(cycles)
-                trace.stop()
-            else:
-                trace = Trace(sim, signals, domain=domain,
-                              depth=depth).attach()
-                ran = 0
-                while ran < cycles and not self.is_paused():
-                    self.fabric.run(1)
-                    ran += 1
-                trace.detach()
+            trace = StreamingTrace(sim, signals,
+                                   domain=self.inst.mut_domains[0],
+                                   depth=depth, stride=stride)
+            if not self.safe_paused:
+                trace.run(cycles, until=(self._pause_signal,))
+            trace.stop()
             if span is not None:
                 span.set(samples=len(trace))
         return trace

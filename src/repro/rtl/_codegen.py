@@ -6,7 +6,9 @@ sampling → commit in a single pass over local variables, plus a
 ``run(n)`` variant that keeps the whole hot loop inside compiled code
 (signals are loaded from the environment dict once before the loop and
 stored back once after it), a capture variant of it that samples into
-a ring, and the settle kernel every ``peek`` uses.
+a ring, and the settle kernel every ``peek`` uses. Either loop may
+carry a stop set, which ends it before the first edge at which one of
+the named signals settles high.
 
 One emitter skeleton (:class:`_Emitter`) owns the atom naming, the
 settle and edge statement order and the source assembly. Two value
@@ -197,6 +199,7 @@ class _MemSnap:
 #: keep the cycle loop inside the kernel; ``crun`` also threads the
 #: capture ring and its four cursors (write head, lifetime sample
 #: count, stride phase, cycle) through the loop and returns them.
+#: Either loop may carry a stop set (see :meth:`_Emitter.source`).
 _KERNELS = {
     "settle": ("_settle", "e, mems"),
     "tick": ("_tick", "e, mems"),
@@ -379,11 +382,18 @@ class _Emitter:
     # -- source assembly ---------------------------------------------------
 
     def source(self, kind: str, active: tuple[str, ...] = (),
-               capture: Optional[tuple[tuple[str, ...], bool]] = None
-               ) -> str:
+               capture: Optional[tuple[tuple[str, ...], bool]] = None,
+               until: tuple[str, ...] = ()) -> str:
         """The full source of one kernel of ``kind`` (see
         :data:`_KERNELS`); ``capture`` is ``(signals, bounded)`` for
         ``crun``.
+
+        ``until`` is the stop set of a ``run`` or ``crun`` loop: each
+        iteration settles, leaves the loop if any of those signals is
+        high (nonzero in any lane), and only then samples and commits
+        its edge. A ``run`` kernel with a stop set returns the edges it
+        committed; ``crun`` returns its cursors as always, and its
+        ``cyc`` cursor counts the committed edges.
 
         The source is self-contained (it only needs ``min`` in its
         globals), deterministic for a given plan structure, and
@@ -395,6 +405,9 @@ class _Emitter:
         ind = "        " if loop else "    "
         body: list[str] = []
         self.emit_settle(body, ind)
+        if until:
+            stop = " or ".join(self.sym(signal) for signal in until)
+            body += [f"{ind}if {stop}:", f"{ind}    break"]
         if capture is not None:
             self.emit_capture(body, ind, *capture)
         if kind != "settle":
@@ -411,13 +424,18 @@ class _Emitter:
             lines.append(f"    {local} = mems[{mem_name!r}]")
         for sig_name, local in self.locals_of.items():
             lines.append(f"    {local} = e[{sig_name!r}]")
+        counted = bool(until) and capture is None
         if loop:
-            lines.append("    for _ in range(n):")
+            lines.append(f"    for {'ran' if counted else '_'} in range(n):")
         lines.extend(body if body else [f"{ind}pass"])
+        if counted:
+            lines += ["    else:", "        ran = n"]
         for sig_name in self.stores:
             lines.append(f"    e[{sig_name!r}] = {self.locals_of[sig_name]}")
         if capture is not None:
             lines.append("    return head, total, k, cyc")
+        elif counted:
+            lines.append("    return ran")
         return "\n".join(lines)
 
 
@@ -501,8 +519,9 @@ class KernelSet:
     built: the tick/run/capture kernels. Sources live in the plan's
     two cache tiers under ``prefix`` + ``settle``, ``tick:<domains>``,
     ``run:<domains>`` and ``crun:<domains>:ring:<signals>`` (or
-    ``:grow:`` for an unbounded ring). This class emits plain-int
-    kernels with an empty prefix;
+    ``:grow:`` for an unbounded ring); a run or capture kernel with a
+    stop set appends ``:until:<signals>`` to its key. This class emits
+    plain-int kernels with an empty prefix;
     :class:`~repro.rtl.batch.BatchPlan` swaps in the lane emitter.
     """
 
@@ -511,8 +530,8 @@ class KernelSet:
     def __init__(self, plan: "CompiledPlan"):
         self.plan = plan
         self._ticks: dict[tuple[str, ...], Callable] = {}
-        self._runs: dict[tuple[str, ...], Callable] = {}
-        self._captures: dict[str, Callable] = {}
+        self._runs: dict[tuple, Callable] = {}
+        self._captures: dict[tuple, Callable] = {}
         #: ``settle(env, mems)`` with async memory read ports compiled
         #: in (the interpreted engine walks them with ``Expr.eval``).
         self.settle: Callable = self._build("settle", "settle")
@@ -521,11 +540,13 @@ class KernelSet:
         return _ScalarEmitter(self.plan)
 
     def _build(self, kind: str, key: str, active: tuple[str, ...] = (),
-               capture: Optional[tuple[tuple[str, ...], bool]] = None
-               ) -> Callable:
+               capture: Optional[tuple[tuple[str, ...], bool]] = None,
+               until: tuple[str, ...] = ()) -> Callable:
+        if until:
+            key += ":until:" + ",".join(until)
         return self.plan.kernel_from_source(
             self.prefix + key, _KERNELS[kind][0],
-            lambda: self.emitter().source(kind, active, capture))
+            lambda: self.emitter().source(kind, active, capture, until))
 
     def tick_kernel(self, active: tuple[str, ...]) -> Callable:
         """``tick(env, mems)``: one full edge of ``active`` domains."""
@@ -535,19 +556,23 @@ class KernelSet:
                 "tick", "tick:" + "+".join(active), active)
         return kernel
 
-    def run_kernel(self, active: tuple[str, ...]) -> Callable:
+    def run_kernel(self, active: tuple[str, ...],
+                   until: tuple[str, ...] = ()) -> Callable:
         """``run(env, mems, n)``: ``n`` consecutive edges of ``active``
         domains with the loop inside compiled code — signals live in
-        local variables for the whole run."""
-        kernel = self._runs.get(active)
+        local variables for the whole run. With stop signals ``until``
+        the loop ends before the first edge at which any of them
+        settles high, and the kernel returns the edges it committed."""
+        kernel = self._runs.get((active, until))
         if kernel is None:
-            kernel = self._runs[active] = self._build(
-                "run", "run:" + "+".join(active), active)
+            kernel = self._runs[active, until] = self._build(
+                "run", "run:" + "+".join(active), active, until=until)
         return kernel
 
     def capture_run_kernel(self, active: tuple[str, ...],
                            signals: tuple[str, ...],
-                           bounded: bool) -> Callable:
+                           bounded: bool,
+                           until: tuple[str, ...] = ()) -> Callable:
         """``crun(env, mems, n, ring, head, total, stride, k, cyc)``:
         the run loop with in-kernel trace capture.
 
@@ -559,14 +584,16 @@ class KernelSet:
         resume a later chunk exactly where this one stopped. Tracing
         therefore costs one tuple build per sample instead of dropping
         off the fast path entirely. K-lane rows hold the packed values,
-        so one row samples every lane.
+        so one row samples every lane. A stop set ``until`` is checked
+        after each settle and before the sample, as in
+        :meth:`run_kernel`.
         """
         key = ("crun:" + "+".join(active)
                + (":ring:" if bounded else ":grow:") + ",".join(signals))
-        kernel = self._captures.get(key)
+        kernel = self._captures.get((key, until))
         if kernel is None:
-            kernel = self._captures[key] = self._build(
-                "crun", key, active, (signals, bounded))
+            kernel = self._captures[key, until] = self._build(
+                "crun", key, active, (signals, bounded), until)
         return kernel
 
 

@@ -32,6 +32,12 @@ the tick kernel, edge hooks fire after every commit, and gating is
 re-checked at each edge, so hooks, gating, and single-stepping keep
 identical semantics across engines (the differential suite pins this).
 
+A step may carry a stop set (``until``): before each event the design
+settles, and the first event at which any named signal is high is not
+run. The run kernels check it in compiled code; the per-event path
+checks the same settled signals in Python. This is how the debugger
+runs to a breakpoint in one call.
+
 This class is also the one stepping core of K-lane simulation:
 :class:`~repro.rtl.batch.BatchSimulator` subclasses it, swapping in the
 K-lane kernel set and per-lane value access, so the clock schedule,
@@ -45,6 +51,7 @@ dispatch and one instrumentation block (metrics, flight note,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .._bits import truncate
@@ -321,22 +328,30 @@ class Simulator:
     # stepping
     # ------------------------------------------------------------------
 
-    def step(self, cycles: int = 1, domain: Optional[str] = None) -> None:
-        """Advance the simulation.
+    def step(self, cycles: int = 1, domain: Optional[str] = None,
+             until: tuple[str, ...] = ()) -> int:
+        """Advance the simulation; returns the events run.
 
         With ``domain``, tick only that domain ``cycles`` times (testbench
         style). Without, advance global time over ``cycles`` edge events,
         ticking every domain whose edge falls at each event time.
 
+        ``until`` names stop signals: before each event the design
+        settles, and the run ends before the first event at which any of
+        them is high (in a K-lane simulator: nonzero in any lane), so
+        fewer than ``cycles`` events may run.
+
         Each call tallies into the metrics registry (``sim.runs`` /
-        ``sim.ticks``), notes a ``sim``/``run`` flight event and, with
+        ``sim.ticks``, counting the events run), notes one ``sim``/``run``
+        flight event whose ``cycles`` is the events run and, with
         tracing enabled, records a ``sim.run`` span whose modeled clock
         is the simulated hardware time the run covered.
         """
-        self._instrumented_step(cycles, domain, None)
+        return self._instrumented_step(cycles, domain, None, until)
 
     def step_captured(self, cycles: int, capture,
-                      domain: Optional[str] = None) -> None:
+                      domain: Optional[str] = None,
+                      until: tuple[str, ...] = ()) -> int:
         """Advance like :meth:`step` while streaming samples of
         ``capture.signals`` into its ring buffer.
 
@@ -347,13 +362,15 @@ class Simulator:
         kernel, so observing the design does not forfeit the hot path.
         Otherwise (hooks, gating, the interp engine, skewed clock
         schedules) each event settles and samples in Python with the
-        exact same pre-edge ordering the kernel uses. Metrics, flight
-        note and span are exactly :meth:`step`'s.
+        exact same pre-edge ordering the kernel uses. A stop set is
+        checked after the settle and before the sample, so a stopped
+        capture's next sample is the state it stopped in. Metrics,
+        flight note and span are exactly :meth:`step`'s.
         """
-        self._instrumented_step(cycles, domain, capture)
+        return self._instrumented_step(cycles, domain, capture, until)
 
     def _instrumented_step(self, cycles: int, domain: Optional[str],
-                           capture) -> None:
+                           capture, until: tuple[str, ...]) -> int:
         """The instrumentation block both step entry points share."""
         if cycles < 0:
             raise SimulationError("cannot step a negative number of cycles")
@@ -363,47 +380,56 @@ class Simulator:
                 raise SimulationError(
                     f"capture samples domain {capture.domain!r}; "
                     f"cannot step domain {domain!r} alone")
-        self._m_runs.inc()
-        self._m_ticks.inc(cycles * self.lanes)
-        if _FLIGHT.enabled:
-            _FLIGHT.note("sim", "run", cycles=cycles)
+        until = tuple(until)
+        for name in until:
+            if name not in self.env:
+                raise UnknownSignalError(f"unknown stop signal {name!r}")
         if not _TRACER.enabled:
-            return self._step_impl(cycles, domain, capture)
-        with _TRACER.span("sim.run", cycles=cycles, engine=self.engine,
-                          domain=domain or "*") as span:
-            time_before = self.time_ps
-            self._step_impl(cycles, domain, capture)
-            if domain is not None:
-                modeled = cycles * self.domains[domain].period_ps * 1e-12
-            else:
-                modeled = (self.time_ps - time_before) * 1e-12
-            span.set(time_ps=self.time_ps)
-            span.add_modeled(modeled)
+            ran = self._step_impl(cycles, domain, capture, until)
+        else:
+            with _TRACER.span("sim.run", cycles=cycles, engine=self.engine,
+                              domain=domain or "*") as span:
+                time_before = self.time_ps
+                ran = self._step_impl(cycles, domain, capture, until)
+                if domain is not None:
+                    modeled = ran * self.domains[domain].period_ps * 1e-12
+                else:
+                    modeled = (self.time_ps - time_before) * 1e-12
+                span.set(cycles=ran, time_ps=self.time_ps)
+                span.add_modeled(modeled)
+        self._m_runs.inc()
+        self._m_ticks.inc(ran * self.lanes)
+        if _FLIGHT.enabled:
+            _FLIGHT.note("sim", "run", cycles=ran)
+        return ran
 
     def _step_impl(self, cycles: int, domain: Optional[str],
-                   capture=None) -> None:
-        """The uninstrumented stepping body both entry points share."""
+                   capture=None, until: tuple[str, ...] = ()) -> int:
+        """The uninstrumented stepping body both entry points share;
+        returns the events run."""
         if domain is not None:
             dom = self._domain(domain)
             if cycles and self._hot_loop_ok() and not dom.gated:
-                self._fused_run((domain,), cycles, capture,
-                                advance_time=False)
-                return
-            ticking = frozenset({domain})
-            for _ in range(cycles):
-                self._tick(ticking, capture)
-            return
-        if cycles and self._hot_loop_ok() \
+                return self._fused_run((domain,), cycles, capture, until,
+                                       advance_time=False)
+            event = partial(self._tick, frozenset({domain}), capture)
+        elif cycles and self._hot_loop_ok() \
                 and not any(d.gated for d in self.domains.values()) \
                 and len({(d.period_ps, d.next_edge_ps)
                          for d in self.domains.values()}) == 1:
             # Every domain edges at every event: the whole run stays in
             # one compiled hot loop, with time fixed up arithmetically.
-            self._fused_run(tuple(self.domains), cycles, capture,
-                            advance_time=True)
-            return
-        for _ in range(cycles):
-            self._advance_one_event(capture)
+            return self._fused_run(tuple(self.domains), cycles, capture,
+                                   until, advance_time=True)
+        else:
+            event = partial(self._advance_one_event, capture)
+        for ran in range(cycles):
+            if until:
+                self._settle()
+                if any(self.env[name] for name in until):
+                    return ran
+            event()
+        return cycles
 
     def _hot_loop_ok(self) -> bool:
         """Whether the compiled run kernel may replace per-event ticks.
@@ -415,30 +441,37 @@ class Simulator:
                 and not self.edge_hooks and not self.pre_edge_hooks)
 
     def _fused_run(self, active: tuple[str, ...], cycles: int, capture,
-                   advance_time: bool) -> None:
-        """Execute ``cycles`` edges of ``active`` domains in one kernel
-        call (the capture kernel hands back the ring cursors), then
-        apply the clock bookkeeping arithmetically."""
+                   until: tuple[str, ...], advance_time: bool) -> int:
+        """Execute up to ``cycles`` edges of ``active`` domains in one
+        kernel call (the capture kernel hands back the ring cursors),
+        then apply the clock bookkeeping arithmetically for the edges
+        it committed; returns that count."""
         key = tuple(sorted(active))
         if capture is None:
-            self._kernels.run_kernel(key)(self.env, self.memories, cycles)
+            ran = self._kernels.run_kernel(key, until)(
+                self.env, self.memories, cycles)
+            if not until:
+                ran = cycles
         else:
             kernel = self._kernels.capture_run_kernel(
-                key, capture.signals, capture.bounded)
+                key, capture.signals, capture.bounded, until)
+            start = capture.cycle
             (capture.head, capture.total, capture.phase,
              capture.cycle) = kernel(
                 self.env, self.memories, cycles, capture.ring, capture.head,
                 capture.total, capture.stride, capture.phase, capture.cycle)
+            ran = capture.cycle - start
         for name in active:
             dom = self.domains[name]
-            dom.cycles += cycles
-            dom.edges_seen += cycles
+            dom.cycles += ran
+            dom.edges_seen += ran
             if advance_time:
-                dom.next_edge_ps += cycles * dom.period_ps
-        if advance_time:
+                dom.next_edge_ps += ran * dom.period_ps
+        if advance_time and ran:
             dom = next(iter(self.domains.values()))
             self.time_ps = dom.next_edge_ps - dom.period_ps
         self._dirty = True
+        return ran
 
     def run_to_time(self, time_ps: int) -> None:
         """Advance global time up to and including ``time_ps``."""

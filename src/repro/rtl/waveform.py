@@ -4,8 +4,9 @@ Two capture tiers share one read-side protocol (:class:`TraceView`):
 
 - :class:`Trace` — the classic edge-hook recorder. Attaching it installs
   a hook, which drops the simulator off the fused ``run(n)`` fast path;
-  it observes *every* committed edge, so it stays the right tool when a
-  breakpoint or another hook is in play anyway.
+  it observes *every* committed edge, so it stays the right tool when
+  another hook is in play anyway. (A breakpoint is not one: a streaming
+  run takes the pause signal as its stop set.)
 - :class:`StreamingTrace` / :class:`BatchTrace` — streaming, bounded-
   memory capture that rides inside the generated run kernels
   (:meth:`KernelSet.capture_run_kernel`). Samples append into a
@@ -286,15 +287,20 @@ class StreamingTrace(TraceView):
 
     # -- capture -----------------------------------------------------------
 
-    def run(self, cycles: int, domain: Optional[str] = None) -> None:
-        """Advance the simulation ``cycles`` cycles while capturing."""
+    def run(self, cycles: int, domain: Optional[str] = None,
+            until: tuple[str, ...] = ()) -> int:
+        """Advance the simulation ``cycles`` cycles while capturing;
+        returns the cycles run, fewer if a stop signal in ``until``
+        settled high first (see :meth:`Simulator.step`)."""
         if self._stopped:
             raise SimulationError("streaming trace already stopped")
         before = self._cap.total
-        self.simulator.step_captured(cycles, self._cap, domain=domain)
+        ran = self.simulator.step_captured(cycles, self._cap, domain=domain,
+                                           until=until)
         self._m_samples.inc(
             (self._cap.total - before) * self.simulator.lanes)
         self._g_ring.set(self._cap.occupancy)
+        return ran
 
     def stop(self) -> "StreamingTrace":
         """Record the closing sample (state after the final edge) if one

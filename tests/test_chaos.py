@@ -49,6 +49,8 @@ from repro.fpga import make_test_device
 from repro.rtl import StreamingTrace, Trace, elaborate
 from repro.vendor import VivadoFlow
 
+from .test_run_path_differential import loop_fabric_run
+
 
 # --------------------------------------------------------------------------
 # helpers
@@ -401,34 +403,68 @@ class TestSnapshotStoreChaos:
 
 
 # --------------------------------------------------------------------------
-# trace capture: hook path vs streaming path
+# trace capture: one streaming path, armed or not
 # --------------------------------------------------------------------------
 
 
-class TestEngineFallbacks:
-    def test_streaming_to_hook_capture_same_samples(
-            self, compiled_pipeline):
-        """trace_capture's hook path, taken whenever breakpoint
-        machinery is live, records what the streaming kernel records."""
-        def capture(armed):
-            fabric, debugger = fresh_session(compiled_pipeline)
-            debugger.record_input("in_valid", 1)
-            debugger.record_input("in_data", 0x11)
-            debugger.record_input("out_ready", 1)
-            if armed:
-                # The pipeline has no assertions, so arming them sends
-                # the capture down the hook path and never pauses.
-                debugger.break_on_assertions(True)
-            trace = debugger.trace_capture(["v3"], cycles=30)
-            return trace, debugger.cycles()
+class TestTraceCapture:
+    @staticmethod
+    def _session(compiled):
+        fabric, debugger = fresh_session(compiled)
+        debugger.record_input("in_valid", 1)
+        debugger.record_input("in_data", 0x11)
+        debugger.record_input("out_ready", 1)
+        return fabric, debugger
 
-        hooked, hooked_cycles = capture(True)
-        streamed, streamed_cycles = capture(False)
-        assert isinstance(hooked, Trace)
-        assert isinstance(streamed, StreamingTrace)
-        assert hooked_cycles == streamed_cycles
-        assert hooked.cycles_recorded() == streamed.cycles_recorded()
-        assert hooked.series("v3") == streamed.series("v3")
+    def test_armed_capture_matches_unarmed(self, compiled_pipeline):
+        """Armed breakpoints that never fire change nothing a capture
+        records, and ``stride`` holds either way: both captures stream
+        through the capture kernel with ``pause_out`` as the stop set."""
+        def capture(armed):
+            fabric, debugger = self._session(compiled_pipeline)
+            if armed:
+                # The pipeline has no assertions: armed, never firing.
+                debugger.break_on_assertions(True)
+            trace = debugger.trace_capture(["v3", "d3"], cycles=30,
+                                           stride=3)
+            state = fabric.sim.snapshot()
+            del state["registers"][debugger.inst.spec.assert_en_reg]
+            return trace, debugger.cycles(), state
+
+        armed, armed_cycles, armed_state = capture(True)
+        unarmed, unarmed_cycles, unarmed_state = capture(False)
+        assert isinstance(armed, StreamingTrace)
+        assert armed_cycles == unarmed_cycles == 30
+        assert armed.cycles_recorded() == list(range(0, 31, 3))
+        assert list(armed.iter_rows()) == list(unarmed.iter_rows())
+        assert armed_state == unarmed_state
+
+    def test_breakpoint_capture_matches_hook_trace(self, compiled_pipeline):
+        """A value breakpoint firing mid-capture stops the capture on
+        the pause; its rows equal, row for row, what an edge-hook
+        ``Trace`` records on a twin driven one event at a time."""
+        signals = ["v3", "d3"]
+
+        def armed_session():
+            fabric, debugger = self._session(compiled_pipeline)
+            debugger.set_value_breakpoint({"v3": 1})
+            return fabric, debugger
+
+        fabric, debugger = armed_session()
+        streamed = debugger.trace_capture(signals, cycles=30)
+        twin_fabric, twin = armed_session()
+        hooked = Trace(twin_fabric.sim, signals,
+                       domain=twin.inst.mut_domains[0]).attach()
+        ran = 0
+        while ran < 30 and not twin.is_paused():
+            loop_fabric_run(twin_fabric, 1)
+            ran += 1
+        hooked.detach()
+
+        assert debugger.is_paused() and twin.is_paused()
+        assert 0 < debugger.cycles() == twin.cycles() == ran < 30
+        assert list(streamed.iter_rows()) == list(hooked.iter_rows())
+        assert fabric.sim.snapshot() == twin_fabric.sim.snapshot()
 
 
 # --------------------------------------------------------------------------

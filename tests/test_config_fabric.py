@@ -11,7 +11,7 @@ import pytest
 from repro.bitstream import BitstreamAssembler
 from repro.config import DesignDatabase, FabricDevice, LLEntry, LogicLocationFile
 from repro.config.database import synthesize_frame_words
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.fpga import FRAME_WORDS, FrameAddress, make_test_device, make_u200, make_u250
 from repro.fpga.frames import CAPTURE_MINOR, BLOCK_MAIN
 from repro.rtl import ModuleBuilder, elaborate
@@ -241,12 +241,20 @@ class TestStateTraffic:
         fresh = readback_register_frame(fabric, hops=0)
         assert fresh == 0x77
 
-    def test_clock_gate_register_freezes_design(self):
+    @staticmethod
+    def counter_fabric(gate_signals=None):
+        """A booted free-running counter; ``gate_signals`` may name its
+        ``at3`` output (high while the count is 3) or ``toggle`` (a
+        register on a second, ``free`` domain that flips every edge) as
+        a gate request."""
         device = make_test_device()
         b = ModuleBuilder("counter")
         count = b.reg("count", 8)
         b.next(count, count + 1)
         b.output_expr("out", count)
+        b.output_expr("at3", count.eq(3))
+        toggle = b.reg("toggle", 1, clock="free")
+        b.next(toggle, toggle.logical_not())
         netlist = elaborate(b.build())
         ll = LogicLocationFile()
         column = device.slr(0).columns_of_kind("CLB", "CLBM")[0]
@@ -257,13 +265,19 @@ class TestStateTraffic:
                                    CAPTURE_MINOR),
                 offset=bit))
         db = DesignDatabase(name="counter", device=device, netlist=netlist,
-                            ll=ll, clocks={"clk": 1000},
-                            frame_image={0: {}, 1: {}})
+                            ll=ll, clocks={"clk": 1000, "free": 1000},
+                            frame_image={0: {}, 1: {}},
+                            gate_signals=dict(gate_signals or {}))
         fabric = FabricDevice(device)
         fabric.expect(db)
         asm = BitstreamAssembler(device)
         asm.preamble().startup()
         fabric.jtag.run(asm.words)
+        return fabric, db
+
+    def test_clock_gate_register_freezes_design(self):
+        fabric, db = self.counter_fabric()
+        device = fabric.device
         fabric.run(5)
         assert fabric.sim.peek("count") == 5
         gate_bit = db.domain_bits["clk"]
@@ -277,3 +291,32 @@ class TestStateTraffic:
         fabric.jtag.run(asm3.words)
         fabric.run(2)
         assert fabric.sim.peek("count") == 7
+
+    def test_gate_request_rising_mid_run_gates_next_edge(self):
+        fabric, _ = self.counter_fabric({"clk": "at3"})
+        assert fabric.run(10) == 10
+        assert fabric.sim.peek("count") == 3
+        assert fabric.sim.is_gated("clk")
+        assert fabric.sim.domains["clk"].edges_seen == 10
+
+    def test_gate_request_falling_mid_run_ungates_next_edge(self):
+        fabric, _ = self.counter_fabric({"clk": "toggle"})
+        # The request alternates low/high, so clk commits every other
+        # event: the fabric must notice each fall as well as each rise.
+        assert fabric.run(10) == 10
+        assert fabric.sim.peek("count") == 5
+        assert fabric.sim.cycles("free") == 10
+
+    def test_fabric_run_until_stops_before_the_event(self):
+        fabric, _ = self.counter_fabric()
+        assert fabric.run(10, until=("at3",)) == 3
+        assert fabric.sim.peek("count") == 3
+        assert fabric.run(10, until=("at3",)) == 0
+
+    @pytest.mark.parametrize("gate_signals", [{}, {"clk": "at3"}])
+    def test_negative_run_count_rejected(self, gate_signals):
+        fabric, _ = self.counter_fabric(gate_signals)
+        with pytest.raises(SimulationError, match="negative"):
+            fabric.run(-3)
+        assert fabric.sim.peek("count") == 0
+        assert fabric.run(0) == 0

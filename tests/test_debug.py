@@ -8,6 +8,7 @@ from repro.debug import (
     ReadbackEngine,
     ZoomieDebugger,
     diff_snapshots,
+    enable_crash_safety,
     estimate_readback_seconds,
     instrument_netlist,
     make_debug_controller,
@@ -316,6 +317,16 @@ class TestDebuggerFrontEnd:
     def test_invalid_step_rejected(self, dbg):
         with pytest.raises(BreakpointError):
             dbg.step(0)
+
+    def test_negative_run_bound_rejected_before_journaling(self, dbg,
+                                                           tmp_path):
+        enable_crash_safety(dbg, tmp_path)
+        with pytest.raises(BreakpointError, match="negative"):
+            dbg.run(-5)
+        assert dbg.journal.count == 0
+        assert dbg.cycles() == 0
+        assert dbg.run(0) == 0
+        assert [r.command for r in dbg.journal.records()] == ["run"]
 
     def test_unwatched_signal_rejected(self, dbg):
         with pytest.raises(DebugError):

@@ -127,6 +127,14 @@ class TestJournalCommands:
         assert "#2 step" in out
         assert "#0" not in out
 
+    def test_negative_run_bound_is_an_error_not_a_record(self, cli,
+                                                         tmp_path):
+        enable_crash_safety(cli.debugger, tmp_path)
+        assert cli.execute("run -5") == \
+            "error: run bound must not be negative"
+        assert cli.execute("journal") == "journal is empty"
+        assert cli.execute("run 0").startswith("ran 0 cycles")
+
     def test_journal_usage_errors(self, cli, tmp_path):
         enable_crash_safety(cli.debugger, tmp_path)
         assert "error" in cli.execute("journal 0")

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.designs import make_pipeline
 from repro.errors import SimulationError
 from repro.rtl import (
     BinaryOp,
@@ -24,6 +25,7 @@ from repro.rtl import (
     Mux,
     Simulator,
     Slice,
+    StreamingTrace,
     UnaryOp,
     elaborate,
     plan_cache_stats,
@@ -142,14 +144,19 @@ def _state(sim):
     return out
 
 
-def _drive(rng, sims, steps):
+def _drive(rng, sims, steps, stops=()):
     """Apply identical random stimulus to all sims, comparing complete
-    state after every action."""
+    state after every action. With ``stops``, half the steps carry one
+    of those signals as their stop set, and every sim must run the same
+    number of events."""
     net = sims[0].netlist
     inputs = sorted(net.inputs)
     registers = sorted(net.registers)
     domains = sorted(sims[0].domains)
     for _ in range(steps):
+        until = ()
+        if stops and rng.random() < 0.5:
+            until = (rng.choice(stops),)
         act = rng.random()
         if act < 0.45:
             name = rng.choice(inputs)
@@ -169,12 +176,11 @@ def _drive(rng, sims, steps):
         if rng.random() < 0.3:
             domain = rng.choice(domains)
             n = rng.randrange(1, 4)
-            for sim in sims:
-                sim.step(n, domain=domain)
+            ran = {sim.step(n, domain=domain, until=until) for sim in sims}
         else:
             n = rng.randrange(1, 6)
-            for sim in sims:
-                sim.step(n)
+            ran = {sim.step(n, until=until) for sim in sims}
+        assert len(ran) == 1, f"stop set {until} ran {ran} events"
         reference = _state(sims[-1])
         for sim in sims[:-1]:
             assert _state(sim) == reference, \
@@ -266,6 +272,45 @@ def test_edge_hooks_observe_identical_sequences():
             sim.step(2)
     assert seen["fused"] == seen["interp"]
     assert len(seen["fused"]) == 25 * 2 * len(sims[0].domains) // 2
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_stop_sets_match_across_engines(seed):
+    """Stop sets (``step(n, until=...)``) end a run on the same event in
+    the ``:until:`` run kernel as in the interpreter's per-event check,
+    under gating, skewed clocks and per-domain stepping. (Random designs
+    settle into fixed points, so these stops land on the first event or
+    never; the next test stops mid-run.)"""
+    net = _rand_design(seed)
+    clocks = {"clk": 1000, "aux": 1000 if seed % 2 == 0 else 700}
+    sims = [Simulator(net, clocks=clocks, engine="fused"),
+            Simulator(net, clocks=clocks, engine="interp")]
+    _drive(random.Random(seed * 17 + 5), sims, 80,
+           stops=sorted(net.registers))
+
+
+@pytest.mark.parametrize("path", ["kernel", "domain", "capture",
+                                  "hooked", "interp"])
+def test_stop_set_ends_the_run_before_the_rising_event(path):
+    """A valid bit reaches the pipeline's last stage after four edges,
+    so ``until=("v3",)`` runs exactly four of ten events on every path:
+    the run and capture kernels, per-domain stepping, the per-event
+    loop a hook forces, and the interpreter."""
+    sim = Simulator(elaborate(make_pipeline(depth=4, width=8)),
+                    engine="interp" if path == "interp" else "fused")
+    sim.poke("in_valid", 1)
+    if path == "hooked":
+        sim.edge_hooks.append(lambda sim, ticked: None)
+    if path == "capture":
+        trace = StreamingTrace(sim, ["v3"])
+        assert trace.run(10, until=("v3",)) == 4
+        assert trace.stop().series("v3") == [0, 0, 0, 0, 1]
+    else:
+        domain = "clk" if path == "domain" else None
+        assert sim.step(10, domain=domain, until=("v3",)) == 4
+    assert sim.cycles("clk") == sim.domains["clk"].edges_seen == 4
+    assert sim.peek("v3") == 1
+    assert sim.step(10, until=("v3",)) == 0
 
 
 def test_gated_domains_disable_hot_loop_but_match():

@@ -133,6 +133,41 @@ class TestRecorderMechanics:
             == ["debug.timeout", "breaker.open"]
 
 
+class TestRunNotes:
+    def test_each_debugger_run_leaves_one_sim_note(self, clean_flight):
+        """A debugger run is one simulator call: one ``sim``/``run``
+        note whose ``cycles`` is the events run, so a long run cannot
+        flush the session's command notes out of the ring."""
+        from repro import Zoomie, ZoomieProject
+        from repro.designs import make_cohort_soc
+        session = Zoomie(ZoomieProject(
+            design=make_cohort_soc(with_bug=False), device="TEST2",
+            clocks={"clk": 100.0}, watch=["issued"])).launch()
+        session.poke_input("en", 1)
+        dbg = session.debugger
+        registry = get_registry()
+        runs, ticks = (registry.counter(name).value
+                       for name in ("sim.runs", "sim.ticks"))
+        clean_flight.clear()
+        dbg.set_value_breakpoint({"issued": 3})
+        hit = dbg.run(400)
+        dbg.clear_breakpoints()
+        dbg.resume()
+        free = dbg.run(400)
+        assert 0 < hit < 400 and free == 400
+        notes = [(r["kind"], r["name"], r.get("cycles"))
+                 for r in clean_flight.records
+                 if r["kind"] in ("command", "sim")]
+        assert notes == [
+            ("command", "set_value_breakpoint", None),
+            ("command", "run", None), ("sim", "run", hit),
+            ("command", "clear_breakpoints", None),
+            ("command", "resume", None),
+            ("command", "run", None), ("sim", "run", 400)]
+        assert registry.counter("sim.runs").value == runs + 2
+        assert registry.counter("sim.ticks").value == ticks + hit + 400
+
+
 class TestCampaignFlightCoverage:
     def test_every_injected_fault_class_lands_in_flight(self, clean_flight,
                                                         tmp_path):
