@@ -8,20 +8,10 @@ records into ``benchmarks/BENCH_simulator_batch.json`` (latest entry
 per design). The acceptance bar: >= 4x effective throughput at K=16
 over K=1 on the Cohort SoC.
 
-The second half measures the persistent plan cache's cold-start win in
-actual fresh processes: a child interpreter pointed at a private
-``ZOOMIE_PLAN_CACHE`` directory builds the Cohort SoC simulator cold
-(full codegen, then store) and again warm (disk hit, compile stored
-sources only); the warm build must be faster.
-
 Deliberately uses no ``benchmark`` fixture so the CI batch-bench job
 runs it with plain pytest (pytest-benchmark is not installed there).
 """
 
-import json
-import os
-import subprocess
-import sys
 import time
 
 from conftest import emit_table, record_bench
@@ -84,57 +74,3 @@ def test_batched_throughput_ladder():
         f"throughput on the Cohort SoC; the bar is "
         f"{BATCH_SPEEDUP_FLOOR}x")
 
-
-# ---------------------------------------------------------------------------
-# disk-tier cold start, measured in real fresh processes
-# ---------------------------------------------------------------------------
-
-_CHILD = """\
-import json, sys, time
-from repro.designs import make_cohort_soc
-from repro.rtl import Simulator, elaborate
-
-net = elaborate(make_cohort_soc(with_bug=False))
-start = time.perf_counter()
-sim = Simulator(net)
-sim.poke("en", 1)
-sim.step(10)
-build_s = time.perf_counter() - start
-assert sim.peek("en") == 1
-print(json.dumps({"build_s": build_s}))
-"""
-
-
-def _child_build_seconds(cache_dir: str) -> float:
-    env = dict(os.environ)
-    env["ZOOMIE_PLAN_CACHE"] = cache_dir
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + \
-        env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD], env=env, cwd=root,
-        capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])["build_s"]
-
-
-def test_warm_disk_cache_beats_cold_codegen(tmp_path):
-    """Process restart with a primed plan store must build the Cohort
-    SoC simulator faster than the cold run that did full codegen."""
-    cache_dir = str(tmp_path / "plans")
-    cold = _child_build_seconds(cache_dir)
-    assert any(os.scandir(cache_dir)), "cold run stored no plan files"
-    warm = min(_child_build_seconds(cache_dir) for _ in range(3))
-    emit_table(
-        "Plan-cache cold start (fresh process, Cohort SoC)",
-        ["store state", "Simulator build + 10 cycles"],
-        [["cold (full codegen)", f"{cold * 1e3:.1f} ms"],
-         ["warm (disk sources)", f"{warm * 1e3:.1f} ms"],
-         ["speedup", f"{cold / warm:.2f}x"]])
-    record_bench(
-        "simulator_batch",
-        {"design": "disk-cold-start", "cold_s": cold, "warm_s": warm,
-         "speedup": cold / warm},
-        key="design")
-    assert warm < cold, (
-        f"warm disk-cache start ({warm * 1e3:.1f} ms) is not faster "
-        f"than cold codegen ({cold * 1e3:.1f} ms)")

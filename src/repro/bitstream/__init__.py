@@ -25,7 +25,6 @@ from .packets import (
     decode_stream,
     encode_packet,
 )
-from .crc import crc32_words
 from .assembler import BitstreamAssembler
 from .disassembler import BitstreamAnalysis, analyze_bitstream
 
@@ -43,7 +42,6 @@ __all__ = [
     "SYNC",
     "WRITE",
     "analyze_bitstream",
-    "crc32_words",
     "decode_stream",
     "encode_packet",
     "register_name",

@@ -1,9 +1,12 @@
-"""Configuration CRC.
+"""CRC-32 over configuration words.
 
-Real UltraScale devices accumulate a CRC over ``(register, word)`` pairs
-and compare it on CRC-register writes, aborting configuration on mismatch.
-We model the same protocol with a standard CRC-32 so corrupt-bitstream
-tests exercise the verification path.
+Two CRCs exist here. :func:`crc32_stream` frames every JTAG transport
+batch (and the journal and snapshot-store records); it is the only CRC
+anything checks. :class:`CrcAccumulator` computes the word the
+assembler's ``write_crc`` emits at the end of a full or partial
+bitstream, over the ``(register, word)`` pairs it wrote, as real
+UltraScale bitstreams do; the modeled microcontroller stores that word
+without comparing it.
 """
 
 from __future__ import annotations
@@ -24,17 +27,8 @@ def crc32_stream(words: list[int]) -> int:
     return crc & 0xFFFF_FFFF
 
 
-def crc32_words(pairs: list[tuple[int, int]]) -> int:
-    """CRC over ``(register_address, data_word)`` pairs."""
-    crc = 0
-    for register, word in pairs:
-        payload = register.to_bytes(1, "big") + word.to_bytes(4, "big")
-        crc = zlib.crc32(payload, crc)
-    return crc & 0xFFFF_FFFF
-
-
 class CrcAccumulator:
-    """Streaming accumulator used by the microcontroller."""
+    """Streaming ``(register, word)`` accumulator of the assembler."""
 
     def __init__(self):
         self.value = 0
@@ -42,6 +36,3 @@ class CrcAccumulator:
     def update(self, register: int, word: int) -> None:
         payload = register.to_bytes(1, "big") + word.to_bytes(4, "big")
         self.value = zlib.crc32(payload, self.value) & 0xFFFF_FFFF
-
-    def reset(self) -> None:
-        self.value = 0

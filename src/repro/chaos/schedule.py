@@ -1,9 +1,9 @@
 """Seeded, stack-wide fault schedules: the one fault-injection API.
 
 A :class:`FaultSchedule` is a composable, seeded plan that can hit
-*every* layer of the stack — disk I/O under the journal, snapshot
-store, and compile caches; fabric lifecycle (clock-gate acks, the pause
-network, power cycles); the JTAG channel of every transport batch; and
+*every* layer of the stack — disk I/O under the journal and snapshot
+store; fabric lifecycle (clock-gate acks, the pause network, power
+cycles); the JTAG channel of every transport batch; and
 the host process itself (kill points at transport batches and
 journaled-command boundaries) — from one seeded stream, so a failing
 chaos campaign or test reproduces exactly from its seed.
@@ -18,7 +18,7 @@ are in scope; this module only decides deterministically *when*
 a fault fires.
 
 Sites are matched by :mod:`fnmatch` pattern, so one spec can cover a
-family (``"planstore.*"``). Specs fire either on an exact visit index
+family (``"fabric.*"``). Specs fire either on an exact visit index
 (``at=``, for boundary-sweep tests) or with a per-visit probability
 (``rate=``, for randomized campaigns), and every spec's total fire
 count is bounded by ``count`` — injected adversity is always finite, a
@@ -55,10 +55,6 @@ SITE_KINDS: dict[str, frozenset] = {
     "journal.sync": frozenset(
         {"torn_write", "bit_rot", "enospc", "slow_sync"}),
     "snapstore.put": frozenset({"torn_write", "bit_rot", "enospc"}),
-    "planstore.load": frozenset({"bit_rot"}),
-    "planstore.merge": frozenset({"torn_write", "enospc"}),
-    "vticache.load": frozenset({"bit_rot"}),
-    "vticache.store": frozenset({"torn_write", "enospc"}),
     # one visit per transport batch *attempt*: the card, the JTAG
     # channel, and host death mid-command
     "transport.batch": frozenset(
@@ -141,7 +137,10 @@ class FaultSpec:
                 kind="spec")
 
     def matches(self, site: str) -> bool:
-        return fnmatchcase(site, self.site)
+        """Whether this spec may fire at ``site``: the pattern covers it
+        and the site implements the spec's kind."""
+        return (fnmatchcase(site, self.site)
+                and self.kind in SITE_KINDS.get(site, ()))
 
 
 @dataclass

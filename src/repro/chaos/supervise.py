@@ -20,7 +20,7 @@ happens next. This module is that policy, in three pieces:
   RetryPolicy) and "abandon the fabric" (session recovery).
 
 - :func:`note_degradation` records every graceful-degradation event
-  (cache-defect→cold recompile, stuck pause→emergency gates, ...) and
+  (torn journal→tail repair, stuck pause→emergency gates) and
   *asserts* the fallback is in the documented table — an undocumented
   degradation is a bug, not a save.
 
@@ -66,11 +66,6 @@ def modeled_io_seconds(nbytes: int) -> float:
 #: fallback cannot ship without being documented here (and, per the
 #: campaign invariant, exercised under chaos).
 DOCUMENTED_FALLBACKS: dict[str, str] = {
-    "cache.cold_recompile":
-        "cache entry defective -> recompile from source and overwrite",
-    "cache.write_skipped":
-        "cache persistence failed -> memory-only entry (correctness "
-        "never depends on the disk tier)",
     "pause.emergency_gates":
         "pause network unresponsive -> park the clocks via the primary "
         "controller's global gate registers",

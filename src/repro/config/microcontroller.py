@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigError
 from ..fpga.frames import FrameAddress
-from ..bitstream.crc import CrcAccumulator
 from ..bitstream.packets import Packet, READ, WRITE
 from ..bitstream.words import CMD_NAMES, REGISTERS
 
@@ -50,7 +49,6 @@ class Microcontroller:
         self.mask: int = 0
         self.idcode_received: Optional[int] = None
         self.stored: dict[int, int] = {}
-        self.crc = CrcAccumulator()
         self.command_log: deque[str] = deque(maxlen=COMMAND_LOG_DEPTH)
 
     @property
@@ -83,8 +81,6 @@ class Microcontroller:
         return []
 
     def _write(self, register: int, words: list[int]) -> None:
-        for word in words:
-            self.crc.update(register, word)
         if register == _FAR:
             self._require(len(words) == 1, "FAR write needs one word")
             self.far = FrameAddress.from_word(words[0])
@@ -150,8 +146,6 @@ class Microcontroller:
             self.mode = "read"
         elif name == "NULL" or name == "LFRM":
             self.mode = "idle"
-        elif name == "RCRC":
-            self.crc.reset()
         elif name == "START":
             self.fabric.start(self.slr_index, self.enabled_regions())
         elif name == "SHUTDOWN":
@@ -162,7 +156,7 @@ class Microcontroller:
             self.fabric.restore(self.slr_index, self.enabled_regions())
         elif name == "DESYNC":
             self.mode = "idle"
-        # MFW, AGHIGH, SWITCH: accepted, no model behaviour needed.
+        # RCRC, MFW, AGHIGH, SWITCH: accepted, no model behaviour needed.
 
     # ------------------------------------------------------------------
     # frame traffic

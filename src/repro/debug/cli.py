@@ -56,9 +56,8 @@ Commands:
                                     safety directory DIR (journal +
                                     snapshot store)
   stats [--json]                    this ring's transport counters, the
-                                    simulator plan-cache tiers (memory +
-                                    disk), and the process metrics
-                                    registry
+                                    simulator plan-cache counters, and
+                                    the process metrics registry
   vti cache stats [--json]          VTI compile-cache hit/miss counters
   vti cache clear                   drop every cached compile artifact
   chaos run [schedules=N] [seed=S]  run a seeded fault-injection campaign
@@ -366,15 +365,8 @@ class ZoomieCli:
         lines += [f"  {key} = {value:g}"
                   for key, value in sorted(transport.items())]
         lines.append("sim plan cache:")
-        disk = plan_cache.pop("disk")
         lines += [f"  {key} = {value}"
                   for key, value in sorted(plan_cache.items())]
-        if disk.get("enabled"):
-            lines += [f"  disk.{key} = {value}"
-                      for key, value in sorted(disk.items())
-                      if key != "enabled"]
-        else:
-            lines.append("  disk tier disabled (ZOOMIE_PLAN_CACHE=off)")
         lines.append("process metrics:")
         lines += ["  " + line
                   for line in obs.metrics.summary().split("\n")]

@@ -19,6 +19,7 @@ mis-filed wholesale). Each failure is a typed
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +36,23 @@ _TRACER = get_tracer()
 STORE_MAGIC = "zoomie-snapstore-v1"
 #: Filename suffix of stored snapshots.
 SUFFIX = ".snap"
+
+
+def _whole(path: Path) -> bool:
+    """Whether ``path`` exists and holds exactly the header line plus
+    the body length that header promises."""
+    try:
+        with path.open("rb") as handle:
+            header = handle.readline()
+            size = os.fstat(handle.fileno()).st_size
+    except FileNotFoundError:
+        return False
+    parts = header.split(b" ")
+    try:
+        return (len(parts) == 3 and parts[0] == STORE_MAGIC.encode()
+                and size == len(header) + int(parts[1], 16))
+    except ValueError:
+        return False
 
 
 class SnapshotStore:
@@ -59,15 +77,17 @@ class SnapshotStore:
         """Persist a snapshot; returns its content key.
 
         Idempotent: re-storing identical state is a no-op returning the
-        same key. The write goes through a temp file + rename so a crash
-        mid-store leaves either the old object or none — never a torn
-        one filed under a valid key.
+        same key, unless the stored object is shorter or longer than its
+        header promises (a torn write), which is rewritten. The write
+        goes through a temp file + rename so a crash mid-store leaves
+        either the old object or none — never a torn one filed under a
+        valid key.
         """
         with _TRACER.span("snapstore.put") as span:
             key = snapshot.content_key()
             self._m_puts.inc()
             path = self._path(key)
-            if path.exists():
+            if _whole(path):
                 self._m_dedup.inc()
                 if span is not None:
                     span.set(key=key[:12], dedup=True)

@@ -41,7 +41,6 @@ from .mutate import (
     enumerate_sites,
     generate_mutants,
 )
-from .plan_store import set_plan_cache_dir
 from .batch import BatchSimulator
 from .simulator import (
     ENGINE_FUSED,
@@ -115,7 +114,6 @@ __all__ = [
     "reduce_xor",
     "render_timeline",
     "run_detectors",
-    "set_plan_cache_dir",
     "write_during_stall",
     "write_vcd",
 ]

@@ -29,15 +29,9 @@ flow, VTI incremental runs, the benchmark suite) reuses codegen instead
 of recompiling. Plans snapshot the expressions they were built from, so
 in-place netlist mutation after a simulator was constructed (the
 instrumentation pass does this) cannot corrupt an already-cached plan.
-
-The cache has two tiers. The in-memory tier above lives for one process;
-beneath it, kernel *sources* persist on disk keyed by the same
-fingerprint (:mod:`repro.rtl.plan_store`), so a fresh process skips the
-expression-tree walks entirely and goes straight to ``compile()`` of the
-stored text. Sources — not code objects — are stored because generated
-text is stable across CPython versions and trivially verifiable, and any
-load defect degrades to a counted miss. K-lane kernel sets are reached
-through :meth:`CompiledPlan.batch_plan`, so they share both tiers.
+The cache lives for one process and writes nothing to disk. K-lane
+kernel sets are reached through :meth:`CompiledPlan.batch_plan`, so
+they share it.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from typing import Callable, Optional
 
 from .._bits import mask
 from .expr import BinaryOp, Concat, Const, Expr, Mux, Ref, Repl, Slice, UnaryOp
-from .plan_store import get_plan_store
 
 _SIGNED_CMP = {"<s": "<", ">s": ">", "<=s": "<=", ">=s": ">="}
 
@@ -396,9 +389,7 @@ class _Emitter:
         ``cyc`` cursor counts the committed edges.
 
         The source is self-contained (it only needs ``min`` in its
-        globals), deterministic for a given plan structure, and
-        therefore safe to persist on disk keyed by the netlist
-        fingerprint.
+        globals) and deterministic for a given plan structure.
         """
         name, params = _KERNELS[kind]
         loop = kind in ("run", "crun")
@@ -516,8 +507,8 @@ class KernelSet:
     value representation, cached per active clock-domain set.
 
     Eagerly built: the settle kernel (used by every ``peek``). Lazily
-    built: the tick/run/capture kernels. Sources live in the plan's
-    two cache tiers under ``prefix`` + ``settle``, ``tick:<domains>``,
+    built: the tick/run/capture kernels. Sources are recorded in the
+    plan's source table under ``prefix`` + ``settle``, ``tick:<domains>``,
     ``run:<domains>`` and ``crun:<domains>:ring:<signals>`` (or
     ``:grow:`` for an unbounded ring); a run or capture kernel with a
     stop set appends ``:until:<signals>`` to its key. This class emits
@@ -606,17 +597,11 @@ class CompiledPlan:
     simulators of that structure: a snapshot of the design, the kernel
     source table, the plain-int :attr:`kernels` and the per-lane-count
     batch plans (:meth:`batch_plan`).
-
-    ``sources`` seeds the kernel-source table from the disk tier: a
-    kernel whose key is present is materialized by compiling the stored
-    text instead of walking the expression trees. Freshly generated
-    sources are merged back to disk as lazy kernels come into existence.
     """
 
-    def __init__(self, netlist, fingerprint: Optional[str] = None,
-                 sources: Optional[dict[str, str]] = None):
-        self.fingerprint: str = fingerprint or netlist.fingerprint()
-        self._sources: dict[str, str] = dict(sources or {})
+    def __init__(self, netlist):
+        #: key -> generated module source of every materialized kernel.
+        self._sources: dict[str, str] = {}
         #: name -> width of every flat signal; batch codegen sizes its
         #: lane stride from these (plans must not re-read the netlist).
         self.signal_widths: dict[str, int] = dict(netlist.signals)
@@ -667,27 +652,10 @@ class CompiledPlan:
 
     def kernel_from_source(self, key: str, name: str,
                            build: Callable[[], str]) -> Callable:
-        """Materialize the kernel ``key``, generating its source only if
-        neither this plan nor the disk tier already holds it.
-
-        A stored source that fails to compile (a CRC-valid file whose
-        body was damaged) is discarded as a counted defect and the
-        kernel is regenerated — never an error for the caller.
-        """
-        source = self._sources.get(key)
-        if source is not None:
-            try:
-                return _materialize(source, name)
-            except (SyntaxError, ValueError, KeyError, NameError):
-                del self._sources[key]
-                store = get_plan_store()
-                if store is not None:
-                    store.note_defect()
-        source = build()
-        self._sources[key] = source
-        store = get_plan_store()
-        if store is not None:
-            store.merge(self.fingerprint, {key: source})
+        """Generate the source of kernel ``key``, record it, and compile
+        it (callers cache the compiled kernel, so each key builds once
+        per plan)."""
+        source = self._sources[key] = build()
         return _materialize(source, name)
 
     # -- batched (bit-parallel) tier ---------------------------------------
@@ -695,9 +663,8 @@ class CompiledPlan:
     def batch_plan(self, lanes: int) -> KernelSet:
         """The K-lane :class:`~repro.rtl.batch.BatchPlan` of this design.
 
-        Batch plans are cached per lane count and their kernel sources
-        live in the same two cache tiers as the scalar kernels (keys are
-        prefixed ``b<K>:``).
+        Batch plans are cached per lane count and record their kernel
+        sources in this plan's table (keys are prefixed ``b<K>:``).
         """
         plan = self._batch_plans.get(lanes)
         if plan is None:
@@ -720,8 +687,7 @@ def compiled_plan_for(netlist) -> CompiledPlan:
 
     The key is the structural fingerprint, so any netlist with identical
     execution semantics — including the same object re-elaborated, or
-    mutated and fingerprinted again — shares one plan. A memory miss
-    falls through to the on-disk source store before paying codegen.
+    mutated and fingerprinted again — shares one plan.
     """
     from ..obs import get_registry, get_tracer
     registry = get_registry()
@@ -734,17 +700,14 @@ def compiled_plan_for(netlist) -> CompiledPlan:
         return plan
     _PLAN_STATS["misses"] += 1
     registry.counter("sim.plan_cache.misses").inc()
-    store = get_plan_store()
-    sources = store.load(key) if store is not None else None
     with get_tracer().span("sim.plan_compile",
                            fingerprint=key[:12]) as span:
         start = perf_counter()
-        plan = CompiledPlan(netlist, fingerprint=key, sources=sources)
+        plan = CompiledPlan(netlist)
         elapsed = perf_counter() - start
         if span is not None:
             span.set(registers=len(netlist.registers),
-                     signals=len(netlist.signals),
-                     disk=sources is not None)
+                     signals=len(netlist.signals))
     registry.counter("sim.plan_compile_seconds").inc(elapsed)
     _PLAN_CACHE[key] = plan
     while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
@@ -755,12 +718,9 @@ def compiled_plan_for(netlist) -> CompiledPlan:
 
 
 def plan_cache_stats() -> dict:
-    """Hit/miss/eviction counters for both cache tiers plus the current
-    in-memory size (for tests, benchmarks, and the CLI ``stats``)."""
-    store = get_plan_store()
-    return {**_PLAN_STATS, "size": len(_PLAN_CACHE),
-            "disk": store.stats_dict() if store is not None
-            else {"enabled": False}}
+    """Hit/miss/eviction counters plus the current size (for tests,
+    benchmarks, and the CLI ``stats``)."""
+    return {**_PLAN_STATS, "size": len(_PLAN_CACHE)}
 
 
 def clear_plan_cache() -> None:

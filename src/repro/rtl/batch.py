@@ -519,8 +519,8 @@ class BatchPlan(KernelSet):
     the lane emitter.
 
     Reached through :meth:`CompiledPlan.batch_plan`, so batch kernels
-    share the plan's fingerprint-keyed memory cache and disk store
-    (source keys ``b<K>:settle``, ``b<K>:tick:<domains>``, ...).
+    share the plan's fingerprint-keyed cache (source keys
+    ``b<K>:settle``, ``b<K>:tick:<domains>``, ...).
     Capture rows hold the packed values, decoded by ``BatchTrace``.
     """
 

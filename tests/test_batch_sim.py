@@ -33,19 +33,15 @@ from repro.rtl import (
     reduce_or,
     reduce_xor,
 )
-from repro.rtl import plan_store
 
 from tests.test_differential_fused import _rand_design
 
 
 @pytest.fixture(autouse=True)
-def _memory_only_plan_cache():
-    """Hermetic caching: no disk tier, fresh in-memory plan cache."""
-    saved = (plan_store._STORE, plan_store._RESOLVED)
-    plan_store.set_plan_cache_dir(None)
+def _fresh_plan_cache():
+    """Each test compiles its plans from scratch."""
     clear_plan_cache()
     yield
-    plan_store._STORE, plan_store._RESOLVED = saved
     clear_plan_cache()
 
 

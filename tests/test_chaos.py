@@ -24,6 +24,7 @@ from repro.chaos import (
     modeled_io_seconds,
     note_degradation,
     run_io,
+    sites_for_kind,
 )
 from repro.config import FabricDevice
 from repro.debug import (
@@ -132,9 +133,15 @@ class TestFaultSchedule:
         assert fired == 2
 
     def test_pattern_matches_site_family(self):
-        registry = arm(FaultSpec(site="planstore.*", kind="torn_write",
+        registry = arm(FaultSpec(site="fabric.*", kind="pause_stuck",
                                  at=0))
-        assert registry.visit("planstore.merge") is not None
+        assert registry.visit("fabric.gate_ack") is None
+        assert registry.visit("fabric.pause_write") is not None
+
+    def test_disk_kinds_hit_both_durable_stores(self):
+        for kind in ("torn_write", "bit_rot", "enospc"):
+            assert sites_for_kind(kind) == ["journal.sync",
+                                            "snapstore.put"]
 
     def test_spec_validation(self):
         with pytest.raises(ChaosError, match="unknown fault kind"):
@@ -142,8 +149,8 @@ class TestFaultSchedule:
         with pytest.raises(ChaosError, match="matches no known site"):
             FaultSpec(site="nonexistent.site", kind="torn_write", at=0)
         with pytest.raises(ChaosError, match="implements fault kind"):
-            # planstore.load only implements bit_rot
-            FaultSpec(site="planstore.load", kind="enospc", at=0)
+            # fabric.gate_ack only implements gate_ack_drop
+            FaultSpec(site="fabric.gate_ack", kind="enospc", at=0)
         with pytest.raises(ChaosError, match="matches no known site"):
             FaultSpec(site="vti.worker", kind="torn_write", at=0)
         with pytest.raises(ChaosError, match="at= or a rate"):
@@ -361,6 +368,20 @@ def snap(**values):
 
 
 class TestSnapshotStoreChaos:
+    def test_clean_put_rewrites_a_torn_object(self, tmp_path):
+        """A put that finds a torn object under its key rewrites it
+        instead of deduping onto it."""
+        store = SnapshotStore(tmp_path)
+        original = snap()
+        registry = arm(FaultSpec(site="snapstore.put", kind="torn_write",
+                                 at=0))
+        with install_chaos(registry):
+            with pytest.raises(DiskFaultError):
+                store.put(original)
+        key = store.put(original)
+        assert store.verify(key) is None
+        assert store.get(key).values == original.values
+
     def test_torn_put_is_a_detectable_defect(self, tmp_path):
         store = SnapshotStore(tmp_path)
         original = snap()

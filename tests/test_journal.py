@@ -17,6 +17,7 @@ from repro.errors import (
     JournalError,
     SnapshotIntegrityError,
 )
+from repro.obs import get_registry
 
 
 class TestFraming:
@@ -192,12 +193,16 @@ class TestSnapshotStore:
         store = SnapshotStore(tmp_path)
         key1 = store.put(StateSnapshot(values={"a": 1}, cycle=5,
                                        label="early"))
+        dedup = get_registry().counter("snapshot_store.dedup_hits")
+        before = dedup.value
         key2 = store.put(StateSnapshot(values={"a": 1}, cycle=99,
                                        label="late"))
         # label/cycle are excluded from the content key: same state,
-        # same object
+        # same object, not rewritten
         assert key1 == key2
         assert store.keys() == [key1]
+        assert dedup.value == before + 1
+        assert store.get(key1).label == "early"
 
     def test_missing_key(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -32,9 +32,8 @@ from repro.rtl import (
     enumerate_sites,
     generate_mutants,
     mux,
-    set_plan_cache_dir,
 )
-from repro.rtl import plan_store
+from repro.rtl import _codegen
 
 DESIGN_BUILDERS = {
     "counters": lambda: make_counter(width=8),
@@ -151,23 +150,17 @@ class TestFingerprintSeparation:
         assert golden.fingerprint() == parent_fp
         assert clone.fingerprint() != parent_fp
 
-    def test_parent_and_mutant_get_distinct_plan_entries(self, goldens,
-                                                         tmp_path):
-        saved = (plan_store._STORE, plan_store._RESOLVED)
-        store = set_plan_cache_dir(tmp_path / "plans")
+    def test_parent_and_mutant_get_distinct_plan_entries(self, goldens):
         clear_plan_cache()
         try:
             golden = goldens["counters"]
             mutant = generate_mutants(golden, "counters", 1, 7)[0]
-            _exercise(golden)
-            _exercise(mutant.netlist)
-            fingerprints = {path.stem for path in
-                            store.root.glob("*.plan")}
-            assert golden.fingerprint() in fingerprints
-            assert mutant.netlist.fingerprint() in fingerprints
-            assert len(fingerprints) == 2
+            parent_sim = _exercise(golden)
+            mutant_sim = _exercise(mutant.netlist)
+            assert set(_codegen._PLAN_CACHE) == {
+                golden.fingerprint(), mutant.netlist.fingerprint()}
+            assert parent_sim._plan is not mutant_sim._plan
         finally:
-            plan_store._STORE, plan_store._RESOLVED = saved
             clear_plan_cache()
 
 

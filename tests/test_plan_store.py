@@ -1,292 +1,116 @@
-"""Tests for the persistent on-disk compiled-plan cache.
+"""Tests for the compiled-plan store: the per-process cache of
+:class:`~repro.rtl._codegen.CompiledPlan` objects keyed by
+``Netlist.fingerprint()``.
 
-The contract: a cold process warm-starts from stored kernel *sources*
-keyed by ``Netlist.fingerprint()``, and **any** load defect — bad magic,
-truncation, CRC mismatch, foreign fingerprint, stale codegen version,
-or a stored source that no longer compiles — is a counted miss, never
-an error. Corruption self-heals: the caller regenerates and overwrites.
+The contract: scalar and K-lane kernels of one design accumulate in one
+plan entry, the store is bounded (least recently used plans go first),
+``plan_cache_stats()`` reports hits, misses, evictions and size, and
+nothing — neither the plan store nor the VTI compile cache — writes
+outside the process.
 """
 
-import json
-import zlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.designs import make_cohort_soc, make_counter
+from repro.designs import make_counter
 from repro.rtl import (
     BatchSimulator,
     Simulator,
+    _codegen,
     clear_plan_cache,
     elaborate,
     plan_cache_stats,
-    set_plan_cache_dir,
-)
-from repro.rtl import plan_store
-from repro.rtl.plan_store import (
-    CODEGEN_VERSION,
-    PLAN_MAGIC,
-    PlanDiskStore,
-    resolve_env,
 )
 
+_ROOT = Path(__file__).resolve().parent.parent
 
-@pytest.fixture()
-def store(tmp_path):
-    """Disk tier redirected to a private directory, memory tier empty —
-    each test simulates a cold process against its own store."""
-    saved = (plan_store._STORE, plan_store._RESOLVED)
-    disk = set_plan_cache_dir(tmp_path / "plans")
+
+@pytest.fixture(autouse=True)
+def _fresh_plan_cache():
     clear_plan_cache()
-    yield disk
-    plan_store._STORE, plan_store._RESOLVED = saved
+    yield
     clear_plan_cache()
 
 
-def _counter_net():
-    return elaborate(make_counter(8))
+def _counter_net(width=8):
+    return elaborate(make_counter(width))
 
 
-def _reframe(path: Path, record: dict) -> None:
-    """Write ``record`` with a *valid* frame (to test body-level checks
-    in isolation from the CRC layer)."""
-    body = json.dumps(record, sort_keys=True)
-    data = body.encode("utf-8")
-    header = (f"{PLAN_MAGIC} {len(data):08x} "
-              f"{zlib.crc32(data) & 0xFFFFFFFF:08x}\n")
-    path.write_text(header + body)
-
-
-def _run_and_fingerprint(net):
+def _run(net):
     sim = Simulator(net)
     sim.poke("en", 1)
     sim.step(20)
-    return sim.peek("count"), net.fingerprint()
+    return sim.peek("count")
 
 
-# ---------------------------------------------------------------------------
-# the happy path: store on first build, hit on simulated restart
-# ---------------------------------------------------------------------------
-
-def test_roundtrip_survives_process_restart(store):
-    net = _counter_net()
-    expected, fingerprint = _run_and_fingerprint(net)
-    assert store.stats["stores"] >= 1
-    assert len(store) == 1
-    assert (store.root / f"{fingerprint}.plan").exists()
-
-    clear_plan_cache()  # "new process": memory tier gone, disk remains
-    hits_before = store.stats["hits"]
-    value, _ = _run_and_fingerprint(net)
-    assert value == expected
-    assert store.stats["hits"] == hits_before + 1
-
-
-def test_batch_kernels_accumulate_in_same_entry(store):
+def test_batch_kernels_accumulate_in_same_entry():
     net = _counter_net()
     batch = BatchSimulator(net, 4)
     batch.poke("en", 1)
     batch.step(10)
-    stored = store.load(net.fingerprint())
+    stored = _codegen.compiled_plan_for(net)._sources
     assert "settle" in stored
     assert "b4:settle" in stored
     assert any(key.startswith("b4:run:") for key in stored)
 
-    clear_plan_cache()
-    hits_before = store.stats["hits"]
+    hits_before = plan_cache_stats()["hits"]
     again = BatchSimulator(net, 4)
     again.poke("en", 1)
     again.step(10)
     assert again.peek("count") == batch.peek("count")
-    assert store.stats["hits"] > hits_before
+    assert again._plan is batch._plan
+    assert plan_cache_stats()["hits"] > hits_before
 
 
-# ---------------------------------------------------------------------------
-# every defect is a counted miss, never an error
-# ---------------------------------------------------------------------------
+def test_eviction_caps_entry_count(monkeypatch):
+    monkeypatch.setattr(_codegen, "_PLAN_CACHE_LIMIT", 3)
+    nets = [_counter_net(width) for width in range(4, 10)]
+    for net in nets:
+        _run(net)
+    stats = plan_cache_stats()
+    assert stats["size"] == 3
+    assert stats["evictions"] == 3
+    # The newest plans survive; the oldest were evicted first.
+    assert list(_codegen._PLAN_CACHE) == [
+        net.fingerprint() for net in nets[3:]]
 
-def _prime(store, net):
-    _, fingerprint = _run_and_fingerprint(net)
-    clear_plan_cache()
-    return store.root / f"{fingerprint}.plan", fingerprint
 
-
-@pytest.mark.parametrize("corrupt", [
-    lambda text: text.replace(PLAN_MAGIC, "zoomie-rot-v9"),
-    lambda text: text[: len(text) // 2],                      # truncated
-    lambda text: text[:-20] + "X" * 20,                       # bit-rot
-    lambda text: "",                                          # emptied
-    lambda text: "not a plan file at all",
-], ids=["bad-magic", "truncated", "bit-rot", "empty", "garbage"])
-def test_corrupted_entry_is_counted_miss_not_crash(store, corrupt):
+def test_stats_dict_shape_and_plan_cache_stats():
     net = _counter_net()
-    path, _ = _prime(store, net)
-    path.write_text(corrupt(path.read_text()))
-    bad_before = store.stats["integrity_failures"]
-    misses_before = store.stats["misses"]
-
-    expected, _ = _run_and_fingerprint(net)  # must not raise
-    assert expected == 20
-    assert store.stats["integrity_failures"] == bad_before + 1
-    assert store.stats["misses"] == misses_before + 1
-    # The entry self-healed: next cold start hits again.
-    clear_plan_cache()
-    hits_before = store.stats["hits"]
-    _run_and_fingerprint(net)
-    assert store.stats["hits"] == hits_before + 1
+    assert _run(net) == 20
+    assert _run(net) == 20
+    assert plan_cache_stats() == {"hits": 1, "misses": 1,
+                                  "evictions": 0, "size": 1}
 
 
-def test_stale_codegen_version_is_plain_miss(store):
-    net = _counter_net()
-    path, fingerprint = _prime(store, net)
-    record = json.loads(path.read_text().split("\n", 1)[1])
-    record["codegen"] = CODEGEN_VERSION + 1
-    _reframe(path, record)
+_CHILD = """\
+from repro.designs import make_counter
+from repro.rtl import Simulator, elaborate
+from repro.vti import CompileCache
+from tests.test_vti_differential import make_initial
 
-    bad_before = store.stats["integrity_failures"]
-    misses_before = store.stats["misses"]
-    _run_and_fingerprint(net)
-    assert store.stats["integrity_failures"] == bad_before  # not rot
-    assert store.stats["misses"] == misses_before + 1
-
-
-def test_foreign_fingerprint_is_integrity_failure(store):
-    net = _counter_net()
-    path, fingerprint = _prime(store, net)
-    record = json.loads(path.read_text().split("\n", 1)[1])
-    record["fingerprint"] = "somebody-else"
-    _reframe(path, record)
-    bad_before = store.stats["integrity_failures"]
-    _run_and_fingerprint(net)
-    assert store.stats["integrity_failures"] == bad_before + 1
+sim = Simulator(elaborate(make_counter(8)))
+sim.poke("en", 1)
+sim.step(20)
+assert sim.peek("count") == 20
+flow, initial, changes = make_initial(CompileCache(), "counters")
+for path in sorted(changes):
+    flow.compile_incremental(initial, path, changes[path])
+"""
 
 
-def test_stored_source_that_wont_compile_regenerates(store):
-    """A validly framed entry whose *source text* is broken: the compile
-    failure is noted as a defect and the kernel is regenerated."""
-    net = _counter_net()
-    fingerprint = net.fingerprint()
-    store.merge(fingerprint, {"settle": "def _settle(env, mems:"})
-
-    bad_before = store.stats["integrity_failures"]
-    expected, _ = _run_and_fingerprint(net)  # must not raise
-    assert expected == 20
-    assert store.stats["integrity_failures"] == bad_before + 1
-    # The regenerated source overwrote the broken one.
-    assert store.load(fingerprint)["settle"].startswith("def _settle")
-
-
-def test_merge_is_read_modify_write(store):
-    store.merge("fp1", {"a": "def a(): pass"})
-    store.merge("fp1", {"b": "def b(): pass"})
-    assert set(store.load("fp1")) == {"a", "b"}
-    assert len(store) == 1
-
-
-# ---------------------------------------------------------------------------
-# eviction, stats, configuration
-# ---------------------------------------------------------------------------
-
-def test_eviction_caps_entry_count(tmp_path):
-    disk = PlanDiskStore(tmp_path, limit=3)
-    for i in range(6):
-        disk.merge(f"fp{i}", {"settle": f"def s{i}(): pass"})
-    assert len(disk) == 3
-    assert disk.stats["evictions"] == 3
-    # The newest write always survives its own eviction pass.
-    assert disk.load("fp5") is not None
-
-
-def test_limit_must_be_positive(tmp_path):
-    with pytest.raises(ValueError):
-        PlanDiskStore(tmp_path, limit=0)
-
-
-def test_stats_dict_shape_and_plan_cache_stats(store):
-    _run_and_fingerprint(_counter_net())
-    combined = plan_cache_stats()
-    assert {"hits", "misses", "evictions", "size", "disk"} <= set(combined)
-    disk = combined["disk"]
-    assert disk["enabled"] is True
-    assert disk["path"] == str(store.root)
-    assert disk["entries"] == 1
-    assert disk["stores"] >= 1
-    assert {"hits", "misses", "evictions",
-            "integrity_failures", "limit"} <= set(disk)
-
-
-def test_disabled_store_reports_disabled(store):
-    set_plan_cache_dir(None)
-    clear_plan_cache()
-    _run_and_fingerprint(_counter_net())  # memory-only still works
-    assert plan_cache_stats()["disk"] == {"enabled": False}
-
-
-def test_disk_counters_reach_obs_registry(store):
-    from repro.obs import get_registry
-    registry = get_registry()
-    hits_before = registry.counter("sim.plan_cache.disk.hits").value
-    net = _counter_net()
-    _run_and_fingerprint(net)
-    clear_plan_cache()
-    _run_and_fingerprint(net)
-    assert registry.counter("sim.plan_cache.disk.hits").value \
-        == hits_before + 1
-
-
-def test_resolve_env_parsing_table(tmp_path, monkeypatch):
-    for off in ("off", "OFF", "0", "no", "none", "disabled", "", "  "):
-        assert resolve_env(off) is None, repr(off)
-    assert resolve_env(str(tmp_path)) == tmp_path
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert resolve_env(None) == tmp_path / "xdg" / "zoomie" / "plans"
-    monkeypatch.delenv("XDG_CACHE_HOME")
-    assert resolve_env(None) == Path.home() / ".cache" / "zoomie" / "plans"
-
-
-def test_cohort_soc_roundtrips_through_disk(store):
-    """The paper's SoC — the design the cold-start acceptance criterion
-    is about — survives a store/load cycle bit-identically."""
-    net = elaborate(make_cohort_soc(with_bug=False))
-    sim = Simulator(net)
-    sim.poke("en", 1)
-    sim.step(50)
-    reference = sim.snapshot()
-
-    clear_plan_cache()
-    hits_before = store.stats["hits"]
-    warm = Simulator(net)
-    warm.poke("en", 1)
-    warm.step(50)
-    assert warm.snapshot() == reference
-    assert store.stats["hits"] == hits_before + 1
-
-
-# ---------------------------------------------------------------------------
-# concurrent deletion (shared-store eviction races)
-# ---------------------------------------------------------------------------
-
-def test_concurrent_deletion_is_plain_miss_not_rot(tmp_path, monkeypatch):
-    """Another process evicting the entry between our existence check
-    and the read must look like a plain miss — no integrity failure,
-    no exception (ENOENT is not rot)."""
-    disk = PlanDiskStore(tmp_path, limit=4)
-    disk.merge("fp-race", {"settle": "def s(): pass"})
-    disk._path("fp-race").unlink()
-    # Force the exists() probe to say yes so read_text() hits the real
-    # FileNotFoundError path, exactly as a racing evictor produces it.
-    monkeypatch.setattr(Path, "exists", lambda self: True)
-    assert disk.load("fp-race") is None
-    assert disk.stats["integrity_failures"] == 0
-    assert disk.stats["misses"] == 1
-
-
-def test_vti_cache_concurrent_deletion_is_plain_miss(tmp_path,
-                                                     monkeypatch):
-    """Same contract for the VTI CompileCache's disk tier."""
-    from repro.vti.cache import CompileCache
-    cache = CompileCache(root=tmp_path)
-    before = cache.stats.integrity_failures
-    monkeypatch.setattr(Path, "exists", lambda self: True)
-    assert cache._load_disk("0" * 12) is None
-    assert cache.stats.integrity_failures == before
+def test_simulation_and_vti_compiles_write_nothing_under_home(tmp_path):
+    """A fresh process that steps a simulator and runs a VTI incremental
+    compile leaves its home and cache directories untouched."""
+    home = tmp_path / "home"
+    home.mkdir()
+    env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME=str(home),
+               PYTHONPATH=os.pathsep.join([str(_ROOT / "src"), str(_ROOT)]))
+    env.pop("ZOOMIE_PLAN_CACHE", None)
+    subprocess.run([sys.executable, "-c", _CHILD], env=env, cwd=_ROOT,
+                   check=True, capture_output=True, text=True)
+    assert sorted(home.rglob("*")) == []

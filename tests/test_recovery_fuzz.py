@@ -213,12 +213,11 @@ def test_multi_slr_memory_survives_crash_during_write(tmp_path):
 # ---------------------------------------------------------------------------
 #
 # The boundary fuzz above kills the process between commands. These
-# tests kill it *inside* SnapshotStore.put and PlanDiskStore.merge —
-# every fault kind the chaos registry documents for those sites — and
-# assert recovery still converges to the golden run bit-for-bit.
+# tests kill it *inside* SnapshotStore.put — every fault kind the chaos
+# registry documents for that site — and assert recovery still
+# converges to the golden run bit-for-bit.
 
 from repro.errors import DiskFaultError  # noqa: E402
-from repro.rtl.plan_store import PlanDiskStore  # noqa: E402
 
 
 @pytest.mark.fuzz
@@ -261,34 +260,6 @@ def test_recovery_survives_faulted_snapshot_put(kind, tmp_path):
     r = recovered.engine.snapshot()
     assert diff_snapshots(g, r) == {}, f"kind={kind}"
     assert g.content_key() == r.content_key(), f"kind={kind}"
-
-
-@pytest.mark.fuzz
-@pytest.mark.parametrize("kind", ["torn_write", "enospc"])
-def test_plan_store_merge_faults_degrade_not_corrupt(kind, tmp_path):
-    """A faulted merge is a skipped cache write, never a poisoned
-    store: the degradation is recorded, later loads stay coherent, and
-    a clean re-merge repairs the entry."""
-    sup = get_supervisor()
-    sup.reset()
-    store = PlanDiskStore(tmp_path, limit=8)
-    store.merge("fp-keep", {"settle": "def keep(): pass"})
-
-    registry = _armed(FaultSpec(site="planstore.merge", kind=kind,
-                                at=0), seed=SEED)
-    with install_chaos(registry):
-        store.merge("fp-hurt", {"settle": "def hurt(): pass"})
-    assert registry.faults_fired == 1
-    assert any(d.fallback == "cache.write_skipped"
-               for d in sup.degradations)
-
-    # Unrelated entries are untouched; the faulted one is at worst a
-    # miss (torn file or absent file), never a crash or a wrong plan.
-    assert store.load("fp-keep") is not None
-    assert store.load("fp-hurt") is None
-
-    store.merge("fp-hurt", {"settle": "def hurt(): pass"})
-    assert set(store.load("fp-hurt")) == {"settle"}
 
 
 @pytest.mark.fuzz

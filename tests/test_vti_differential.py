@@ -168,49 +168,3 @@ class TestCachedVsCold:
         assert not any(r.cache_hit for r in results_x)
         for a, b in zip(results_c, results_x):
             assert_results_identical(a, b)
-
-
-class TestDiskCache:
-    def test_disk_round_trip_matches_cold(self, tmp_path):
-        label = "counters"
-        first_cache = CompileCache(root=tmp_path / "vticache")
-        flow_a, initial_a, changes_a = make_initial(first_cache, label)
-        for path in sorted(changes_a):
-            flow_a.compile_incremental(initial_a, path, changes_a[path])
-        assert first_cache.stats.puts == len(changes_a)
-
-        # A fresh process: empty memory, same directory.
-        second_cache = CompileCache(root=tmp_path / "vticache")
-        flow_b, initial_b, changes_b = make_initial(second_cache, label)
-        flow_x, initial_x, changes_x = make_initial(None, label)
-        for path in sorted(changes_b):
-            warm = flow_b.compile_incremental(
-                initial_b, path, changes_b[path])
-            cold = flow_x.compile_incremental(
-                initial_x, path, changes_x[path])
-            assert warm.cache_hit
-            assert_results_identical(warm, cold)
-        assert second_cache.stats.disk_hits == len(changes_b)
-
-    def test_corrupt_disk_entry_is_a_miss_not_an_error(self, tmp_path):
-        label = "counters"
-        root = tmp_path / "vticache"
-        cache_a = CompileCache(root=root)
-        flow_a, initial_a, changes_a = make_initial(cache_a, label)
-        for path in sorted(changes_a):
-            flow_a.compile_incremental(initial_a, path, changes_a[path])
-        for stored in root.glob("*.vtic"):
-            data = stored.read_bytes()
-            stored.write_bytes(data[:-10] + b"corruption")
-
-        cache_b = CompileCache(root=root)
-        flow_b, initial_b, changes_b = make_initial(cache_b, label)
-        flow_x, initial_x, changes_x = make_initial(None, label)
-        for path in sorted(changes_b):
-            healed = flow_b.compile_incremental(
-                initial_b, path, changes_b[path])
-            cold = flow_x.compile_incremental(
-                initial_x, path, changes_x[path])
-            assert not healed.cache_hit  # corrupt object never served
-            assert_results_identical(healed, cold)
-        assert cache_b.stats.integrity_failures == len(changes_b)
