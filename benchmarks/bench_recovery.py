@@ -14,32 +14,6 @@ import time
 from conftest import emit, emit_table, record_bench
 
 
-def compile_cohort():
-    from repro.debug import instrument_netlist
-    from repro.designs import make_cohort_soc
-    from repro.fpga import make_test_device
-    from repro.rtl import elaborate
-    from repro.vendor import VivadoFlow
-
-    device = make_test_device()
-    netlist = elaborate(make_cohort_soc(with_bug=False))
-    inst = instrument_netlist(netlist, watch=["issued"])
-    result = VivadoFlow(device).compile_netlist(
-        netlist, {"clk": 100.0}, gate_signals=inst.gate_signals)
-    return device, inst, result
-
-
-def fresh_session(compiled):
-    from repro.config import FabricDevice
-    from repro.debug import ZoomieDebugger
-
-    device, inst, result = compiled
-    fabric = FabricDevice(device)
-    fabric.expect(result.database)
-    fabric.jtag.run(result.bitstream)
-    return ZoomieDebugger(fabric, inst)
-
-
 def drive(debugger, blocks):
     """A deterministic stream of 5 journaled commands per block."""
     debugger.record_input("en", 1)
@@ -53,9 +27,17 @@ def drive(debugger, blocks):
 
 
 def test_recovery_cost_vs_journal_and_cadence(benchmark, tmp_path):
+    from repro.campaign.designs import (
+        campaign_design,
+        compile_design,
+        launch_session,
+    )
     from repro.debug import enable_crash_safety, recover_session
 
-    compiled = compile_cohort()
+    # The campaign table's Cohort with zoomie_clk at 10:1, the map this
+    # grid has always run at, so its recorded modeled seconds compare.
+    compiled = compile_design(campaign_design("cohort"),
+                              {"clk": 100.0, "zoomie_clk": 1000.0})
     grid = [(blocks, cadence)
             for blocks in (4, 16, 64)
             for cadence in (None, 10, 25)]
@@ -65,14 +47,14 @@ def test_recovery_cost_vs_journal_and_cadence(benchmark, tmp_path):
     benchmarked = False
     for blocks, cadence in grid:
         workdir = tmp_path / f"b{blocks}-c{cadence}"
-        victim = fresh_session(compiled)
+        _, victim = launch_session(compiled)
         enable_crash_safety(victim, workdir, checkpoint_every=cadence)
         drive(victim, blocks)
         # The process "dies" here: the session object is abandoned and
         # recovery works purely off the on-disk journal + store.
 
         def recover():
-            debugger = fresh_session(compiled)
+            _, debugger = launch_session(compiled)
             return recover_session(debugger, workdir)
 
         if not benchmarked:

@@ -7,8 +7,9 @@ snapshot bisection plus readback diffing to localize — then scores how
 accurately (and at what modeled debug-time cost) the tool pinned each
 injected bug. Reports are deterministic: same seed, same bytes.
 
-- :mod:`designs` — which designs campaigns run on and how they are
-  built, instrumented, compiled, and launched.
+- :mod:`designs` — the one table of campaign designs (the chaos
+  campaign and the doctor use it too) and how they are built,
+  instrumented, compiled, and launched.
 - :mod:`localize` — one mutant's localization workflow and the
   signal-distance accuracy metric.
 - :mod:`harness` — corpus generation, detection/equivalence triage,
@@ -22,7 +23,7 @@ from .designs import (
     DESIGN_NAMES,
     CampaignDesign,
     campaign_design,
-    compile_mutant,
+    compile_design,
     golden_netlist,
     launch_session,
 )
@@ -53,7 +54,7 @@ __all__ = [
     "TOLERANCE_CYCLES",
     "TOLERANCE_SIGNALS",
     "campaign_design",
-    "compile_mutant",
+    "compile_design",
     "golden_netlist",
     "launch_session",
     "localize_attempt",

@@ -1,9 +1,12 @@
-"""Design registry for debug campaigns.
+"""The one table of campaign designs, and how they compile and launch.
 
-Each entry names a stock design, how to build it, which signals get
-value-breakpoint watch slots when the mutant is instrumented, and any
-placement constraints (the manycore entry pins ``core1`` to SLR 1 so
-campaigns exercise cross-SLR readback paths too).
+The mutation campaign, the chaos campaign and ``zoomie doctor`` all
+build from this table. Each entry names a stock design, how to build
+it, which signals get value-breakpoint watch slots when it is
+instrumented, and any placement constraints (the manycore entry pins
+``core1`` to SLR 1 so campaigns exercise cross-SLR readback paths too).
+The clock map is the caller's: each campaign names its ``CLOCKS_MHZ``,
+because ``step`` scales its run bound by the ``zoomie_clk``:MUT ratio.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Callable, Optional
 from ..errors import CampaignError
 
 #: Campaign designs, in the order ``--design all`` runs them.
-DESIGN_NAMES = ("counters", "cohort", "serv", "beehive", "manycore")
+DESIGN_NAMES = ("counters", "cohort", "serv", "beehive", "manycore",
+                "pipeline")
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,7 @@ def _registry() -> dict[str, CampaignDesign]:
         make_cluster,
         make_cohort_soc,
         make_counter,
+        make_pipeline,
         make_serv_core,
     )
     from ..vendor.place import whole_slr
@@ -52,6 +57,8 @@ def _registry() -> dict[str, CampaignDesign]:
             "manycore", lambda: make_cluster(cores=2, imem_depth=64),
             ("retired_count",),
             constraints=lambda device: {"core1": whole_slr(device, 1)}),
+        "pipeline": CampaignDesign(
+            "pipeline", lambda: make_pipeline(depth=4, width=16), ("v3",)),
     }
 
 
@@ -71,31 +78,30 @@ def golden_netlist(design: CampaignDesign):
     return elaborate(design.build())
 
 
-def compile_mutant(design: CampaignDesign, netlist):
-    """Instrument and compile one mutant netlist for the fabric.
+def compile_design(design: CampaignDesign, clocks: dict, netlist=None):
+    """Instrument and compile ``netlist`` (default: a fresh golden
+    elaboration; a mutant passes its private clone, changed in place)
+    at ``clocks`` (domain -> MHz, passed to the vendor flow as given).
 
     Returns ``(device, instrumented, compile_result)`` — the triple a
-    debugger session launches from. The netlist is modified in place
-    (it is already a mutant's private clone).
+    debugger session launches from.
     """
     from ..debug import instrument_netlist
     from ..fpga import make_test_device
     from ..vendor import VivadoFlow
 
+    netlist = golden_netlist(design) if netlist is None else netlist
     device = make_test_device()
     instrumented = instrument_netlist(netlist, watch=list(design.watch))
-    flow = VivadoFlow(device)
-    clocks = {domain: 100.0 for domain in netlist.clock_domains()
-              if not domain.startswith("zoomie")}
     constraints = design.constraints(device) if design.constraints else None
-    result = flow.compile_netlist(netlist, clocks,
-                                  gate_signals=instrumented.gate_signals,
-                                  constraints=constraints)
+    result = VivadoFlow(device).compile_netlist(
+        netlist, clocks, gate_signals=instrumented.gate_signals,
+        constraints=constraints)
     return device, instrumented, result
 
 
 def launch_session(compiled):
-    """Program a fresh fabric with a compiled mutant; returns
+    """Program a fresh fabric with a compiled design; returns
     ``(fabric, debugger)``."""
     from ..config import FabricDevice
     from ..debug import ZoomieDebugger

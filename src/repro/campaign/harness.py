@@ -42,7 +42,7 @@ from ..rtl.mutate import (
 )
 from .designs import (
     campaign_design,
-    compile_mutant,
+    compile_design,
     golden_netlist,
     launch_session,
 )
@@ -57,6 +57,11 @@ from .localize import (
 #: and cycles of the injected site counts as accurate (ISSUE 10).
 TOLERANCE_SIGNALS = 2
 TOLERANCE_CYCLES = 16
+
+#: Mutants compile with ``zoomie_clk`` at ten times the MUT clock
+#: (10:1): every committed report was made at this map, and it keeps
+#: the multi-rate run path measured (the only seeded workload on it).
+CLOCKS_MHZ = {"clk": 100.0, "zoomie_clk": 1000.0}
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def _localize(design, config, mutant: Mutant, detect: Divergence,
     def golden_stimulus(chunk_index: int) -> dict:
         return stimulus(lane, chunk_index)
 
-    compiled = compile_mutant(design, mutant.netlist)
+    compiled = compile_design(design, CLOCKS_MHZ, mutant.netlist)
     session_dir = workdir / mutant.mutant_id.replace("/", "_")\
                                             .replace(":", "_")
     _, debugger = launch_session(compiled)

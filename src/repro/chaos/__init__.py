@@ -9,9 +9,9 @@ Three cooperating pieces (see the module docstrings for depth):
   with :func:`install_chaos`;
 - :mod:`.supervise` — modeled-seconds deadlines, bounded retries,
   circuit breakers, and the asserted graceful-degradation table;
-- :mod:`.campaign` — the automated harness that replays debugger
-  workloads under randomized schedules and checks the differential
-  invariants.
+- :mod:`.campaign` — the automated harness that replays one seeded
+  debugger script on designs from :mod:`repro.campaign.designs` under
+  randomized schedules and checks the differential invariants.
 
 ``campaign`` imports the debugger stack, which in turn imports this
 package, so it is exposed lazily to keep the fault-point hook free of

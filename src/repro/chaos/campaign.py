@@ -1,11 +1,12 @@
 """Automated chaos campaigns: seeded schedules, differential invariants.
 
-One campaign replays a scripted debugger workload on a set of compiled
-designs — the single-clock pipeline, the Cohort SoC, and the multi-SLR
-cluster — under N randomized (but seed-deterministic)
-:class:`~repro.chaos.schedule.FaultSchedule`\\ s, with supervision
-enabled and crash safety attached. After every faulted run it checks
-the differential invariants the robustness work promises:
+One campaign replays a scripted debugger workload on a set of designs
+from the campaign table (:mod:`repro.campaign.designs`) — the
+single-clock pipeline, the Cohort SoC, and the multi-SLR manycore
+cluster, compiled at :data:`CLOCKS_MHZ` — under N randomized (but
+seed-deterministic) :class:`~repro.chaos.schedule.FaultSchedule`\\ s,
+with supervision enabled and crash safety attached. After every faulted
+run it checks the differential invariants the robustness work promises:
 
 - **Convergence** — after any number of supervised recoveries, the
   faulted session's final design state is *bit-identical* (same
@@ -34,6 +35,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
+)
 from ..errors import (
     ChaosError,
     JournalCorruptError,
@@ -43,10 +49,16 @@ from ..obs import get_registry
 from .schedule import FaultRegistry, FaultSchedule, install_chaos
 from .supervise import SuperviseConfig, get_supervisor
 
-#: Designs a default campaign exercises (see :func:`_design_builders`):
-#: a plain pipeline, the Cohort SoC, and the multi-SLR cluster — the
-#: same spread the crash-recovery fuzz suite sweeps.
-DEFAULT_DESIGNS = ("pipeline", "cohort", "cluster")
+#: Designs a default campaign exercises, and the only ones
+#: :func:`script_for` has inputs for: a plain pipeline, the Cohort SoC,
+#: and the multi-SLR cluster — the spread the crash-recovery fuzz suite
+#: sweeps.
+DEFAULT_DESIGNS = ("pipeline", "cohort", "manycore")
+
+#: ``zoomie_clk`` at the MUT clock's rate (1:1), which is what
+#: ``ZoomieProject.clocks_with_free_domain`` gives a launched project:
+#: faults and recoveries are judged on the session a user would debug.
+CLOCKS_MHZ = {"clk": 100.0, "zoomie_clk": 100.0}
 
 
 @dataclass(frozen=True)
@@ -154,57 +166,10 @@ class CampaignReport:
 # --------------------------------------------------------------------------
 
 
-def _design_builders() -> dict:
-    """Compile closures for the campaign's stock designs.
-
-    Deferred imports: the debugger stack imports :mod:`repro.chaos`, so
-    the campaign (the only chaos module that needs the stack) loads it
-    lazily.
-    """
-    from ..designs import make_cluster, make_cohort_soc, make_pipeline
-    from ..fpga import make_test_device
-    from ..vendor.place import whole_slr
-
-    def compile_design(design, watch, constraints=None):
-        from ..debug import instrument_netlist
-        from ..rtl import elaborate
-        from ..vendor import VivadoFlow
-        device = make_test_device()
-        netlist = elaborate(design)
-        inst = instrument_netlist(netlist, watch=watch)
-        flow = VivadoFlow(device)
-        clocks = {d: 100.0 for d in netlist.clock_domains()}
-        result = flow.compile_netlist(netlist, clocks,
-                                      gate_signals=inst.gate_signals,
-                                      constraints=constraints)
-        return device, inst, result
-
-    return {
-        "pipeline": lambda: compile_design(
-            make_pipeline(depth=4, width=16), watch=["v3"]),
-        "cohort": lambda: compile_design(
-            make_cohort_soc(with_bug=False), watch=["issued"]),
-        # core1 pinned to SLR 1 so faults hit cross-SLR transport too.
-        "cluster": lambda: compile_design(
-            make_cluster(cores=2, imem_depth=64),
-            watch=["retired_count"],
-            constraints={"core1": whole_slr(make_test_device(), 1)}),
-    }
-
-
-def _fresh_session(compiled):
-    from ..config import FabricDevice
-    from ..debug import ZoomieDebugger
-    device, inst, result = compiled
-    fabric = FabricDevice(device)
-    fabric.expect(result.database)
-    fabric.jtag.run(result.bitstream)
-    return fabric, ZoomieDebugger(fabric, inst)
-
-
-def _script_for(name: str, compiled, seed: int) -> list:
-    """A seeded script over every journaled verb (same shape as the
-    crash-recovery fuzz suite's, so campaign failures cross-reference)."""
+def script_for(name: str, compiled, seed: int) -> list:
+    """A seeded script over every journaled verb, for one of
+    :data:`DEFAULT_DESIGNS` (the crash-recovery fuzz suite and the
+    doctor drive the same script, so failures cross-reference)."""
     import random
     rng = random.Random(seed)
     _, _, result = compiled
@@ -216,7 +181,7 @@ def _script_for(name: str, compiled, seed: int) -> list:
         "cohort": [("en", 1)],
         "pipeline": [("in_valid", 1), ("in_data", rng.randrange(256)),
                      ("out_ready", 1)],
-        "cluster": [("en", 1)],
+        "manycore": [("en", 1)],
     }[name]
     script = [("poke", pin, value) for pin, value in inputs]
     script += [
@@ -241,7 +206,8 @@ def _script_for(name: str, compiled, seed: int) -> list:
     return script
 
 
-def _apply_step(debugger, step) -> None:
+def apply_step(debugger, step) -> None:
+    """Run one :func:`script_for` step on ``debugger``."""
     verb, *args = step
     if verb == "poke":
         debugger.record_input(*args)
@@ -266,9 +232,9 @@ def _apply_step(debugger, step) -> None:
 def _clean_key(compiled, script) -> str:
     """Final content key of an unfaulted run of ``script`` — the golden
     twin every faulted run must converge to."""
-    _, debugger = _fresh_session(compiled)
+    _, debugger = launch_session(compiled)
     for step in script:
-        _apply_step(debugger, step)
+        apply_step(debugger, step)
     return debugger.engine.snapshot(label="clean-twin").content_key()
 
 
@@ -303,7 +269,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
     violations: list[str] = []
     mttrs: list[float] = []
 
-    fabric, debugger = _fresh_session(compiled)
+    fabric, debugger = launch_session(compiled)
     enable_crash_safety(debugger, workdir)
     fabric.transport.breaker = sup.make_breaker(
         lambda f=fabric: f.jtag.total_seconds, name=f"{name}-fabric")
@@ -313,7 +279,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
         index = 0
         while index < len(script):
             try:
-                _apply_step(debugger, script[index])
+                apply_step(debugger, script[index])
             except (ReproError, OSError) as error:
                 recoveries += 1
                 if recoveries > config.max_recoveries:
@@ -397,7 +363,7 @@ def _recover_once(compiled, workdir):
     against the bounded recovery budget).
     """
     from ..debug import recover_session
-    fabric, debugger = _fresh_session(compiled)
+    fabric, debugger = launch_session(compiled)
     try:
         report = recover_session(debugger, workdir)
     except (ReproError, OSError) as error:
@@ -420,12 +386,11 @@ def run_campaign(config: CampaignConfig, workdir,
     each design's script runs once and its final content key anchors
     every faulted run's convergence check.
     """
-    builders = _design_builders()
-    unknown = [d for d in config.designs if d not in builders]
+    unknown = [d for d in config.designs if d not in DEFAULT_DESIGNS]
     if unknown:
         raise ChaosError(
-            f"unknown campaign design(s) {unknown}; available: "
-            f"{sorted(builders)}", kind="campaign")
+            f"unknown campaign design(s) {unknown}; the script drives "
+            f"{', '.join(DEFAULT_DESIGNS)}", kind="campaign")
 
     root = Path(workdir)
     root.mkdir(parents=True, exist_ok=True)
@@ -439,9 +404,10 @@ def run_campaign(config: CampaignConfig, workdir,
         clean = {}
         scripts = {}
         for design in config.designs:
-            compiled[design] = builders[design]()
-            scripts[design] = _script_for(design, compiled[design],
-                                          config.seed)
+            compiled[design] = compile_design(campaign_design(design),
+                                              CLOCKS_MHZ)
+            scripts[design] = script_for(design, compiled[design],
+                                         config.seed)
             # The twin runs unfaulted but *supervised*, proving the
             # supervision layer itself never perturbs design state.
             clean[design] = _clean_key(compiled[design], scripts[design])

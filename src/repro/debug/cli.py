@@ -61,9 +61,9 @@ Commands:
   vti cache stats [--json]          VTI compile-cache hit/miss counters
   vti cache clear                   drop every cached compile artifact
   chaos run [schedules=N] [seed=S]  run a seeded fault-injection campaign
-      [designs=a,b] [workdir=DIR]   over stock designs (see
-                                    repro.chaos.campaign); prints the
-                                    invariant report
+      [designs=a,b] [workdir=DIR]   over pipeline, cohort and manycore
+                                    from the campaign design table;
+                                    prints the invariant report
   chaos sites                       list fault-injection sites and kinds
   chaos fallbacks                   list documented degradation paths
   campaign run [--design D[,E|all]] seeded mutation debug campaign: inject

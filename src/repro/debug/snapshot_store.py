@@ -14,12 +14,13 @@ On :meth:`get`, three independent checks run before a snapshot is
 believed: byte count against the header (truncation), CRC32 against the
 header (bit-rot), and content hash against the key (a body swapped or
 mis-filed wholesale). Each failure is a typed
-:class:`SnapshotIntegrityError`, never a silently wrong restore.
+:class:`SnapshotIntegrityError`, never a silently wrong restore. A
+:meth:`put` dedupes onto a stored object only if it passes the first
+two checks; a torn or rotted one is rewritten.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional
 
@@ -38,21 +39,48 @@ STORE_MAGIC = "zoomie-snapstore-v1"
 SUFFIX = ".snap"
 
 
-def _whole(path: Path) -> bool:
-    """Whether ``path`` exists and holds exactly the header line plus
-    the body length that header promises."""
+def _checked_body(path: Path, key: str) -> str:
+    """The body of the object stored at ``path`` once its header, byte
+    length and CRC32 check out; raises :class:`SnapshotIntegrityError`
+    naming the first check that fails."""
     try:
-        with path.open("rb") as handle:
-            header = handle.readline()
-            size = os.fstat(handle.fileno()).st_size
+        text = path.read_text()
     except FileNotFoundError:
-        return False
-    parts = header.split(b" ")
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}… is not in the store",
+            kind="missing") from None
+    except UnicodeDecodeError:
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}… is not text (bit-rot or tampering)",
+            kind="checksum") from None
+    newline = text.find("\n")
+    header = text[:newline] if newline >= 0 else text
+    parts = header.split(" ")
+    if len(parts) != 3 or parts[0] != STORE_MAGIC:
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}…: bad store header", kind="truncated")
     try:
-        return (len(parts) == 3 and parts[0] == STORE_MAGIC.encode()
-                and size == len(header) + int(parts[1], 16))
+        length = int(parts[1], 16)
+        crc = int(parts[2], 16)
     except ValueError:
-        return False
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}…: unparsable store header",
+            kind="truncated") from None
+    body = text[newline + 1:]
+    got = len(body.encode("utf-8"))
+    if got < length:
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}… truncated: {got} of {length} "
+            f"bytes on disk", kind="truncated")
+    if got > length:
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}…: {got} bytes where the header "
+            f"promises {length}", kind="truncated")
+    if payload_crc(body) != crc:
+        raise SnapshotIntegrityError(
+            f"snapshot {key[:12]}… failed CRC32 (bit-rot or "
+            f"tampering)", kind="checksum")
+    return body
 
 
 class SnapshotStore:
@@ -77,8 +105,8 @@ class SnapshotStore:
         """Persist a snapshot; returns its content key.
 
         Idempotent: re-storing identical state is a no-op returning the
-        same key, unless the stored object is shorter or longer than its
-        header promises (a torn write), which is rewritten. The write
+        same key, unless the stored object fails its header, length or
+        CRC32 check (a torn or rotted write), which is rewritten. The write
         goes through a temp file + rename so a crash mid-store leaves
         either the old object or none — never a torn one filed under a
         valid key.
@@ -87,11 +115,14 @@ class SnapshotStore:
             key = snapshot.content_key()
             self._m_puts.inc()
             path = self._path(key)
-            if _whole(path):
+            try:
+                _checked_body(path, key)
                 self._m_dedup.inc()
                 if span is not None:
                     span.set(key=key[:12], dedup=True)
                 return key
+            except SnapshotIntegrityError:
+                pass  # absent, torn or rotted: (re)write it
             body = snapshot.dumps()
             data = body.encode("utf-8")
             header = (f"{STORE_MAGIC} {len(data):08x} "
@@ -145,39 +176,7 @@ class SnapshotStore:
                 raise
 
     def _get_verified(self, key: str) -> StateSnapshot:
-        path = self._path(key)
-        if not path.exists():
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}… is not in the store",
-                kind="missing")
-        text = path.read_text()
-        newline = text.find("\n")
-        header = text[:newline] if newline >= 0 else text
-        parts = header.split(" ")
-        if len(parts) != 3 or parts[0] != STORE_MAGIC:
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}…: bad store header", kind="truncated")
-        try:
-            length = int(parts[1], 16)
-            crc = int(parts[2], 16)
-        except ValueError:
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}…: unparsable store header",
-                kind="truncated") from None
-        body = text[newline + 1:]
-        got = len(body.encode("utf-8"))
-        if got < length:
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}… truncated: {got} of {length} "
-                f"bytes on disk", kind="truncated")
-        if got > length:
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}…: {got} bytes where the header "
-                f"promises {length}", kind="truncated")
-        if payload_crc(body) != crc:
-            raise SnapshotIntegrityError(
-                f"snapshot {key[:12]}… failed CRC32 (bit-rot or "
-                f"tampering)", kind="checksum")
+        body = _checked_body(self._path(key), key)
         import io
         try:
             snapshot = StateSnapshot.parse(io.StringIO(body))

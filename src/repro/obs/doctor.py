@@ -2,7 +2,8 @@
 
 The health engine (:mod:`.health`) can judge any live registry; this
 module gives CI and operators a *self-contained* verdict: compile the
-stock pipeline design, drive a seeded debugger workload over it, then
+campaign table's pipeline design at the chaos campaign's clock map,
+drive the chaos campaign's seeded debugger script over it, then
 evaluate the SLO rules over a metrics window scoped to exactly that
 workload (so a long-lived process's history cannot contaminate the
 verdict).
@@ -73,18 +74,18 @@ def _run_workload(seed: int, chaos_seed: Optional[int]) -> dict:
     :mod:`repro.obs`, so the doctor (the only obs module that needs
     the stack) loads it lazily, mirroring the chaos campaign.
     """
-    from ..chaos.campaign import (
-        _apply_step,
-        _design_builders,
-        _fresh_session,
-        _script_for,
+    from ..campaign.designs import (
+        campaign_design,
+        compile_design,
+        launch_session,
     )
+    from ..chaos.campaign import CLOCKS_MHZ, apply_step, script_for
     from ..chaos.schedule import FaultSchedule, FaultSpec, install_chaos
     from ..errors import ReproError
 
-    compiled = _design_builders()["pipeline"]()
-    script = _script_for("pipeline", compiled, seed)
-    _, debugger = _fresh_session(compiled)
+    compiled = compile_design(campaign_design("pipeline"), CLOCKS_MHZ)
+    script = script_for("pipeline", compiled, seed)
+    _, debugger = launch_session(compiled)
 
     schedule = None
     if chaos_seed is not None:
@@ -105,7 +106,7 @@ def _run_workload(seed: int, chaos_seed: Optional[int]) -> dict:
         extra = [("resume",), ("run", 40), ("pause",)]
         for step in steps + extra * 3:
             try:
-                _apply_step(debugger, step)
+                apply_step(debugger, step)
                 if debugger.is_paused():
                     debugger.read_state()
             except ReproError:

@@ -15,11 +15,16 @@ from repro import Zoomie, ZoomieProject
 from repro.campaign import (
     DESIGN_NAMES,
     CampaignConfig,
+    campaign_design,
+    compile_design,
     run_debug_campaign,
     verify_equivalents,
 )
 from repro.campaign.__main__ import main as campaign_main
+from repro.campaign.harness import CLOCKS_MHZ as MUTATION_CLOCKS
 from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.chaos.campaign import CLOCKS_MHZ as CHAOS_CLOCKS
+from repro.chaos.campaign import DEFAULT_DESIGNS as CHAOS_DESIGNS
 from repro.debug.cli import ZoomieCli
 from repro.designs import make_counter
 from repro.errors import CampaignError
@@ -73,6 +78,19 @@ class TestReportShape:
         with pytest.raises(CampaignError):
             run_debug_campaign(CampaignConfig(designs=("nope",),
                                               mutants=1, seed=7))
+
+
+@pytest.mark.parametrize("name", CHAOS_DESIGNS)
+@pytest.mark.parametrize("clocks, periods_ps", [
+    (CHAOS_CLOCKS, {"clk": 10000, "zoomie_clk": 10000}),
+    (MUTATION_CLOCKS, {"clk": 10000, "zoomie_clk": 1000}),
+], ids=["chaos-1to1", "mutation-10to1"])
+def test_each_campaign_compiles_at_its_clock_map(name, clocks, periods_ps):
+    """``step`` scales its run bound by the ``zoomie_clk``:MUT ratio, so
+    each campaign's map decides what its seeded steps do: the chaos
+    campaign runs 1:1, the mutation campaign 10:1."""
+    _, _, result = compile_design(campaign_design(name), clocks)
+    assert result.database.clocks == periods_ps
 
 
 class TestDeterminism:

@@ -19,10 +19,10 @@ from repro.campaign.designs import (
     DESIGN_NAMES,
     CampaignDesign,
     campaign_design,
-    compile_mutant,
-    golden_netlist,
+    compile_design,
     launch_session,
 )
+from repro.campaign.harness import CLOCKS_MHZ
 from repro.config import DesignDatabase, FabricDevice, LLEntry, LogicLocationFile
 from repro.config.capture_plan import capture_plan
 from repro.debug import ZoomieDebugger, parse_capture_frames
@@ -265,7 +265,7 @@ def session(name: str):
         else:
             design = _BUILDERS[name] or campaign_design(name)
             fabric, debugger = launch_session(
-                compile_mutant(design, golden_netlist(design)))
+                compile_design(design, CLOCKS_MHZ))
             debugger.pause()
         _SESSIONS[name] = (fabric, debugger, fabric.sim.snapshot())
     fabric, debugger, paused = _SESSIONS[name]
@@ -522,8 +522,8 @@ class TestPlanChecks:
 
 class TestPlanLifetime:
     def launch(self):
-        design = campaign_design("counters")
-        return launch_session(compile_mutant(design, golden_netlist(design)))
+        return launch_session(
+            compile_design(campaign_design("counters"), CLOCKS_MHZ))
 
     def test_captures_on_one_database_share_one_plan(self):
         fabric, _debugger = self.launch()

@@ -8,10 +8,13 @@ hook path against its streaming path, and a miniature campaign run with
 all differential invariants enabled.
 """
 
-import random
-
 import pytest
 
+from repro.campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
+)
 from repro.chaos import (
     DOCUMENTED_FALLBACKS,
     CircuitBreaker,
@@ -26,18 +29,15 @@ from repro.chaos import (
     run_io,
     sites_for_kind,
 )
-from repro.config import FabricDevice
+from repro.chaos.campaign import CLOCKS_MHZ
 from repro.debug import (
     StateSnapshot,
-    ZoomieDebugger,
     diff_snapshots,
     enable_crash_safety,
-    instrument_netlist,
     recover_session,
 )
 from repro.debug.journal import CommandJournal, read_journal
 from repro.debug.snapshot_store import SnapshotStore
-from repro.designs import make_pipeline
 from repro.errors import (
     ChaosError,
     CircuitOpenError,
@@ -46,9 +46,7 @@ from repro.errors import (
     JournalCorruptError,
     is_retryable,
 )
-from repro.fpga import make_test_device
-from repro.rtl import StreamingTrace, Trace, elaborate
-from repro.vendor import VivadoFlow
+from repro.rtl import StreamingTrace, Trace
 
 from .test_run_path_differential import loop_fabric_run
 
@@ -75,22 +73,7 @@ def supervised():
 
 @pytest.fixture(scope="module")
 def compiled_pipeline():
-    device = make_test_device()
-    netlist = elaborate(make_pipeline(depth=4, width=16))
-    inst = instrument_netlist(netlist, watch=["v3"])
-    flow = VivadoFlow(device)
-    clocks = {d: 100.0 for d in netlist.clock_domains()}
-    result = flow.compile_netlist(netlist, clocks,
-                                  gate_signals=inst.gate_signals)
-    return device, inst, result
-
-
-def fresh_session(compiled):
-    device, inst, result = compiled
-    fabric = FabricDevice(device)
-    fabric.expect(result.database)
-    fabric.jtag.run(result.bitstream)
-    return fabric, ZoomieDebugger(fabric, inst)
+    return compile_design(campaign_design("pipeline"), CLOCKS_MHZ)
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +365,20 @@ class TestSnapshotStoreChaos:
         assert store.verify(key) is None
         assert store.get(key).values == original.values
 
+    def test_clean_put_rewrites_a_rotted_object(self, tmp_path):
+        """Rot keeps the object's size, so only its CRC32 shows it: a
+        put that finds it under its key rewrites it too."""
+        store = SnapshotStore(tmp_path)
+        original = snap()
+        registry = arm(FaultSpec(site="snapstore.put", kind="bit_rot",
+                                 at=0), seed=3)
+        with install_chaos(registry):
+            key = store.put(original)
+        assert store.verify(key) is not None
+        assert store.put(original) == key
+        assert store.verify(key) is None
+        assert store.get(key).values == original.values
+
     def test_torn_put_is_a_detectable_defect(self, tmp_path):
         store = SnapshotStore(tmp_path)
         original = snap()
@@ -431,7 +428,7 @@ class TestSnapshotStoreChaos:
 class TestTraceCapture:
     @staticmethod
     def _session(compiled):
-        fabric, debugger = fresh_session(compiled)
+        fabric, debugger = launch_session(compiled)
         debugger.record_input("in_valid", 1)
         debugger.record_input("in_data", 0x11)
         debugger.record_input("out_ready", 1)
@@ -496,7 +493,7 @@ class TestTraceCapture:
 class TestPauseChaos:
     def test_gate_ack_drop_leaves_mask_unchanged(self,
                                                  compiled_pipeline):
-        fabric, _ = fresh_session(compiled_pipeline)
+        fabric, _ = launch_session(compiled_pipeline)
         registry = arm(FaultSpec(site="fabric.gate_ack",
                                  kind="gate_ack_drop", at=0))
         with install_chaos(registry):
@@ -507,7 +504,7 @@ class TestPauseChaos:
 
     def test_supervised_pause_retries_a_stuck_write(
             self, compiled_pipeline, supervised):
-        fabric, debugger = fresh_session(compiled_pipeline)
+        fabric, debugger = launch_session(compiled_pipeline)
         debugger.record_input("in_valid", 1)
         debugger.run(max_cycles=5)
         registry = arm(FaultSpec(site="fabric.pause_write",
@@ -520,7 +517,7 @@ class TestPauseChaos:
 
     def test_pause_escalates_to_emergency_gates(self, compiled_pipeline,
                                                 supervised):
-        fabric, debugger = fresh_session(compiled_pipeline)
+        fabric, debugger = launch_session(compiled_pipeline)
         debugger.record_input("in_valid", 1)
         debugger.run(max_cycles=5)
         registry = arm(FaultSpec(site="fabric.pause_write",
@@ -544,7 +541,7 @@ class TestTransportChaos:
             self, compiled_pipeline):
         """The armed schedule is the only plan: every batch, on every
         fabric, goes through the transport's retry loop."""
-        fabric, debugger = fresh_session(compiled_pipeline)
+        fabric, debugger = launch_session(compiled_pipeline)
         before = fabric.transport.stats.stuck_detected
         registry = arm(FaultSpec(site="transport.batch",
                                  kind="device_hang", at=0))
@@ -555,7 +552,7 @@ class TestTransportChaos:
 
     def test_breaker_refuses_traffic_after_exhaustion(
             self, compiled_pipeline):
-        fabric, debugger = fresh_session(compiled_pipeline)
+        fabric, debugger = launch_session(compiled_pipeline)
         fabric.transport.breaker = CircuitBreaker(
             lambda: fabric.jtag.total_seconds, threshold=1,
             cooldown_seconds=1e9, name="test-fabric")
@@ -573,7 +570,7 @@ class TestTransportChaos:
 
     def test_power_cycle_reboots_and_recovery_converges(
             self, compiled_pipeline, tmp_path, supervised):
-        fabric, debugger = fresh_session(compiled_pipeline)
+        fabric, debugger = launch_session(compiled_pipeline)
         enable_crash_safety(debugger, tmp_path)
         debugger.record_input("in_valid", 1)
         debugger.record_input("in_data", 0x2A)
@@ -588,10 +585,10 @@ class TestTransportChaos:
         assert fabric.booted  # rebooted, but at initial state
         assert fabric.sim.domains["clk"].cycles == 0
 
-        _, recovered = fresh_session(compiled_pipeline)
+        _, recovered = launch_session(compiled_pipeline)
         recover_session(recovered, tmp_path)
 
-        _, golden = fresh_session(compiled_pipeline)
+        _, golden = launch_session(compiled_pipeline)
         golden.record_input("in_valid", 1)
         golden.record_input("in_data", 0x2A)
         golden.record_input("out_ready", 1)
@@ -638,9 +635,14 @@ class TestCampaign:
         assert not get_supervisor().enabled
 
     def test_unknown_design_rejected(self, tmp_path):
+        """Only designs the script has inputs for run, even if the
+        campaign table holds more."""
         from repro.chaos.campaign import CampaignConfig, run_campaign
-        with pytest.raises(ChaosError, match="unknown campaign design"):
-            run_campaign(CampaignConfig(designs=("nope",)), tmp_path)
+        for name in ("nope", "counters"):
+            with pytest.raises(ChaosError,
+                               match="unknown campaign design") as info:
+                run_campaign(CampaignConfig(designs=(name,)), tmp_path)
+            assert "pipeline, cohort, manycore" in str(info.value)
 
     def test_campaign_is_seed_deterministic(self, tmp_path):
         from repro.chaos.campaign import CampaignConfig, run_campaign

@@ -242,6 +242,21 @@ class TestSnapshotStore:
             store.get(key)
         assert info.value.kind == "checksum"
 
+    def test_non_text_rot_detected_and_rewritten(self, tmp_path):
+        """A flipped top bit leaves the body undecodable: still a typed
+        checksum failure, and a clean put of the same state rewrites
+        it rather than deduping onto it."""
+        store = SnapshotStore(tmp_path)
+        original = snap()
+        key = store.put(original)
+        path = store._path(key)
+        raw = bytearray(path.read_bytes())
+        raw[-2] ^= 0x80
+        path.write_bytes(bytes(raw))
+        assert store.verify(key).kind == "checksum"
+        assert store.put(original) == key
+        assert store.verify(key) is None
+
     def test_misfiled_object_detected(self, tmp_path):
         store = SnapshotStore(tmp_path)
         key = store.put(snap())

@@ -37,9 +37,14 @@ def clean_flight():
 
 def _session():
     """A compiled pipeline session, the way the doctor builds one."""
-    from repro.chaos.campaign import _design_builders, _fresh_session
-    compiled = _design_builders()["pipeline"]()
-    return _fresh_session(compiled)
+    from repro.campaign.designs import (
+        campaign_design,
+        compile_design,
+        launch_session,
+    )
+    from repro.chaos.campaign import CLOCKS_MHZ
+    return launch_session(
+        compile_design(campaign_design("pipeline"), CLOCKS_MHZ))
 
 
 class TestTriggerDumps:

@@ -10,18 +10,18 @@ uncrashed run driven through the same commands.
 import pytest
 
 from repro import Zoomie, ZoomieProject
-from repro.chaos import FaultSchedule, FaultSpec, install_chaos
-from repro.config import FabricDevice, RetryPolicy
-from repro.debug import (
-    ZoomieDebugger,
-    diff_snapshots,
-    enable_crash_safety,
-    instrument_netlist,
-    recover_session,
+from repro.campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
 )
+from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.chaos.campaign import CLOCKS_MHZ
+from repro.config import RetryPolicy
+from repro.debug import diff_snapshots, enable_crash_safety, recover_session
 from repro.debug.journal import frame_record, read_journal
 from repro.debug.recovery import JOURNAL_NAME
-from repro.designs import make_cluster, make_cohort_soc
+from repro.designs import make_cohort_soc
 from repro.errors import (
     DebugError,
     DebugTimeoutError,
@@ -29,10 +29,6 @@ from repro.errors import (
     RecoveryError,
     SessionCrashedError,
 )
-from repro.fpga import make_test_device
-from repro.rtl import elaborate
-from repro.vendor import VivadoFlow
-from repro.vendor.place import whole_slr
 
 
 def launch():
@@ -315,20 +311,11 @@ class TestRecovery:
 
 
 def launch_split_cluster():
-    """A two-core cluster with core1 constrained onto SLR 1 — debug
-    traffic to it crosses the JTAG ring to a secondary controller."""
-    device = make_test_device()
-    netlist = elaborate(make_cluster(cores=2, imem_depth=64))
-    inst = instrument_netlist(netlist, watch=["retired_count"])
-    flow = VivadoFlow(device)
-    clocks = {d: 100.0 for d in netlist.clock_domains()}
-    result = flow.compile_netlist(
-        netlist, clocks, gate_signals=inst.gate_signals,
-        constraints={"core1": whole_slr(device, 1)})
-    fabric = FabricDevice(device)
-    fabric.expect(result.database)
-    fabric.jtag.run(result.bitstream)
-    return fabric, ZoomieDebugger(fabric, inst)
+    """The campaign table's two-core cluster, core1 constrained onto
+    SLR 1 — debug traffic to it crosses the JTAG ring to a secondary
+    controller."""
+    return launch_session(
+        compile_design(campaign_design("manycore"), CLOCKS_MHZ))
 
 
 class TestWatchdog:

@@ -8,12 +8,17 @@ The WAL invariant fuzzed for: a crash at boundary ``k`` leaves records
 exactly the state after command ``k`` — registers, memories, and
 content hash. A failure's design and boundary are in the assertion
 message; the command script is seeded so it reproduces from the test id.
+Designs, script and sessions are the chaos campaign's: the campaign
+table's pipeline, Cohort and manycore entries at its 1:1 clock map.
 """
-
-import random
 
 import pytest
 
+from repro.campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
+)
 from repro.chaos import (
     FaultSchedule,
     FaultSpec,
@@ -21,20 +26,14 @@ from repro.chaos import (
     get_supervisor,
     install_chaos,
 )
-from repro.config import FabricDevice
-from repro.debug import (
-    ZoomieDebugger,
-    diff_snapshots,
-    enable_crash_safety,
-    instrument_netlist,
-    recover_session,
+from repro.chaos.campaign import (
+    CLOCKS_MHZ,
+    DEFAULT_DESIGNS,
+    apply_step,
+    script_for,
 )
-from repro.designs import make_cluster, make_cohort_soc, make_pipeline
+from repro.debug import diff_snapshots, enable_crash_safety, recover_session
 from repro.errors import SessionCrashedError
-from repro.fpga import make_test_device
-from repro.rtl import elaborate
-from repro.vendor import VivadoFlow
-from repro.vendor.place import whole_slr
 
 SEED = 2024
 
@@ -43,113 +42,18 @@ def _armed(*specs, seed=0):
     return FaultSchedule(seed=seed, specs=specs).registry()
 
 
-def compile_design(design, watch, constraints=None):
-    device = make_test_device()
-    netlist = elaborate(design)
-    inst = instrument_netlist(netlist, watch=watch)
-    flow = VivadoFlow(device)
-    clocks = {domain: 100.0 for domain in netlist.clock_domains()}
-    result = flow.compile_netlist(netlist, clocks,
-                                  gate_signals=inst.gate_signals,
-                                  constraints=constraints)
-    return device, inst, result
-
-
-def fresh_session(compiled):
-    device, inst, result = compiled
-    fabric = FabricDevice(device)
-    fabric.expect(result.database)
-    fabric.jtag.run(result.bitstream)
-    return fabric, ZoomieDebugger(fabric, inst)
-
-
-def script_for(name, compiled, seed):
-    """A seeded command script exercising every journaled verb."""
-    rng = random.Random(seed)
-    _, _, result = compiled
-    registers = sorted(r for r in result.database.netlist.registers
-                       if not r.startswith("zoomie_"))
-    memories = sorted(result.database.memory_map)
-    target = rng.choice(registers)
-    inputs = {
-        "cohort": [("en", 1)],
-        "pipeline": [("in_valid", 1), ("in_data", rng.randrange(256)),
-                     ("out_ready", 1)],
-        "cluster": [("en", 1)],
-    }[name]
-    script = [("poke", pin, value) for pin, value in inputs]
-    script += [
-        ("run", 20 + rng.randrange(20)),
-        ("pause",),
-        ("snapshot", "first"),
-        ("force", target, rng.randrange(1 << 4)),
-        ("step", 1 + rng.randrange(4)),
-    ]
-    if memories:
-        mem_name = memories[-1]
-        mem = result.database.netlist.memories[mem_name]
-        words = [rng.randrange(1 << min(mem.width, 16))
-                 for _ in range(mem.depth)]
-        script.append(("write_memory", mem_name, words))
-    script += [
-        ("snapshot", "second"),
-        ("resume",),
-        ("run", 10 + rng.randrange(10)),
-        ("pause",),
-    ]
-    return script
-
-
-def apply_script(fabric, debugger, script, upto=None):
-    for index, step in enumerate(script):
-        if upto is not None and index >= upto:
-            break
-        verb, *args = step
-        if verb == "poke":
-            debugger.record_input(*args)
-        elif verb == "run":
-            debugger.run(max_cycles=args[0])
-        elif verb == "pause":
-            debugger.pause()
-        elif verb == "resume":
-            debugger.resume()
-        elif verb == "snapshot":
-            debugger.snapshot(args[0])
-        elif verb == "force":
-            debugger.force(*args)
-        elif verb == "step":
-            debugger.step(args[0])
-        elif verb == "write_memory":
-            debugger.write_memory(args[0], args[1])
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown script verb {verb}")
-
-
-DESIGNS = {
-    "cohort": lambda: compile_design(
-        make_cohort_soc(with_bug=False), watch=["issued"]),
-    "pipeline": lambda: compile_design(
-        make_pipeline(depth=4, width=16), watch=["v3"]),
-    # core1 pinned to SLR 1: journal replay must cross the JTAG ring
-    # to a secondary controller, and core1.rf content frames live there
-    "cluster": lambda: compile_design(
-        make_cluster(cores=2, imem_depth=64), watch=["retired_count"],
-        constraints={"core1": whole_slr(make_test_device(), 1)}),
-}
-
-
 @pytest.mark.fuzz
-@pytest.mark.parametrize("name", sorted(DESIGNS),
-                         ids=[f"{n}-seed{SEED}" for n in sorted(DESIGNS)])
+@pytest.mark.parametrize("name", sorted(DEFAULT_DESIGNS),
+                         ids=lambda name: f"{name}-seed{SEED}")
 def test_recovery_is_bit_identical_at_every_boundary(name, tmp_path):
-    compiled = DESIGNS[name]()
+    compiled = compile_design(campaign_design(name), CLOCKS_MHZ)
     script = script_for(name, compiled, SEED)
     for boundary in range(len(script)):
         # alternate which side of the boundary the process dies on;
         # the durable journal prefix — and thus recovery — is the same
         before = boundary % 2 == 0
         workdir = tmp_path / f"crash{boundary}"
-        fabric, debugger = fresh_session(compiled)
+        _, debugger = launch_session(compiled)
         enable_crash_safety(debugger, workdir)
         kill = FaultSpec(site="debug.command",
                          kind="crash_before" if before else "crash_after",
@@ -158,13 +62,15 @@ def test_recovery_is_bit_identical_at_every_boundary(name, tmp_path):
                    f"before_apply={before}")
         with install_chaos(_armed(kill)), \
                 pytest.raises(SessionCrashedError):
-            apply_script(fabric, debugger, script)
+            for step in script:
+                apply_step(debugger, step)
 
-        _, recovered = fresh_session(compiled)
+        _, recovered = launch_session(compiled)
         recover_session(recovered, workdir)
 
-        gold_fabric, golden = fresh_session(compiled)
-        apply_script(gold_fabric, golden, script, upto=boundary + 1)
+        _, golden = launch_session(compiled)
+        for step in script[:boundary + 1]:
+            apply_step(golden, step)
 
         g = golden.engine.snapshot()
         r = recovered.engine.snapshot()
@@ -181,8 +87,8 @@ def test_recovery_is_bit_identical_at_every_boundary(name, tmp_path):
 def test_multi_slr_memory_survives_crash_during_write(tmp_path):
     """Crash on a transport batch *inside* the secondary-SLR memory
     write — the nastiest point — then prove recovery replays it."""
-    compiled = DESIGNS["cluster"]()
-    fabric, debugger = fresh_session(compiled)
+    compiled = compile_design(campaign_design("manycore"), CLOCKS_MHZ)
+    _, debugger = launch_session(compiled)
     enable_crash_safety(debugger, tmp_path)
     debugger.record_input("en", 1)
     debugger.run(20)
@@ -193,10 +99,10 @@ def test_multi_slr_memory_survives_crash_during_write(tmp_path):
     with install_chaos(_armed(kill)), pytest.raises(SessionCrashedError):
         debugger.write_memory("core1.rf", words)
 
-    _, recovered = fresh_session(compiled)
+    _, recovered = launch_session(compiled)
     recover_session(recovered, tmp_path)
 
-    gold_fabric, golden = fresh_session(compiled)
+    _, golden = launch_session(compiled)
     golden.record_input("en", 1)
     golden.run(20)
     golden.pause()
@@ -226,14 +132,15 @@ def test_recovery_survives_faulted_snapshot_put(kind, tmp_path):
     """Fault SnapshotStore.put during the script's first checkpoint:
     torn and ENOSPC puts abort the command, bit-rot lands silently —
     recovery must skip the damaged base and still converge."""
-    compiled = DESIGNS["pipeline"]()
+    compiled = compile_design(campaign_design("pipeline"), CLOCKS_MHZ)
     script = script_for("pipeline", compiled, SEED)
     snap_index = next(i for i, s in enumerate(script)
                       if s[0] == "snapshot")
 
-    fabric, debugger = fresh_session(compiled)
+    _, debugger = launch_session(compiled)
     enable_crash_safety(debugger, tmp_path)
-    apply_script(fabric, debugger, script, upto=snap_index)
+    for step in script[:snap_index]:
+        apply_step(debugger, step)
     registry = _armed(FaultSpec(site="snapstore.put", kind=kind, at=0),
                       seed=SEED)
     with install_chaos(registry):
@@ -246,15 +153,16 @@ def test_recovery_survives_faulted_snapshot_put(kind, tmp_path):
 
     # The process "dies" here. The journal already holds the snapshot
     # record (write-ahead), so replay re-executes it.
-    _, recovered = fresh_session(compiled)
+    _, recovered = launch_session(compiled)
     report = recover_session(recovered, tmp_path)
     if kind != "enospc":
         # A damaged checkpoint file exists on disk; recovery must have
         # refused to trust it rather than restoring garbage.
         assert report.base_index is None or report.skipped_bases >= 1
 
-    gold_fabric, golden = fresh_session(compiled)
-    apply_script(gold_fabric, golden, script, upto=snap_index + 1)
+    _, golden = launch_session(compiled)
+    for step in script[:snap_index + 1]:
+        apply_step(golden, step)
 
     g = golden.engine.snapshot()
     r = recovered.engine.snapshot()
@@ -268,11 +176,11 @@ def test_lockstep_faulted_run_matches_clean_twin(tmp_path):
     under recoverable faults, one clean — and compare design state
     after *every* command, not just at the end. Modeled-time adversity
     (retries, repairs, hangs) must never leak into design cycles."""
-    compiled = DESIGNS["pipeline"]()
+    compiled = compile_design(campaign_design("pipeline"), CLOCKS_MHZ)
     script = script_for("pipeline", compiled, SEED)
 
-    clean_fabric, clean = fresh_session(compiled)
-    faulted_fabric, faulted = fresh_session(compiled)
+    _, clean = launch_session(compiled)
+    _, faulted = launch_session(compiled)
     enable_crash_safety(faulted, tmp_path)
 
     sup = get_supervisor()
@@ -290,15 +198,14 @@ def test_lockstep_faulted_run_matches_clean_twin(tmp_path):
         seed=SEED)
     try:
         with install_chaos(registry):
-            for index in range(len(script)):
-                apply_script(clean_fabric, clean, script[index:index + 1])
-                apply_script(faulted_fabric, faulted,
-                             script[index:index + 1])
+            for index, step in enumerate(script):
+                apply_step(clean, step)
+                apply_step(faulted, step)
                 g = clean.engine.snapshot()
                 f = faulted.engine.snapshot()
                 assert g.content_key() == f.content_key(), (
                     f"diverged after step {index} "
-                    f"({script[index][0]}): {diff_snapshots(g, f)}")
+                    f"({step[0]}): {diff_snapshots(g, f)}")
         assert registry.faults_fired > 0, \
             "schedule never fired; test is vacuous"
     finally:

@@ -24,11 +24,8 @@ import random
 
 import pytest
 
-from repro.campaign.designs import (
-    campaign_design,
-    compile_mutant,
-    golden_netlist,
-)
+from repro.campaign.designs import campaign_design, compile_design
+from repro.campaign.harness import CLOCKS_MHZ
 from repro.config import FabricDevice
 from repro.debug import ZoomieDebugger, instrument_netlist
 from repro.designs import make_ariane_core, make_cluster, make_cohort_soc
@@ -251,7 +248,7 @@ def test_two_domain_2_to_1(two_domain):
 
 def test_debug_clock_10_to_1_steps_exactly():
     design = campaign_design("cohort")
-    compiled = compile_mutant(design, golden_netlist(design))
+    compiled = compile_design(design, CLOCKS_MHZ)
     clocks = compiled[2].database.clocks
     assert clocks["zoomie_clk"] * 10 == clocks["clk"]
     twins = Twins(compiled, {"en": 1})

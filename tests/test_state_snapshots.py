@@ -6,20 +6,15 @@ import json
 import pytest
 
 from repro import Zoomie, ZoomieProject
-from repro.config import FabricDevice
-from repro.debug import (
-    StateSnapshot,
-    ZoomieDebugger,
-    diff_snapshots,
-    instrument_netlist,
-    parse_capture_frames,
+from repro.campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
 )
-from repro.designs import make_cluster, make_cohort_soc
+from repro.chaos.campaign import CLOCKS_MHZ
+from repro.debug import StateSnapshot, diff_snapshots, parse_capture_frames
+from repro.designs import make_cohort_soc
 from repro.errors import DebugError, SnapshotFormatError
-from repro.fpga import make_test_device
-from repro.rtl import elaborate
-from repro.vendor import VivadoFlow
-from repro.vendor.place import whole_slr
 
 
 class TestSnapshotObject:
@@ -195,20 +190,10 @@ class TestMultiSlrRestore:
     file and silently diverged on the first post-restore cycle."""
 
     def launch(self):
-        device = make_test_device()
-        netlist = elaborate(make_cluster(cores=2, imem_depth=64))
-        inst = instrument_netlist(netlist, watch=["retired_count"])
-        flow = VivadoFlow(device)
-        result = flow.compile_netlist(
-            netlist, {d: 100.0 for d in netlist.clock_domains()},
-            gate_signals=inst.gate_signals,
-            constraints={"core1": whole_slr(device, 1)})
-        fabric = FabricDevice(device)
-        fabric.expect(result.database)
-        fabric.jtag.run(result.bitstream)
-        debugger = ZoomieDebugger(fabric, inst)
+        compiled = compile_design(campaign_design("manycore"), CLOCKS_MHZ)
+        fabric, debugger = launch_session(compiled)
         debugger.record_input("en", 1)
-        return result, fabric, debugger
+        return compiled[2], fabric, debugger
 
     def test_restore_round_trips_across_slrs(self):
         result, fabric, debugger = self.launch()

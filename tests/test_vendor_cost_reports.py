@@ -104,10 +104,6 @@ class TestResourceVector:
                                   "BRAM": 10})
         assert ratio == 0.5
 
-    def test_round_trip_dict(self):
-        vector = ResourceVector(lut=1, ff=2, lutram=3, bram=4)
-        assert ResourceVector.from_dict(vector.as_dict()) == vector
-
 
 class TestFlowPlumbing:
     def test_run_index_increments(self):
