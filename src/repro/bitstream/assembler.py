@@ -9,10 +9,12 @@ and :mod:`repro.vti` composes these pieces.
 
 from __future__ import annotations
 
+from array import array
+
 from ..errors import BitstreamError
 from ..fpga.device import Device
 from ..fpga.frames import FRAME_WORDS, FrameAddress
-from .crc import CrcAccumulator
+from .crc import crc32_writes
 from .packets import NOP, READ, WRITE, Packet, encode_packet
 from .words import CMD_VALUES, DUMMY, REGISTERS, SYNC
 
@@ -27,7 +29,8 @@ class BitstreamAssembler:
     def __init__(self, device: Device):
         self.device = device
         self.words: list[int] = []
-        self._crc = CrcAccumulator()
+        #: (register, payload) per WRITE packet, for :meth:`write_crc`.
+        self._writes: list[tuple[int, array]] = []
 
     # -- raw emission --------------------------------------------------------
 
@@ -43,8 +46,7 @@ class BitstreamAssembler:
 
     def packet(self, packet: Packet) -> "BitstreamAssembler":
         if packet.opcode == WRITE:
-            for word in packet.words:
-                self._crc.update(packet.register, word)
+            self._writes.append((packet.register, array("I", packet.words)))
         return self.emit(*encode_packet(packet))
 
     def nop(self, count: int = 1) -> "BitstreamAssembler":
@@ -72,7 +74,7 @@ class BitstreamAssembler:
             "IDCODE", [self.device.idcode if idcode is None else idcode])
 
     def write_crc(self) -> "BitstreamAssembler":
-        return self.write_register("CRC", [self._crc.value])
+        return self.write_register("CRC", [crc32_writes(self._writes)])
 
     # -- SLR ring hops -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..bitstream.crc import crc32_stream
-from ..bitstream.packets import Packet, READ, WRITE, decode_stream
+from ..bitstream.packets import READ, WRITE, decode_stream
 from ..bitstream.words import REGISTERS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,8 +46,6 @@ class JtagResult:
 
     read_words: list[int] = field(default_factory=list)
     seconds: float = 0.0
-    #: (target_slr, packet) execution trace.
-    log: list[tuple[int, Packet]] = field(default_factory=list)
     #: Device-side CRC-32 over ``read_words`` as they were sent back
     #: (the golden channel). The verified transport compares the host's
     #: CRC over the *received* words against this per batch.
@@ -91,7 +89,6 @@ class JtagRing:
                 result.seconds += (
                     len(data) * 4 / JTAG_BYTES_PER_SECOND
                     + hops * HOP_SECONDS)
-            result.log.append((target, packet))
         result.read_crc = crc32_stream(result.read_words)
         self.batches += 1
         self.total_seconds += result.seconds

@@ -27,7 +27,6 @@ _FDRO = REGISTERS["FDRO"]
 _CMD = REGISTERS["CMD"]
 _MASK = REGISTERS["MASK"]
 _IDCODE = REGISTERS["IDCODE"]
-_CRC = REGISTERS["CRC"]
 _CLK_GATE = REGISTERS["CLK_GATE"]
 _BOUT = REGISTERS["BOUT"]
 
@@ -109,13 +108,9 @@ class Microcontroller:
             raise ConfigError(
                 "BOUT writes are ring routing; they must not reach a "
                 "microcontroller")
-        elif register == _CRC:
-            # Stored only; sections assembled by different tools interleave
-            # per-SLR traffic, so strict global CRC checking is not
-            # meaningful in the ring model.
-            if words:
-                self.stored[register] = words[0]
         else:
+            # CRC included: stored, never checked (sections assembled by
+            # different tools interleave per-SLR traffic).
             if words:
                 self.stored[register] = words[-1]
 

@@ -6,9 +6,9 @@ This layer sits between assembled bitstream programs and
 :meth:`JtagRing.run` and makes every control operation a *verified
 transaction*:
 
-- every batch is framed: the host CRCs the outgoing command stream and
-  the device-side controller CRCs the read words it actually sends (the
-  golden channel, :attr:`JtagResult.read_crc`);
+- the device-side controller CRCs the read words it sends (the golden
+  channel, :attr:`JtagResult.read_crc`); the host checks the count and
+  CRC of what arrived, the only CRC anything verifies;
 - every batch attempt visits the ``transport.batch`` fault point, where
   an installed :class:`~repro.chaos.schedule.FaultSchedule` perturbs
   the channel — bit flips in read words, truncated FDRO bursts, dropped
@@ -18,9 +18,10 @@ transaction*:
   :class:`CorruptReadbackError`) and a bounded :class:`RetryPolicy`
   re-issues the batch with exponential backoff.
 
-Command-path faults (dropped hops, stuck controllers) are detected by
-framing *before* anything executes — a batch whose hop group lost a
-pulse would otherwise capture, read, or worse *write* the wrong SLR.
+Command-path faults (dropped hops, stuck controllers) are rejected
+*before* anything executes (no CRC covers outgoing words) — a batch
+whose hop group lost a pulse would otherwise capture, read, or worse
+*write* the wrong SLR.
 Read-path faults are detected after execution; re-issuing is safe
 because every debug batch is idempotent against a paused design
 (GCAPTURE recaptures the same values, FDRI rewrites the same frames).
@@ -31,7 +32,7 @@ clock, never the host's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..bitstream.crc import crc32_stream
@@ -122,16 +123,7 @@ class TransportStats:
     seconds_in_retry: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "batches": self.batches,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "corrupt_detected": self.corrupt_detected,
-            "command_faults_detected": self.command_faults_detected,
-            "stuck_detected": self.stuck_detected,
-            "exhausted": self.exhausted,
-            "seconds_in_retry": self.seconds_in_retry,
-        }
+        return asdict(self)
 
 
 class VerifiedTransport:
@@ -152,8 +144,8 @@ class VerifiedTransport:
         # Process-wide mirror of the per-ring counters: every ring sums
         # into the same registry names, so `zoomie stats` and the
         # metrics JSON see global totals while self.stats stays
-        # per-ring. Instruments are cached here; run() publishes
-        # per-batch deltas.
+        # per-ring. Instruments are cached here; _count() bumps both
+        # at each increment site.
         registry = get_registry()
         self._counters = {
             key: registry.counter(f"transport.{key}")
@@ -213,15 +205,22 @@ class VerifiedTransport:
         return self.deadline_remaining is not None \
             and self.deadline_remaining <= 0
 
+    def _count(self, key: str, amount: float = 1) -> None:
+        """Bump one per-ring counter and its registry mirror."""
+        setattr(self.stats, key, getattr(self.stats, key) + amount)
+        self._counters[key].inc(amount)
+
     def run(self, words: list[int]) -> "JtagResult":
         """Execute one program as a verified transaction.
 
-        Every batch publishes its counter deltas into the metrics
-        registry; with tracing enabled it additionally becomes a
-        ``jtag.batch`` span carrying attempt/retry/CRC attributes plus
-        both clocks (wall time measured, channel seconds modeled).
+        A batch that retried or failed leaves a flight note; with
+        tracing enabled every batch becomes a ``jtag.batch`` span
+        carrying attempt/retry/CRC attributes plus both clocks (wall
+        time measured, channel seconds modeled).
         """
-        before = self.stats.as_dict()
+        stats = self.stats
+        before = (stats.attempts, stats.retries, stats.corrupt_detected,
+                  stats.command_faults_detected, stats.seconds_in_retry)
         if not _TRACER.enabled:
             try:
                 result = self._run_verified(words)
@@ -240,35 +239,30 @@ class VerifiedTransport:
             self._publish(before, span, result)
             return result
 
-    def _publish(self, before: dict, span, result) -> None:
-        """Metrics + span attributes for one completed batch."""
-        after = self.stats.as_dict()
-        counters = self._counters
-        for key, value in after.items():
-            delta = value - before[key]
-            if delta:
-                counters[key].inc(delta)
+    def _publish(self, before: tuple, span, result) -> None:
+        """Histogram, flight note, log line and span attributes for
+        one completed batch, from the stats ``before`` it."""
+        stats = self.stats
+        attempts0, retries0, corrupt0, command0, retry_seconds0 = before
+        retries = stats.retries - retries0
         if result is not None:
             self._batch_seconds.observe(result.seconds)
-        retries = int(after["retries"] - before["retries"])
-        if _FLIGHT.enabled:
-            # One small record per batch; part of the always-on <5%
-            # flight-recorder overhead gate.
+        if (retries or result is None) and _FLIGHT.enabled:
+            # Only a retried or failed batch is noted: a clean one says
+            # no more than the dump's transport.batches delta, and
+            # would evict older commands from the ring.
             _FLIGHT.note("transport", "batch", retries=retries,
                          verified=result is not None)
         if retries and _LOG.enabled:
             _LOG.warn("transport.retries", retries=retries,
-                      corrupt=int(after["corrupt_detected"]
-                                  - before["corrupt_detected"]),
+                      corrupt=stats.corrupt_detected - corrupt0,
                       verified=result is not None)
         if span is not None:
             span.set(
-                attempts=int(after["attempts"] - before["attempts"]),
+                attempts=stats.attempts - attempts0,
                 retries=retries,
-                crc_faults=int(after["corrupt_detected"]
-                               - before["corrupt_detected"]),
-                command_faults=int(after["command_faults_detected"]
-                                   - before["command_faults_detected"]),
+                crc_faults=stats.corrupt_detected - corrupt0,
+                command_faults=stats.command_faults_detected - command0,
                 verified=result is not None)
             # Modeled channel seconds: a successful result already
             # carries its failed attempts' time; a failed batch only
@@ -277,8 +271,7 @@ class VerifiedTransport:
                 span.set(read_words=len(result.read_words))
                 span.add_modeled(result.seconds)
             else:
-                span.add_modeled(after["seconds_in_retry"]
-                                 - before["seconds_in_retry"])
+                span.add_modeled(stats.seconds_in_retry - retry_seconds0)
 
     def _run_verified(self, words: list[int]) -> "JtagResult":
         self.check_alive()
@@ -287,7 +280,7 @@ class VerifiedTransport:
             # channel, charging nothing, counting nothing: the whole
             # point of the breaker.
             self.breaker.allow()
-        self.stats.batches += 1
+        self._count("batches")
         if self._deadline_expired():
             raise TransportError(
                 "operation deadline already exhausted before this "
@@ -306,13 +299,13 @@ class VerifiedTransport:
         wasted = 0.0
         last_error: Optional[TransportError] = None
         for attempt in range(1, self.policy.max_attempts + 1):
-            self.stats.attempts += 1
+            self._count("attempts")
             try:
                 result = self._attempt(words)
             except TransportError as error:
                 last_error = error
                 wasted += error.seconds
-                self.stats.seconds_in_retry += error.seconds
+                self._count("seconds_in_retry", error.seconds)
                 self._charge_deadline(error.seconds)
                 if not error.retryable:
                     # A permanent per-attempt fault: retrying the same
@@ -321,10 +314,10 @@ class VerifiedTransport:
                 if self._deadline_expired():
                     break
                 if attempt < self.policy.max_attempts:
-                    self.stats.retries += 1
+                    self._count("retries")
                     pause = self.policy.backoff_for(attempt)
                     self.ring.total_seconds += pause
-                    self.stats.seconds_in_retry += pause
+                    self._count("seconds_in_retry", pause)
                     wasted += pause
                     self._charge_deadline(pause)
                     if self._deadline_expired():
@@ -344,7 +337,7 @@ class VerifiedTransport:
                 f"{last_error}", kind="deadline",
                 attempts=self.policy.max_attempts,
                 seconds=wasted) from last_error
-        self.stats.exhausted += 1
+        self._count("exhausted")
         raise type(last_error)(
             f"transaction failed after {self.policy.max_attempts} "
             f"attempts: {last_error}", kind=last_error.kind,
@@ -365,7 +358,7 @@ class VerifiedTransport:
             self._verify(received, len(result.read_words), result.read_crc)
         except CorruptReadbackError as error:
             error.seconds = result.seconds
-            self.stats.corrupt_detected += 1
+            self._count("corrupt_detected")
             raise
         return result
 
@@ -378,10 +371,10 @@ class VerifiedTransport:
         error is terminal for the session (recovery on the rebooted or
         a fresh fabric is the only way forward). ``device_hang`` is a
         transient non-response of the whole card. ``drop_hop`` and
-        ``stuck`` are command-path faults the primary controller
-        rejects before executing: a stream one BOUT pulse short fails
-        its framing check (word count + CRC), and a stuck secondary
-        never acks. The response kinds act after execution (see
+        ``stuck`` are command-path faults rejected before executing:
+        ``drop_hop`` whenever the batch holds a BOUT pulse to lose, and
+        ``stuck`` whenever it addresses a secondary, which never acks.
+        The response kinds act after execution (see
         :func:`_damage_response`).
         """
         kind = fault.kind
@@ -397,14 +390,14 @@ class VerifiedTransport:
         if kind == "device_hang":
             seconds = _shift_seconds(len(words))
             self.ring.total_seconds += seconds
-            self.stats.stuck_detected += 1
+            self._count("stuck_detected")
             raise TransportError(
                 "device hung: no TDO activity for the whole batch "
                 "window (injected)", kind="hang", seconds=seconds)
         if kind == "drop_hop" and HOP_PULSE_WORD in words:
             seconds = _shift_seconds(len(words) - 1)
             self.ring.total_seconds += seconds
-            self.stats.command_faults_detected += 1
+            self._count("command_faults_detected")
             raise TransportError(
                 "command stream framing mismatch (BOUT hop pulse "
                 "dropped in transit); batch rejected before execution",
@@ -414,7 +407,7 @@ class VerifiedTransport:
             if secondaries:
                 seconds = _shift_seconds(len(words))
                 self.ring.total_seconds += seconds
-                self.stats.stuck_detected += 1
+                self._count("stuck_detected")
                 raise TransportError(
                     f"SLR{fault.rng.choice(secondaries)} configuration "
                     f"controller not responding", kind="stuck",

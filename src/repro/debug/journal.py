@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -69,11 +70,10 @@ class JournalRecord:
 
 def payload_crc(payload: str) -> int:
     data = payload.encode("utf-8")
-    # Reuse the bitstream CRC32 over the payload bytes packed as words;
-    # the trailing partial word is padded with zeros.
-    words = [int.from_bytes(data[i:i + 4].ljust(4, b"\0"), "little")
-             for i in range(0, len(data), 4)]
-    return crc32_stream(words)
+    # Reuse the bitstream CRC32 over the payload bytes packed as
+    # little-endian words; the trailing partial word is padded with zeros.
+    data += b"\0" * (-len(data) % 4)
+    return crc32_stream(struct.unpack(f"<{len(data) // 4}I", data))
 
 
 def frame_record(record: JournalRecord) -> str:

@@ -4,11 +4,11 @@ Tracing (:mod:`.trace`) is opt-in and costs real memory; metrics
 (:mod:`.metrics`) are always on but carry no ordering. The flight
 recorder fills the gap between them the way an aircraft FDR does: a
 bounded ring of the most recent *notes* — debug commands, transport
-batches, simulator runs, VTI compiles, chaos injections, supervisor
-events — cheap enough to leave on unconditionally (one attribute check,
-one small dict, one deque append per note; the <5% gate in
-``benchmarks/bench_obs_overhead.py`` holds it to that), even with the
-full tracer off.
+batches that retried or failed, simulator runs, VTI compiles, chaos
+injections, supervisor events — cheap enough to leave on
+unconditionally (one attribute check, one small dict, one deque append
+per note; the <5% gate in ``benchmarks/bench_obs_overhead.py`` holds
+it to that), even with the full tracer off.
 
 When something goes wrong the ring is **dumped automatically**. Four
 trigger classes are wired through the stack:
@@ -30,11 +30,11 @@ a metrics snapshot, and counter deltas since the recorder's last
 rebase. ``zoomie obs bundle`` (:mod:`.bundle`) archives the latest
 dump alongside the health report and BENCH trajectory.
 
-Two rings, not one: high-frequency notes (a transport batch per
-command, a simulator run per step) would evict a once-per-campaign
-chaos injection long before anyone reads the dump, so notes whose
-``kind`` is in :data:`FlightRecorder.STICKY_KINDS` are *also* kept in
-a separate, slower-moving ring.
+Two rings, not one: high-frequency notes (a command per verb, a
+simulator run per step, a transport batch per retry) would evict a
+once-per-campaign chaos injection long before anyone reads the dump,
+so notes whose ``kind`` is in :data:`FlightRecorder.STICKY_KINDS` are
+*also* kept in a separate, slower-moving ring.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ class FlightRecorder:
     def note(self, kind: str, name: str, **fields) -> Optional[dict]:
         """Record one event; ``fields`` must be JSON-safe scalars.
 
-        This is called per debug command, per transport batch, and per
-        simulator run — keep it one allocation and two appends. Field
-        names must not collide with ``seq``/``wall``/``kind``/``name``.
+        This is called per debug command, per retried or failed
+        transport batch, and per simulator run — keep it one
+        allocation and two appends. Field names must not collide with
+        ``seq``/``wall``/``kind``/``name``.
         """
         if not self.enabled:
             return None

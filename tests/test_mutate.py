@@ -12,13 +12,7 @@ from real bugs.
 
 import pytest
 
-from repro.designs import (
-    make_beehive_stack,
-    make_cluster,
-    make_cohort_soc,
-    make_counter,
-    make_serv_core,
-)
+from repro.campaign.designs import DESIGN_NAMES, campaign_design
 from repro.errors import MutationError
 from repro.rtl import (
     OPERATORS,
@@ -35,13 +29,8 @@ from repro.rtl import (
 )
 from repro.rtl import _codegen
 
-DESIGN_BUILDERS = {
-    "counters": lambda: make_counter(width=8),
-    "cohort": lambda: make_cohort_soc(with_bug=False),
-    "serv": make_serv_core,
-    "beehive": make_beehive_stack,
-    "manycore": lambda: make_cluster(cores=2, imem_depth=64),
-}
+DESIGN_BUILDERS = {name: campaign_design(name).build
+                   for name in DESIGN_NAMES}
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ from repro import Zoomie, ZoomieProject
 from repro.bitstream.assembler import BitstreamAssembler
 from repro.bitstream.crc import crc32_stream
 from repro.chaos import FaultSchedule, FaultSpec, install_chaos
-from repro.config import RetryPolicy
+from repro.chaos.supervise import CircuitBreaker
+from repro.config import RetryPolicy, TransportStats
 from repro.config.microcontroller import COMMAND_LOG_DEPTH
 from repro.config.transport import (
     BACKOFF_MULTIPLIER,
@@ -23,7 +24,11 @@ from repro.config.transport import (
     MAX_BACKOFF_SECONDS,
 )
 from repro.designs import make_cluster
-from repro.errors import CorruptReadbackError, TransportError
+from repro.errors import (
+    CircuitOpenError,
+    CorruptReadbackError,
+    TransportError,
+)
 from repro.obs import get_flight_recorder, get_registry
 
 #: Fire bound for faults meant to last the whole test.
@@ -334,3 +339,90 @@ class TestRetryIdempotentOperations:
         state = dbg.read_state()
         assert fabric.transport.stats.retries == retries_before
         assert state["core0.acc"] == fabric.sim.peek("core0.acc")
+
+
+#: Every per-ring counter, each mirrored as ``transport.<key>``.
+STAT_KEYS = tuple(TransportStats().as_dict())
+
+
+def mirror_values():
+    registry = get_registry()
+    return {key: registry.counter(f"transport.{key}").value
+            for key in STAT_KEYS}
+
+
+def transport_notes(flight):
+    return [record for record in flight.records
+            if record["kind"] == "transport"]
+
+
+class TestRegistryMirror:
+    """Each ``TransportStats`` field and its ``transport.<key>``
+    registry counter move together, batch for batch."""
+
+    def test_mirror_deltas_equal_stats_deltas_under_faults(self, session):
+        fabric, engine = session.fabric, session.debugger.engine
+        transport = fabric.transport
+        transport.policy = RetryPolicy(max_attempts=8)
+        secondary = (fabric.device.primary_slr + 1) \
+            % fabric.device.slr_count
+        frames = engine.all_frames_of_slr(secondary)[:4]
+        stats_before, mirror_before = transport.stats.as_dict(), \
+            mirror_values()
+        kinds = ("read_flip", "truncate", "drop_hop", "stuck",
+                 "device_hang")
+        with arm(*(channel_fault(kind, rate=0.15, count=4)
+                   for kind in kinds), seed=4) as registry:
+            for _ in range(12):
+                engine.read_slr(secondary, frames)
+        assert {i.kind for i in registry.injections} == set(kinds)
+        transport.policy = RetryPolicy(max_attempts=2)
+        with arm(channel_fault("device_hang")), \
+                pytest.raises(TransportError):
+            engine.read_slr(secondary, frames)
+        stats_after, mirror_after = transport.stats.as_dict(), \
+            mirror_values()
+        for key in STAT_KEYS:
+            stat_delta = stats_after[key] - stats_before[key]
+            assert stat_delta, f"{key} never moved"
+            assert mirror_after[key] - mirror_before[key] \
+                == pytest.approx(stat_delta, rel=1e-12, abs=0), key
+
+    def test_breaker_refusal_counts_nothing(self, session):
+        fabric, dbg = session.fabric, session.debugger
+        transport = fabric.transport
+        transport.policy = RetryPolicy(max_attempts=2)
+        transport.breaker = CircuitBreaker(
+            lambda: fabric.jtag.total_seconds, threshold=1,
+            cooldown_seconds=1e9, name="test-fabric")
+        with arm(channel_fault("device_hang")):
+            with pytest.raises(TransportError):
+                dbg.read_state()
+            stats_before, mirror_before = transport.stats.as_dict(), \
+                mirror_values()
+            with pytest.raises(CircuitOpenError):
+                dbg.read_state()
+        assert transport.stats.as_dict() == stats_before
+        assert mirror_values() == mirror_before
+        transport.breaker.reset()  # the open-breakers gauge is global
+
+    def test_only_retried_or_failed_batches_leave_a_note(self, session):
+        fabric = session.fabric
+        primary = fabric.device.primary_slr
+        frames = session.debugger.engine.all_frames_of_slr(primary)[:4]
+        words = capture_read_program(fabric, primary, frames)
+        flight = get_flight_recorder()
+        flight.clear()
+        fabric.transact(list(words))
+        assert transport_notes(flight) == []
+        with arm(channel_fault("read_flip", count=2)):
+            fabric.transact(list(words))
+        [note] = transport_notes(flight)
+        assert (note["retries"], note["verified"]) == (2, True)
+        fabric.transport.policy = RetryPolicy(max_attempts=1)
+        with arm(channel_fault("read_flip")), \
+                pytest.raises(CorruptReadbackError):
+            fabric.transact(list(words))
+        assert [(n["retries"], n["verified"])
+                for n in transport_notes(flight)] \
+            == [(2, True), (0, False)]
