@@ -12,7 +12,7 @@ Public entry points:
 - :mod:`repro.vti` — partition-based incremental compilation;
 - :mod:`repro.debug` — the Debug Controller, readback, and debugger;
 - :mod:`repro.obs` — span tracing (wall + modeled clocks), the metrics
-  registry, and structured logging over all of the above;
+  registry, and the flight recorder over all of the above;
 - :mod:`repro.designs` — the paper's evaluation designs.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

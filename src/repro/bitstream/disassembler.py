@@ -2,9 +2,10 @@
 
 :func:`analyze_bitstream` decodes a word stream into per-SLR sections,
 reporting exactly the artifacts the paper studies: how many empty ``BOUT``
-writes precede each section, which IDCODE values are written where, how
-much frame data each section carries, and the command sequence. The
-hypothesis-validation tests replay the paper's experiments on top of this.
+writes precede each section, which IDCODE values are written where, and
+the command sequence. The hypothesis-validation tests replay the paper's
+experiments on top of this, and the verified transport reads a
+program's target SLRs from the same sections.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .words import CMD_NAMES, REGISTERS, register_name
 
 _BOUT = REGISTERS["BOUT"]
 _IDCODE = REGISTERS["IDCODE"]
-_FDRI = REGISTERS["FDRI"]
 _CMD = REGISTERS["CMD"]
 
 
@@ -33,11 +33,6 @@ class Section:
     def idcode_writes(self) -> list[int]:
         return [p.words[0] for p in self.packets
                 if p.opcode == WRITE and p.register == _IDCODE and p.words]
-
-    @property
-    def frame_data_words(self) -> int:
-        return sum(len(p.words) for p in self.packets
-                   if p.opcode == WRITE and p.register == _FDRI)
 
     @property
     def commands(self) -> list[str]:
@@ -71,12 +66,6 @@ class BitstreamAnalysis:
         for section in self.sections:
             out.extend(section.idcode_writes)
         return out
-
-    def section_for_hops(self, hops: int) -> Section | None:
-        for section in self.sections:
-            if section.hop_count == hops:
-                return section
-        return None
 
 
 def analyze_bitstream(words: list[int]) -> BitstreamAnalysis:

@@ -42,10 +42,9 @@ from ..errors import (
     DiskFaultError,
     is_retryable,
 )
-from ..obs import get_flight_recorder, get_logger, get_registry
+from ..obs import get_flight_recorder, get_registry
 from .schedule import fault_point
 
-_LOG = get_logger()
 _FLIGHT = get_flight_recorder()
 
 #: Modeled disk timing: a sync costs a fixed seek/flush overhead plus
@@ -136,8 +135,7 @@ class CircuitBreaker:
         self.opens = 0
         registry = get_registry()
         self._m_opens = registry.counter("supervise.breaker_opens")
-        #: How many breakers are currently OPEN, process-wide (the
-        #: health engine's circuit-breaker-state signal).
+        #: How many breakers are currently OPEN, process-wide.
         self._g_open = registry.gauge("supervise.breakers_open")
 
     def allow(self) -> None:
@@ -167,9 +165,6 @@ class CircuitBreaker:
                 self.opens += 1
                 self._m_opens.inc()
                 self._g_open.inc()
-                if _LOG.enabled:
-                    _LOG.warn("supervise.breaker_open", name=self.name,
-                              failures=self.failures)
                 # An OPEN transition is a flight trigger: the channel
                 # is about to go dark, so capture the lead-up now.
                 _FLIGHT.trigger("breaker.open", breaker=self.name,
@@ -226,9 +221,6 @@ class Supervisor:
         with self._lock:
             self.deadline_hits.append((site, spent, deadline))
         self._m_deadline_hits.inc()
-        if _LOG.enabled:
-            _LOG.warn("supervise.deadline_hit", site=site,
-                      spent=round(spent, 6), deadline=deadline)
         _FLIGHT.trigger("debug.timeout", site=site,
                         spent=round(spent, 6), deadline=deadline)
         return DebugTimeoutError(
@@ -251,10 +243,7 @@ class Supervisor:
         self._m_degradations.inc()
         get_registry().counter(f"supervise.degradations.{fallback}").inc()
         _FLIGHT.note("supervise", "degradation", fallback=fallback,
-                     site=site)
-        if _LOG.enabled:
-            _LOG.warn("supervise.degradation", fallback=fallback,
-                      site=site, detail=detail)
+                     site=site, detail=detail)
 
     def make_breaker(self, clock: Callable[[], float],
                      name: str = "fabric") -> CircuitBreaker:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..fpga.device import Device
 from ..fpga.frames import FRAME_WORDS, FrameAddress
@@ -53,12 +52,6 @@ class DesignDatabase:
                 for index, domain in enumerate(
                     sorted(self.netlist.clock_domains()))
             }
-
-    def domain_of_bit(self, bit: int) -> Optional[str]:
-        for domain, index in self.domain_bits.items():
-            if index == bit:
-                return domain
-        return None
 
     def image_checksum(self, slr: int) -> str:
         """Digest of one SLR's expected frame image."""

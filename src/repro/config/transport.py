@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..bitstream.crc import crc32_stream
-from ..bitstream.packets import Packet, WRITE, decode_stream, encode_packet
+from ..bitstream.disassembler import analyze_bitstream
+from ..bitstream.packets import Packet, WRITE, encode_packet
 from ..bitstream.words import REGISTERS
 from ..chaos.schedule import Fault, fault_point
 from ..errors import (
@@ -45,15 +46,13 @@ from ..errors import (
     SessionCrashedError,
     TransportError,
 )
-from ..obs import get_flight_recorder, get_logger, get_registry, \
-    get_tracer
+from ..obs import get_flight_recorder, get_registry, get_tracer
 from .jtag import BATCH_OVERHEAD_SECONDS, JTAG_BYTES_PER_SECOND
 
 #: Bound at import: the obs singletons are mutated in place, never
 #: replaced, so module-level references stay valid.
 _TRACER = get_tracer()
 _FLIGHT = get_flight_recorder()
-_LOG = get_logger()
 
 if TYPE_CHECKING:  # pragma: no cover
     from .jtag import JtagResult, JtagRing
@@ -240,8 +239,8 @@ class VerifiedTransport:
             return result
 
     def _publish(self, before: tuple, span, result) -> None:
-        """Histogram, flight note, log line and span attributes for
-        one completed batch, from the stats ``before`` it."""
+        """Histogram, flight note and span attributes for one
+        completed batch, from the stats ``before`` it."""
         stats = self.stats
         attempts0, retries0, corrupt0, command0, retry_seconds0 = before
         retries = stats.retries - retries0
@@ -249,14 +248,11 @@ class VerifiedTransport:
             self._batch_seconds.observe(result.seconds)
         if (retries or result is None) and _FLIGHT.enabled:
             # Only a retried or failed batch is noted: a clean one says
-            # no more than the dump's transport.batches delta, and
+            # no more than the dump's transport.batches counter, and
             # would evict older commands from the ring.
             _FLIGHT.note("transport", "batch", retries=retries,
+                         corrupt=stats.corrupt_detected - corrupt0,
                          verified=result is not None)
-        if retries and _LOG.enabled:
-            _LOG.warn("transport.retries", retries=retries,
-                      corrupt=stats.corrupt_detected - corrupt0,
-                      verified=result is not None)
         if span is not None:
             span.set(
                 attempts=stats.attempts - attempts0,
@@ -426,20 +422,10 @@ class VerifiedTransport:
                 f"(host CRC != golden channel CRC)")
 
     def _secondary_targets(self, words: list[int]) -> list[int]:
-        """Secondary SLRs this program addresses (hop-group scan)."""
+        """Secondary SLRs this program addresses: one per BOUT-hop
+        section, routed as :meth:`JtagRing.run` routes it."""
         device = self.ring.fabric.device
         primary = device.primary_slr
-        count = device.slr_count
-        targets: set[int] = set()
-        pending = 0
-        target = primary
-        for packet in decode_stream(words):
-            if packet.opcode == WRITE and packet.register == _BOUT \
-                    and not packet.words:
-                pending += 1
-                continue
-            if pending:
-                target = (primary + pending) % count
-                pending = 0
-            targets.add(target)
-        return sorted(slr for slr in targets if slr != primary)
+        targets = {(primary + section.hop_count) % device.slr_count
+                   for section in analyze_bitstream(words).sections}
+        return sorted(targets - {primary})

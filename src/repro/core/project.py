@@ -59,7 +59,7 @@ class ZoomieProject:
 
     @property
     def observability(self):
-        """The process-wide tracer/metrics/logger bundle.
+        """The process-wide tracer/metrics/flight bundle.
 
         One handle per process, not per project: the instrumented
         layers publish into shared singletons, so every project (and

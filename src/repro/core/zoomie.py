@@ -57,7 +57,7 @@ class ZoomieSession:
 
     @property
     def observability(self) -> Observability:
-        """The process-wide tracer/metrics/logger bundle."""
+        """The process-wide tracer/metrics/flight bundle."""
         return get_observability()
 
 
@@ -71,7 +71,7 @@ class Zoomie:
 
     @property
     def observability(self) -> Observability:
-        """The process-wide tracer/metrics/logger bundle."""
+        """The process-wide tracer/metrics/flight bundle."""
         return get_observability()
 
     # ------------------------------------------------------------------

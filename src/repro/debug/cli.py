@@ -89,8 +89,6 @@ Commands:
       [FILE]                        in microseconds of either clock)
   obs bundle FILE                   write the post-mortem archive (flight
                                     dump, metrics, health, journal tail)
-  obs export [FILE]                 metrics registry in Prometheus text
-                                    exposition format
   obs flight [FILE]                 flight-recorder summary (or dump the
                                     full JSON document to FILE)
   help                              this text
@@ -537,8 +535,8 @@ class ZoomieCli:
     def _cmd_doctor(self, args: list[str]) -> str:
         if args not in ([], ["--json"]):
             raise ValueError("usage: doctor [--json]")
-        from ..obs.health import get_health_engine
-        report = get_health_engine().evaluate()
+        from ..obs.health import MetricsWindow, evaluate
+        report = evaluate(MetricsWindow())
         if args:
             return json.dumps(report.as_dict(), indent=1)
         return report.describe()
@@ -567,8 +565,7 @@ class ZoomieCli:
         raise ValueError(usage)
 
     def _cmd_obs(self, args: list[str]) -> str:
-        usage = ("usage: obs bundle FILE | obs export [FILE] | "
-                 "obs flight [FILE]")
+        usage = "usage: obs bundle FILE | obs flight [FILE]"
         obs = get_observability()
         if not args:
             raise ValueError(usage)
@@ -582,20 +579,13 @@ class ZoomieCli:
                 rest[0],
                 journal_path=None if journal is None else journal.path)
             return f"wrote bundle v{BUNDLE_VERSION} to {path}"
-        if verb == "export":
-            if len(rest) > 1:
-                raise ValueError(usage)
-            text = obs.prometheus(path=rest[0] if rest else None)
-            if rest:
-                return f"wrote Prometheus exposition to {rest[0]}"
-            return text if text else "(no metrics recorded)"
         if verb == "flight":
             if len(rest) > 1:
                 raise ValueError(usage)
             if rest:
                 with open(rest[0], "w") as stream:
-                    json.dump(obs.flight_dump(), stream, indent=1,
-                              default=repr)
+                    json.dump(obs.flight.latest_dump(obs.metrics),
+                              stream, indent=1, default=repr)
                     stream.write("\n")
                 return f"wrote flight dump to {rest[0]}"
             return obs.flight.describe()

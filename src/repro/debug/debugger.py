@@ -34,18 +34,14 @@ from ..errors import (
     TransportError,
 )
 from ..fpga.frames import FRAME_WORDS
-from ..obs import get_flight_recorder, get_logger, get_registry, \
-    get_tracer
-from ..obs.health import get_health_engine
+from ..obs import get_flight_recorder, get_registry, get_tracer
 from .controller import InstrumentedDesign
 from .readback_engine import ReadbackEngine
 from .state import StateSnapshot, validate_label
 
 #: Bound at import; the singletons are mutated in place, never replaced.
 _TRACER = get_tracer()
-_LOG = get_logger()
 _FLIGHT = get_flight_recorder()
-_HEALTH = get_health_engine()
 
 #: Extra fabric events :meth:`ZoomieDebugger.step` adds to its run
 #: bound (``cycles * ratio + RUN_SLACK``) beyond the events the step
@@ -117,9 +113,6 @@ class ZoomieDebugger:
                     span.set(
                         cycle=self.cycles(),
                         session_seconds=round(self.session_seconds, 6))
-                    if _LOG.enabled:
-                        _LOG.info(f"debug.{verb}", cycle=self.cycles(),
-                                  **attrs)
         except (DebugTimeoutError, CircuitOpenError):
             raise
         except Exception as error:
@@ -127,9 +120,6 @@ class ZoomieDebugger:
                             error=type(error).__name__,
                             detail=str(error)[:200])
             raise
-        # Cadence tick for the health engine, on the session's modeled
-        # clock (one attribute check when no cadence is configured).
-        _HEALTH.maybe_evaluate(self.session_seconds)
 
     # ------------------------------------------------------------------
     # crash safety: write-ahead journaling of mutating commands

@@ -284,7 +284,7 @@ class CommandJournal:
             self._pending.clear()
         self._m_syncs.inc()
         self._m_synced.inc(flushed)
-        # Modeled sync latency feeds the health engine's p99 rule.
+        # Modeled sync latency feeds the journal sync p99 health rule.
         self._m_sync_seconds.observe(spent)
 
     def _sync_attempt(self, fault) -> None:

@@ -42,12 +42,12 @@ from ..errors import (
     RecoveryError,
     SnapshotIntegrityError,
 )
-from ..obs import get_logger, get_registry, get_tracer
+from ..obs import get_flight_recorder, get_registry, get_tracer
 from .debugger import ZoomieDebugger
 
 #: Bound at import; the singletons are mutated in place, never replaced.
 _TRACER = get_tracer()
-_LOG = get_logger()
+_FLIGHT = get_flight_recorder()
 from .journal import CommandJournal, JournalRecord, read_journal
 from .snapshot_store import SnapshotStore
 from .state import diff_snapshots
@@ -235,10 +235,9 @@ def recover_session(debugger: ZoomieDebugger, directory,
         report.commands_replayed + report.pokes_replayed)
     registry.histogram("recovery.modeled_seconds").observe(
         report.modeled_seconds)
-    if _LOG.enabled:
-        _LOG.info("recovery.complete", base_index=report.base_index,
-                  commands_replayed=report.commands_replayed,
-                  modeled_seconds=report.modeled_seconds)
+    _FLIGHT.note("journal", "recovered", base_index=report.base_index,
+                 commands_replayed=report.commands_replayed,
+                 modeled_seconds=report.modeled_seconds)
 
     if reattach:
         journal = CommandJournal(journal_path)

@@ -2,7 +2,8 @@
 
 The paper's pitch is making FPGA debugging observable like software
 debugging; this package applies the same standard to the debugger
-itself:
+itself. Each instrumented site emits one event record (a flight note
+or trigger); spans time it and metrics count it:
 
 - :mod:`trace` — span tracing with *two clocks per span* (host wall
   time and modeled hardware seconds), ring-buffer retention, and
@@ -12,16 +13,14 @@ itself:
   log-bucket histograms (with programmatic quantiles) that the
   transport, journal, snapshot store, simulator, and VTI flow publish
   into.
-- :mod:`log` — span-correlated JSONL event logging.
 - :mod:`flight` — the always-on flight recorder: a bounded ring of
   recent commands/batches/chaos events, auto-dumped on timeouts,
   breaker opens, unhandled command exceptions, and journal corruption.
 - :mod:`profile` — two-clock attribution profiler (per-command,
   per-kernel, per-VTI-stage cost tables; folded flame-graph stacks).
-- :mod:`health` — declarative, registry-scoped SLO rules evaluated on
-  demand or on a modeled-time cadence.
-- :mod:`export` / :mod:`bundle` — Prometheus text exposition and the
-  ``zoomie obs bundle`` post-mortem archive.
+- :mod:`health` — declarative SLO rules evaluated over a metrics
+  window (the ``doctor`` verdict).
+- :mod:`bundle` — the ``zoomie obs bundle`` post-mortem archive.
 
 :class:`Observability` bundles the process-global instances into the
 handle exposed as ``ZoomieProject.observability`` /
@@ -35,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .flight import FlightRecorder, get_flight_recorder
-from .log import StructuredLogger, get_logger
 from .metrics import (
     Counter,
     Gauge,
@@ -54,10 +52,8 @@ __all__ = [
     "NOOP_SPAN",
     "Observability",
     "Span",
-    "StructuredLogger",
     "Tracer",
     "get_flight_recorder",
-    "get_logger",
     "get_observability",
     "get_registry",
     "get_tracer",
@@ -66,11 +62,10 @@ __all__ = [
 
 @dataclass
 class Observability:
-    """The one handle over tracer + metrics + logger + flight."""
+    """The one handle over tracer + metrics + flight."""
 
     tracer: Tracer = field(default_factory=get_tracer)
     metrics: MetricsRegistry = field(default_factory=get_registry)
-    logger: StructuredLogger = field(default_factory=get_logger)
     flight: FlightRecorder = field(default_factory=get_flight_recorder)
 
     # -- tracing ---------------------------------------------------------
@@ -102,34 +97,7 @@ class Observability:
     def dump_stats(self, path=None) -> str:
         return self.metrics.dump_json(path)
 
-    def prometheus(self, path=None) -> str:
-        """The registry in Prometheus text-exposition format."""
-        from .export import prometheus_text
-        return prometheus_text(self.metrics, path=path)
-
-    # -- health / profiling / post-mortem --------------------------------
-
-    def health_report(self, windowed: bool = False):
-        """Evaluate the process-global health engine (see
-        :mod:`.health`); ``windowed=True`` reads deltas since the last
-        windowed call instead of full history."""
-        from .health import get_health_engine
-        engine = get_health_engine()
-        if windowed:
-            return engine.evaluate(engine.window(rebase=False))
-        return engine.evaluate()
-
-    def profile(self):
-        """Two-clock :class:`~repro.obs.profile.ProfileReport` over
-        the retained span ring."""
-        from .profile import ProfileReport
-        return ProfileReport.from_tracer(self.tracer)
-
-    def flight_dump(self):
-        """The latest flight dump, or a live snapshot."""
-        if self.flight.last_dump is not None:
-            return self.flight.last_dump
-        return self.flight.snapshot(registry=self.metrics)
+    # -- post-mortem -----------------------------------------------------
 
     def write_bundle(self, path, **kwargs):
         """Write a post-mortem archive (see :mod:`.bundle`)."""
@@ -139,9 +107,9 @@ class Observability:
         return write_bundle(path, **kwargs)
 
 
-#: Process-global bundle (the tracer/registry/logger/flight singletons
-#: are shared, so every Observability() sees the same state; this
-#: instance is what the facade properties hand out).
+#: Process-global bundle (the tracer/registry/flight singletons are
+#: shared, so every Observability() sees the same state; this instance
+#: is what the facade properties hand out).
 _OBSERVABILITY = Observability()
 
 

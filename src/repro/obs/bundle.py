@@ -9,20 +9,18 @@ manifest** — the FPGA equivalent of a core dump plus `sosreport`:
   reject bundles it does not understand before reading anything else;
 - ``flight.json`` — the latest flight-recorder dump (or a live
   snapshot when nothing has triggered);
-- ``metrics.json`` / ``prometheus.txt`` — the registry snapshot in
-  both machine shapes;
-- ``health.json`` — a :class:`~repro.obs.health.HealthReport`;
+- ``metrics.json`` — the registry snapshot;
+- ``health.json`` — the :class:`~repro.obs.health.HealthReport` over
+  the registry's full history;
 - ``trace.json`` — Chrome-trace events for whatever spans the ring
   still holds;
 - ``journal_tail.txt`` — the last lines of the write-ahead command
-  journal (optional);
-- ``config.json`` — caller-supplied session/config context (optional);
-- ``bench/BENCH_*.json`` — the benchmark trajectory (optional), so a
-  perf regression report travels with the crash it accompanied.
+  journal (optional).
 
-:func:`load_bundle` reverses the packing for tests and tooling; the
-round-trip (write, load, find the triggering event / health report /
-metrics snapshot) is part of the acceptance gate for this layer.
+:func:`load_bundle` reverses the packing for tests and tooling; it
+also reads version-1 bundles, whose three extra sections (a metrics
+text exposition, caller config and the BENCH trajectory) load as
+they are.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .export import prometheus_text
 from .flight import FlightRecorder, get_flight_recorder
-from .health import HealthEngine, HealthReport
+from .health import MetricsWindow, evaluate
 from .metrics import MetricsRegistry, get_registry
 from .trace import get_tracer
 
@@ -45,7 +42,7 @@ __all__ = ["BUNDLE_FORMAT", "BUNDLE_VERSION", "Bundle", "load_bundle",
 
 BUNDLE_FORMAT = "zoomie-obs-bundle"
 #: Bump on any manifest/section shape change.
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 #: How many journal lines ride along in the bundle tail.
 JOURNAL_TAIL_LINES = 64
@@ -65,44 +62,23 @@ class Bundle:
 
 def write_bundle(path, registry: Optional[MetricsRegistry] = None,
                  flight: Optional[FlightRecorder] = None,
-                 health: Optional[HealthReport] = None,
-                 journal_path=None, config: Optional[dict] = None,
-                 bench_dir=None) -> Path:
-    """Write the post-mortem archive; returns its path.
-
-    ``health`` defaults to a fresh full-history evaluation over
-    ``registry``; pass a report to preserve the windowed evaluation a
-    caller already ran. ``bench_dir`` is scanned for ``BENCH_*.json``
-    trajectory files.
-    """
+                 journal_path=None) -> Path:
+    """Write the post-mortem archive; returns its path."""
     registry = registry if registry is not None else get_registry()
     flight = flight if flight is not None else get_flight_recorder()
-    if health is None:
-        health = HealthEngine(registry).evaluate()
-    dump = flight.last_dump if flight.last_dump is not None \
-        else flight.snapshot(registry=registry)
+    health = evaluate(MetricsWindow(registry))
+    dump = flight.latest_dump(registry)
     sections: dict[str, object] = {
         "flight.json": dump,
         "metrics.json": registry.as_dict(),
         "health.json": health.as_dict(),
         "trace.json": get_tracer().export_chrome(),
     }
-    text_sections: dict[str, str] = {
-        "prometheus.txt": prometheus_text(registry),
-    }
-    if config is not None:
-        sections["config.json"] = config
+    text_sections: dict[str, str] = {}
     if journal_path is not None and Path(journal_path).exists():
         lines = Path(journal_path).read_text().splitlines()
         text_sections["journal_tail.txt"] = \
             "\n".join(lines[-JOURNAL_TAIL_LINES:]) + "\n"
-    if bench_dir is not None:
-        for bench in sorted(Path(bench_dir).glob("BENCH_*.json")):
-            try:
-                sections[f"bench/{bench.name}"] = \
-                    json.loads(bench.read_text())
-            except (OSError, ValueError):
-                continue  # a torn BENCH file must not block a dump
     manifest = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,

@@ -1,6 +1,6 @@
 """``zoomie doctor``: run a seeded workload, judge it with the SLOs.
 
-The health engine (:mod:`.health`) can judge any live registry; this
+The health rules (:mod:`.health`) can judge any live registry; this
 module gives CI and operators a *self-contained* verdict: compile the
 campaign table's pipeline design at the chaos campaign's clock map,
 drive the chaos campaign's seeded debugger script over it, then
@@ -19,6 +19,9 @@ fail-severity SLO, 1 when degraded — with ``--chaos-seed`` a seeded
 device hang) is installed for the workload, which deterministically
 pushes the transport retry rate over its objective; CI asserts the
 clean run exits 0 and the chaos run exits nonzero, naming the rule.
+Both ``--json`` reports are deterministic, and CI diffs them against
+``tests/fixtures/doctor/``. It runs each in a fresh process, because a
+window's histogram quantiles clamp to the whole process's min/max.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import json
 import sys
 from typing import Optional
 
-from .health import HealthEngine, HealthReport
-from .metrics import MetricsRegistry, get_registry
+from .health import HealthReport, MetricsWindow, evaluate
+from .metrics import MetricsRegistry
 
 __all__ = ["DoctorResult", "main", "run_doctor"]
 
@@ -137,11 +140,9 @@ def run_doctor(seed: int = 2024, chaos_seed: Optional[int] = None,
                registry: Optional[MetricsRegistry] = None
                ) -> DoctorResult:
     """Seeded workload + windowed health evaluation."""
-    engine = HealthEngine(registry)
-    window = engine.window(rebase=True)  # scope the verdict to the run
+    window = MetricsWindow(registry, rebase=True)  # scope to the run
     workload = _run_workload(seed, chaos_seed)
-    report = engine.evaluate(window)
-    return DoctorResult(report, workload)
+    return DoctorResult(evaluate(window), workload)
 
 
 def main(argv=None) -> int:

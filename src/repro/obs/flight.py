@@ -24,11 +24,15 @@ trigger classes are wired through the stack:
 
 A dump is a self-contained JSON document: the triggering event (always
 the *last* record in the ring), the full note ring, the sticky
-low-churn event ring (chaos/supervisor notes survive batch chatter),
-the structured-log tail, recent tracer spans (when tracing was on),
-a metrics snapshot, and counter deltas since the recorder's last
-rebase. ``zoomie obs bundle`` (:mod:`.bundle`) archives the latest
-dump alongside the health report and BENCH trajectory.
+low-churn event ring (chaos/supervisor/journal notes survive batch
+chatter), recent tracer spans (when tracing was on), and a metrics
+snapshot. ``zoomie obs bundle`` (:mod:`.bundle`) archives the latest
+dump alongside the health report.
+
+Each instrumented site emits exactly one record here, carrying every
+field a post-mortem reader needs from that site: a retried batch's
+note says how many attempts were corrupt, a degradation note says
+why, and a recovered session's note says what it replayed.
 
 Two rings, not one: high-frequency notes (a command per verb, a
 simulator run per step, a transport batch per retry) would evict a
@@ -45,15 +49,14 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Optional
 
-from .log import get_logger
-from .metrics import Counter, MetricsRegistry, get_registry
+from .metrics import MetricsRegistry, get_registry
 from .trace import get_tracer
 
 __all__ = ["FLIGHT_VERSION", "FlightRecorder", "get_flight_recorder"]
 
 #: Bumped whenever the dump document shape changes; consumers (the
 #: bundle loader, external tooling) gate on it.
-FLIGHT_VERSION = 1
+FLIGHT_VERSION = 2
 
 
 class FlightRecorder:
@@ -70,11 +73,10 @@ class FlightRecorder:
     STICKY_KINDS = frozenset({"chaos", "supervise", "trigger", "journal"})
 
     def __init__(self, capacity: int = 512, events_capacity: int = 256,
-                 log_tail: int = 64, span_tail: int = 128,
+                 span_tail: int = 128,
                  registry: Optional[MetricsRegistry] = None):
         self.enabled = True
         self.capacity = capacity
-        self.log_tail = log_tail
         self.span_tail = span_tail
         #: High-churn ring: every note lands here, oldest evicted first.
         self.records: deque = deque(maxlen=capacity)
@@ -91,7 +93,6 @@ class FlightRecorder:
         self._registry = registry
         self._seq = 0
         self._dumping = False
-        self._metrics_base: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # recording (the hot path)
@@ -130,25 +131,6 @@ class FlightRecorder:
             return self._registry
         return get_registry()
 
-    def rebase_metrics(self,
-                       registry: Optional[MetricsRegistry] = None) -> None:
-        """Snapshot counter values; dumps report deltas since here."""
-        registry = self._resolve_registry(registry)
-        self._metrics_base = {
-            name: registry.get(name).value for name in registry.names()
-            if isinstance(registry.get(name), Counter)}
-
-    def _metric_deltas(self, registry: MetricsRegistry) -> dict[str, float]:
-        deltas = {}
-        for name in registry.names():
-            instrument = registry.get(name)
-            if not isinstance(instrument, Counter):
-                continue
-            delta = instrument.value - self._metrics_base.get(name, 0)
-            if delta:
-                deltas[name] = delta
-        return deltas
-
     def snapshot(self, trigger: Optional[dict] = None,
                  registry: Optional[MetricsRegistry] = None) -> dict:
         """The dump document for the recorder's current state."""
@@ -167,11 +149,16 @@ class FlightRecorder:
             "trigger": trigger,
             "records": list(self.records),
             "events": list(self.events),
-            "log_tail": list(get_logger().records[-self.log_tail:]),
             "spans": spans,
             "metrics": registry.as_dict(),
-            "metric_deltas": self._metric_deltas(registry),
         }
+
+    def latest_dump(self,
+                    registry: Optional[MetricsRegistry] = None) -> dict:
+        """The last triggered dump, else a live :meth:`snapshot`."""
+        if self.last_dump is not None:
+            return self.last_dump
+        return self.snapshot(registry=registry)
 
     def trigger(self, name: str,
                 registry: Optional[MetricsRegistry] = None,
@@ -219,7 +206,6 @@ class FlightRecorder:
         self.events.clear()
         self.last_dump = None
         self.dump_count = 0
-        self._metrics_base = {}
 
     def describe(self) -> str:
         """Human summary of the ring for the CLI."""

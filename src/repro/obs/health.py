@@ -4,24 +4,15 @@ The metrics registry says what *happened*; this module says whether
 that is *okay*. A :class:`HealthRule` is one machine-checkable service
 objective — "retries per verified batch stay under 10%", "no circuit
 breaker opened", "journal syncs land under their modeled deadline at
-p99" — evaluated against a :class:`MetricsWindow` (counter/histogram
-*deltas* since a baseline snapshot, so one degraded hour does not
-condemn a process forever, and so multiple engines can watch disjoint
-windows of the same registry).
+p99" — checked against a :class:`MetricsWindow` (counter/histogram
+*deltas* since a baseline snapshot, so a verdict can cover one
+workload inside a long-lived process).
 
-Everything is **registry-scoped, not process-global**: a
-:class:`HealthEngine` binds to the registry it was given, so the
-planned multi-tenant session server can run one engine per tenant
-registry. :func:`get_health_engine` supplies the conventional
-process-global instance the CLI's ``doctor`` verb and the
-:class:`~repro.obs.Observability` facade use.
-
-Evaluation is on demand (``engine.evaluate()``) or on a modeled-time
-cadence: ``engine.set_cadence(seconds)`` plus cheap
-``engine.maybe_evaluate(modeled_now)`` calls from an instrumented
-layer — the debugger ticks it with the channel's modeled clock after
-each command, which keeps "how often do we check" in the same time
-base as every deadline in the stack.
+:func:`evaluate` checks :data:`DEFAULT_RULES` against one window. The
+doctor (:mod:`.doctor`) rebases its window before the seeded workload
+so the verdict covers that workload alone; the CLI's ``doctor`` verb
+and the post-mortem bundle read the registry's full history. A failed
+rule's name is the answer to "why did this run degrade".
 
 Rules that lack data (a histogram with no samples, a denominator under
 ``min_samples``) report ``skipped`` rather than guessing. Severity is
@@ -48,12 +39,11 @@ from .metrics import (
 
 __all__ = [
     "DEFAULT_RULES",
-    "HealthEngine",
     "HealthReport",
     "HealthRule",
     "MetricsWindow",
     "RuleResult",
-    "get_health_engine",
+    "evaluate",
 ]
 
 
@@ -297,7 +287,7 @@ def _counter(name: str):
 
 
 #: The stock SLO set. Thresholds are service objectives for a healthy
-#: session, not physical limits; scoped engines may pass their own.
+#: session, not physical limits.
 DEFAULT_RULES: tuple[HealthRule, ...] = (
     HealthRule(
         "transport.retry_rate",
@@ -349,65 +339,13 @@ DEFAULT_RULES: tuple[HealthRule, ...] = (
 )
 
 
-class HealthEngine:
-    """Rules bound to one registry, evaluated on demand or on cadence."""
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 rules=None):
-        self.registry = registry if registry is not None \
-            else get_registry()
-        self.rules: list[HealthRule] = list(
-            DEFAULT_RULES if rules is None else rules)
-        #: Modeled seconds between cadence evaluations (None = off).
-        self.cadence_seconds: Optional[float] = None
-        self.last_report: Optional[HealthReport] = None
-        self._next_eval: Optional[float] = None
-
-    def add_rule(self, rule: HealthRule) -> None:
-        self.rules.append(rule)
-
-    def window(self, rebase: bool = True) -> MetricsWindow:
-        """A fresh window over this engine's registry."""
-        return MetricsWindow(self.registry, rebase=rebase)
-
-    def evaluate(self,
-                 window: Optional[MetricsWindow] = None) -> HealthReport:
-        """Check every rule; default window is the registry's full
-        history (no baseline)."""
-        if window is None:
-            window = MetricsWindow(self.registry, rebase=False)
-        report = HealthReport(
-            results=[rule.check(window) for rule in self.rules])
-        self.last_report = report
-        if report.status == "degraded":
-            # Degradations are flight-worthy events (not dump triggers:
-            # the condition persists; the *cause* already dumped).
-            get_flight_recorder().note(
-                "supervise", "health_degraded",
-                rules=",".join(report.failed))
-        return report
-
-    def set_cadence(self, seconds: Optional[float]) -> None:
-        self.cadence_seconds = seconds
-        self._next_eval = None
-
-    def maybe_evaluate(
-            self, modeled_now: float) -> Optional[HealthReport]:
-        """Cadence tick: evaluate when modeled time crosses the next
-        boundary. Costs one attribute check when cadence is off."""
-        if self.cadence_seconds is None:
-            return None
-        if self._next_eval is not None and modeled_now < self._next_eval:
-            return None
-        self._next_eval = modeled_now + self.cadence_seconds
-        return self.evaluate()
-
-
-#: Process-global engine over the process-global registry (the CLI's
-#: `doctor` verb and the Observability facade). Scoped servers build
-#: their own HealthEngine(registry) per tenant.
-_ENGINE = HealthEngine()
-
-
-def get_health_engine() -> HealthEngine:
-    return _ENGINE
+def evaluate(window: MetricsWindow) -> HealthReport:
+    """Check every default rule against ``window``."""
+    report = HealthReport(
+        results=[rule.check(window) for rule in DEFAULT_RULES])
+    if report.status == "degraded":
+        # Degradations are flight-worthy events (not dump triggers: the
+        # condition persists; the *cause* already dumped).
+        get_flight_recorder().note(
+            "supervise", "health_degraded", rules=",".join(report.failed))
+    return report

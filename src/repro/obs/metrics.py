@@ -160,7 +160,7 @@ class Histogram:
         Linear interpolation inside the covering log bucket, clamped to
         the observed ``[min, max]`` so estimates never stray outside the
         data. The overflow bucket interpolates up to ``max``. Returns
-        None on an empty histogram — callers (the health engine) treat
+        None on an empty histogram — callers (the health rules) treat
         that as "not enough samples", not as zero latency.
         """
         return quantile_from_buckets(

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["Span", "Tracer", "get_tracer"]
 
@@ -137,9 +137,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._next_id = 1
         self._dropped = 0
-        #: Callbacks fired with each finished span (the structured
-        #: logger hooks in here for span-correlated events).
-        self.on_finish: list[Callable[[Span], None]] = []
 
     # ------------------------------------------------------------------
     # control
@@ -194,11 +191,6 @@ class Tracer:
         self._stack.append(span)
         return span
 
-    def add_modeled(self, seconds: float) -> None:
-        """Charge modeled seconds to the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].modeled_seconds += seconds
-
     def _finish(self, span: Span) -> None:
         span.end_wall = time.perf_counter()
         # Out-of-order exits (generators, re-raised frames) still
@@ -215,28 +207,6 @@ class Tracer:
         if len(self.spans) > self.capacity:
             del self.spans[: len(self.spans) - self.capacity]
             self._dropped += 1
-        for callback in self.on_finish:
-            callback(span)
-
-    def traced(self, name: Optional[str] = None, **attrs):
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorate(fn):
-            label = name or fn.__qualname__
-
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(label, **attrs):
-                    return fn(*args, **kwargs)
-
-            wrapper.__name__ = fn.__name__
-            wrapper.__qualname__ = fn.__qualname__
-            wrapper.__doc__ = fn.__doc__
-            wrapper.__wrapped__ = fn
-            return wrapper
-
-        return decorate
 
     # ------------------------------------------------------------------
     # export

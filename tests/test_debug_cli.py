@@ -362,14 +362,13 @@ class TestObservabilityVerbs:
         assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
         assert cli.execute("profile wat").startswith("error: usage")
 
-    def test_obs_export_and_flight(self, cli, tmp_path):
+    def test_obs_flight(self, cli, tmp_path):
         cli.execute("run 5")
-        text = cli.execute("obs export")
-        assert "zoomie_debug_commands_total" in text
-        prom = tmp_path / "m.prom"
-        assert "wrote Prometheus" in cli.execute(f"obs export {prom}")
-        assert "zoomie_" in prom.read_text()
         assert cli.execute("obs flight").startswith("flight recorder:")
+        path = tmp_path / "flight.json"
+        assert f"wrote flight dump to {path}" \
+            in cli.execute(f"obs flight {path}")
+        assert json.loads(path.read_text())["format"] == "zoomie-flight"
         assert cli.execute("obs").startswith("error: usage")
 
     def test_obs_bundle_round_trips(self, cli, tmp_path):
@@ -378,7 +377,7 @@ class TestObservabilityVerbs:
         cli.execute("pause")
         path = tmp_path / "post.zip"
         out = cli.execute(f"obs bundle {path}")
-        assert "wrote bundle v1" in out
+        assert "wrote bundle v2" in out
         bundle = load_bundle(path)
         assert "flight.json" in bundle.sections
         assert "health.json" in bundle.sections

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracer, metrics, logger.
+"""Tests for the observability layer: tracer, metrics, facade.
 
 Unit coverage for the primitives plus the integration contracts the
 instrumented stack relies on: modeled seconds roll up child-to-parent,
@@ -6,7 +6,6 @@ the disabled path allocates nothing, and a traced debug session yields
 a Chrome-trace file whose events mirror the command flow.
 """
 
-import io
 import json
 
 import pytest
@@ -15,7 +14,6 @@ from repro.obs import (
     NOOP_SPAN,
     MetricsRegistry,
     Observability,
-    StructuredLogger,
     Tracer,
     get_observability,
     get_registry,
@@ -91,22 +89,6 @@ class TestSpans:
         assert [s.name for s in tracer.spans] == ["s2", "s3", "s4"]
         assert tracer.dropped == 2
         assert "dropped" in tracer.tree()
-
-    def test_decorator_respects_enable_switch(self):
-        tracer = Tracer()
-        calls = []
-
-        @tracer.traced("work")
-        def work(x):
-            calls.append(x)
-            return x * 2
-
-        assert work(3) == 6
-        assert tracer.spans == []
-        tracer.start()
-        assert work(4) == 8
-        assert [s.name for s in tracer.spans] == ["work"]
-        assert calls == [3, 4]
 
     def test_chrome_export_is_valid_trace_json(self):
         tracer = Tracer(enabled=True)
@@ -201,35 +183,6 @@ class TestMetrics:
 
     def test_global_registry_is_stable(self):
         assert get_registry() is get_registry()
-
-
-class TestLogger:
-    def test_jsonl_with_span_correlation(self):
-        tracer = get_tracer()
-        tracer.start()
-        stream = io.StringIO()
-        logger = StructuredLogger()
-        logger.open(stream)
-        try:
-            logger.info("outside")
-            with tracer.span("op"):
-                logger.info("inside", detail=3)
-        finally:
-            logger.close()
-        lines = [json.loads(line) for line
-                 in stream.getvalue().splitlines()]
-        assert [entry["event"] for entry in lines] == \
-            ["outside", "inside"]
-        assert "span_id" not in lines[0]
-        assert lines[1]["span"] == "op"
-        assert lines[1]["detail"] == 3
-        assert lines[1]["seq"] > lines[0]["seq"]
-
-    def test_disabled_logger_is_silent(self):
-        logger = StructuredLogger()
-        assert not logger.enabled
-        logger.info("nothing")  # must not raise
-        assert logger.records == []
 
 
 class TestObservabilityHandle:

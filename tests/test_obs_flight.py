@@ -4,8 +4,9 @@ One test per wired trigger class — command-watchdog/deadline timeout,
 circuit-breaker OPEN, unhandled debugger-command exception, journal
 corruption — each asserting a dump landed with the triggering event as
 the *final* record of the ring (the contract post-mortem readers rely
-on). Plus a chaos-campaign run asserting every injected fault class
-shows up in the flight recorder's sticky event ring.
+on). Plus the dump's shape, the fields each instrumented site's one
+record carries, and a chaos-campaign run asserting every injected
+fault class shows up in the flight recorder's sticky event ring.
 """
 
 import pytest
@@ -136,6 +137,69 @@ class TestRecorderMechanics:
         clean_flight.trigger("breaker.open", breaker="b")
         assert [d["trigger"]["name"] for d in collected] \
             == ["debug.timeout", "breaker.open"]
+
+
+class TestSiteRecords:
+    """Each instrumented site leaves one record with every field a
+    post-mortem reader needs from it."""
+
+    def test_dump_document_shape(self, clean_flight):
+        from repro.obs.flight import FLIGHT_VERSION
+        clean_flight.note("command", "run")
+        dump = clean_flight.trigger("debug.timeout", site="unit")
+        assert set(dump) == {"format", "version", "trigger", "records",
+                             "events", "spans", "metrics"}
+        assert dump["version"] == FLIGHT_VERSION == 2
+        assert clean_flight.latest_dump() is dump
+
+    def test_latest_dump_is_a_live_snapshot_before_any_trigger(
+            self, clean_flight):
+        clean_flight.note("command", "pause")
+        dump = clean_flight.latest_dump()
+        assert dump["trigger"] is None
+        assert dump["records"][-1]["name"] == "pause"
+
+    def test_recovery_leaves_one_journal_note(self, clean_flight,
+                                              tmp_path):
+        from repro.debug import enable_crash_safety, recover_session
+        _, debugger = _session()
+        enable_crash_safety(debugger, tmp_path)
+        debugger.run(20)
+        debugger.pause()
+        debugger.snapshot("base")
+        debugger.step(3)
+        debugger.resume()
+        _, fresh = _session()
+        clean_flight.clear()
+        report = recover_session(fresh, tmp_path)
+        [note] = [event for event in clean_flight.events
+                  if event["kind"] == "journal"]
+        assert note["name"] == "recovered"
+        assert note["base_index"] == report.base_index == 2
+        assert note["commands_replayed"] == report.commands_replayed == 2
+        assert note["modeled_seconds"] == report.modeled_seconds > 0
+
+    def test_degradation_note_says_why(self, clean_flight, tmp_path):
+        from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+        from repro.chaos.supervise import SuperviseConfig
+        from repro.debug.journal import CommandJournal
+        supervisor = get_supervisor()
+        supervisor.enable(SuperviseConfig())
+        try:
+            journal = CommandJournal(tmp_path / "j.log")
+            journal.append("pause")
+            schedule = FaultSchedule(specs=[FaultSpec(
+                site="journal.sync", kind="torn_write", at=0)])
+            with install_chaos(schedule.registry()):
+                journal.append("resume", {"clear_triggers": True})
+        finally:
+            supervisor.disable()
+            supervisor.reset()
+        [note] = [event for event in clean_flight.events
+                  if event["name"] == "degradation"]
+        assert (note["fallback"], note["site"], note["detail"]) \
+            == ("journal.tail_repair", "journal.sync",
+                "truncated to 1 records")
 
 
 class TestRunNotes:

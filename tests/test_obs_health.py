@@ -1,9 +1,10 @@
-"""Health/SLO engine, two-clock profiler, Prometheus export, bundles.
+"""Health/SLO rules, two-clock profiler, post-mortem bundles.
 
 Unit coverage for histogram quantiles and windowed metric deltas, the
-declarative rule engine (severity, skipping, cadence), the profiler's
-self-time attribution in both clocks, the text-exposition export, the
-post-mortem bundle round-trip, and the seeded ``doctor`` verdicts.
+declarative rules and their evaluation (severity, skipping, windows),
+the profiler's self-time attribution in both clocks, the post-mortem
+bundle round-trip (current and version-1 archives), and the seeded
+``doctor`` verdicts.
 """
 
 import pytest
@@ -11,10 +12,10 @@ import pytest
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import (
     DEFAULT_RULES,
-    HealthEngine,
     HealthReport,
     HealthRule,
     MetricsWindow,
+    evaluate,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
@@ -111,7 +112,7 @@ class TestMetricsWindow:
 
 
 # --------------------------------------------------------------------------
-# rules, reports, engine
+# rules, reports, evaluation
 # --------------------------------------------------------------------------
 
 
@@ -171,18 +172,20 @@ class TestHealthRules:
 
 
 class TestHealthEngine:
+    """:func:`evaluate`: the default rules over one registry window."""
+
     def test_engine_is_registry_scoped(self):
         mine = MetricsRegistry()
         other = MetricsRegistry()
         other.counter("transport.exhausted").inc(9)
-        report = HealthEngine(mine).evaluate()
+        report = evaluate(MetricsWindow(mine))
         assert report.status == "healthy"
 
     def test_default_rules_catch_retry_storm(self):
         registry = MetricsRegistry()
         registry.counter("transport.batches").inc(100)
         registry.counter("transport.retries").inc(40)
-        report = HealthEngine(registry).evaluate()
+        report = evaluate(MetricsWindow(registry))
         assert "transport.retry_rate" in report.failed
         by_name = {r.rule.name: r for r in report.results}
         assert by_name["transport.retry_rate"].value \
@@ -192,26 +195,16 @@ class TestHealthEngine:
         registry = MetricsRegistry()
         registry.counter("transport.batches").inc(3)  # < 10 floor
         registry.counter("transport.retries").inc(3)
-        report = HealthEngine(registry).evaluate()
+        report = evaluate(MetricsWindow(registry))
         by_name = {r.rule.name: r for r in report.results}
         assert by_name["transport.retry_rate"].status == "skipped"
 
     def test_windowed_evaluation_forgives_history(self):
         registry = MetricsRegistry()
         registry.counter("transport.exhausted").inc(2)  # bad past
-        engine = HealthEngine(registry)
-        assert engine.evaluate().status == "degraded"
-        window = engine.window(rebase=True)
-        assert engine.evaluate(window).status == "healthy"
-
-    def test_cadence_evaluates_on_modeled_time_boundaries(self):
-        engine = HealthEngine(MetricsRegistry())
-        assert engine.maybe_evaluate(100.0) is None  # cadence off
-        engine.set_cadence(10.0)
-        assert engine.maybe_evaluate(0.0) is not None  # first tick
-        assert engine.maybe_evaluate(5.0) is None      # inside period
-        assert engine.maybe_evaluate(10.0) is not None
-        assert engine.last_report is not None
+        assert evaluate(MetricsWindow(registry)).status == "degraded"
+        window = MetricsWindow(registry, rebase=True)
+        assert evaluate(window).status == "healthy"
 
     def test_degraded_report_lands_in_flight_ring(self):
         from repro.obs.flight import get_flight_recorder
@@ -219,7 +212,7 @@ class TestHealthEngine:
         flight.clear()
         registry = MetricsRegistry()
         registry.counter("supervise.breaker_opens").inc()
-        HealthEngine(registry).evaluate()
+        evaluate(MetricsWindow(registry))
         names = [(r["kind"], r["name"]) for r in flight.events]
         assert ("supervise", "health_degraded") in names
         flight.clear()
@@ -290,49 +283,6 @@ class TestProfiler:
 
 
 # --------------------------------------------------------------------------
-# prometheus export
-# --------------------------------------------------------------------------
-
-
-class TestPrometheusExport:
-    def test_counters_gauges_histograms_export(self):
-        from repro.obs.export import prometheus_text
-        registry = MetricsRegistry()
-        registry.counter("transport.batches").inc(7)
-        registry.gauge("supervise.breakers_open").set(1)
-        registry.histogram("journal.sync_seconds").observe(0.002)
-        text = prometheus_text(registry)
-        assert "# TYPE zoomie_transport_batches_total counter" in text
-        assert "zoomie_transport_batches_total 7" in text
-        assert "zoomie_supervise_breakers_open 1" in text
-        assert 'zoomie_journal_sync_seconds_bucket{le="+Inf"} 1' in text
-        assert "zoomie_journal_sync_seconds_count 1" in text
-        assert "zoomie_journal_sync_seconds_sum" in text
-        assert text.endswith("\n")
-
-    def test_histogram_buckets_are_cumulative(self):
-        from repro.obs.export import prometheus_text
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        hist.observe(hist.bounds[0] / 2)
-        hist.observe(hist.bounds[-1] * 2)  # overflow
-        text = prometheus_text(registry)
-        counts = [int(line.rsplit(" ", 1)[1])
-                  for line in text.splitlines()
-                  if line.startswith("zoomie_h_bucket")]
-        assert counts == sorted(counts)  # cumulative, never decreasing
-        assert counts[0] == 1 and counts[-1] == 2
-
-    def test_export_to_file(self, tmp_path):
-        from repro.obs.export import prometheus_text
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        path = tmp_path / "metrics.prom"
-        text = prometheus_text(registry, path=path)
-        assert path.read_text() == text
-
-
-# --------------------------------------------------------------------------
 # bundles
 # --------------------------------------------------------------------------
 
@@ -354,8 +304,7 @@ class TestBundleRoundTrip:
         journal.write_text("zoomie-journal-v1\nline-a\nline-b\n")
 
         path = write_bundle(tmp_path / "post.zip", registry=registry,
-                            flight=flight, journal_path=journal,
-                            config={"device": "TEST2"})
+                            flight=flight, journal_path=journal)
         bundle = load_bundle(path)
 
         assert bundle.manifest["format"] == BUNDLE_FORMAT
@@ -373,11 +322,12 @@ class TestBundleRoundTrip:
                    for rule in health["rules"])
         metrics = bundle.section("metrics.json")
         assert metrics["transport.batches"]["value"] == 12
-        assert "zoomie_transport_batches_total 12" \
-            in bundle.section("prometheus.txt")
         assert bundle.section("journal_tail.txt").splitlines()[-1] \
             == "line-b"
-        assert bundle.section("config.json") == {"device": "TEST2"}
+        assert sorted(bundle.manifest["sections"]) == sorted(
+            bundle.sections) == ["flight.json", "health.json",
+                                 "journal_tail.txt", "metrics.json",
+                                 "trace.json"]
 
     def test_wrong_format_and_newer_version_rejected(self, tmp_path):
         import json
@@ -397,19 +347,30 @@ class TestBundleRoundTrip:
         with pytest.raises(ValueError, match="newer"):
             load_bundle(future)
 
-    def test_bundle_includes_bench_trajectory(self, tmp_path):
-        from repro.obs.bundle import load_bundle, write_bundle
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_observability.json").write_text("[{}]")
-        (bench_dir / "BENCH_torn.json").write_text("[{")  # torn: skipped
-        registry = MetricsRegistry()
-        path = write_bundle(tmp_path / "b.zip", registry=registry,
-                            flight=FlightRecorder(registry=registry),
-                            bench_dir=bench_dir)
-        bundle = load_bundle(path)
-        assert bundle.section("bench/BENCH_observability.json") == [{}]
-        assert bundle.section("bench/BENCH_torn.json") is None
+    def test_version_1_bundle_still_loads(self, tmp_path):
+        import json
+        import zipfile
+
+        from repro.obs.bundle import BUNDLE_VERSION, load_bundle
+        assert BUNDLE_VERSION == 2
+        old = tmp_path / "v1.zip"
+        manifest = {"format": "zoomie-obs-bundle", "version": 1,
+                    "trigger": None,
+                    "sections": ["flight.json", "metrics.json",
+                                 "prometheus.txt"]}
+        with zipfile.ZipFile(old, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+            archive.writestr("flight.json", json.dumps(
+                {"format": "zoomie-flight", "version": 1,
+                 "log_tail": [], "metric_deltas": {}}))
+            archive.writestr("metrics.json", json.dumps({}))
+            archive.writestr("prometheus.txt",
+                             "zoomie_transport_batches_total 3\n")
+        bundle = load_bundle(old)
+        assert bundle.manifest["version"] == 1
+        assert bundle.section("flight.json")["version"] == 1
+        assert bundle.section("prometheus.txt") \
+            == "zoomie_transport_batches_total 3\n"
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,17 @@ import pytest
 from repro import Zoomie, ZoomieProject
 from repro.bitstream.assembler import BitstreamAssembler
 from repro.bitstream.crc import crc32_stream
+from repro.bitstream.packets import NOP, READ, Packet, encode_packet
+from repro.bitstream.words import REGISTERS, SYNC
+from repro.campaign.designs import (
+    campaign_design,
+    compile_design,
+    launch_session,
+)
 from repro.chaos import FaultSchedule, FaultSpec, install_chaos
+from repro.chaos.campaign import CLOCKS_MHZ
 from repro.chaos.supervise import CircuitBreaker
-from repro.config import RetryPolicy, TransportStats
+from repro.config import FabricDevice, RetryPolicy, TransportStats
 from repro.config.microcontroller import COMMAND_LOG_DEPTH
 from repro.config.transport import (
     BACKOFF_MULTIPLIER,
@@ -24,6 +32,7 @@ from repro.config.transport import (
     MAX_BACKOFF_SECONDS,
 )
 from repro.designs import make_cluster
+from repro.fpga import make_test_device
 from repro.errors import (
     CircuitOpenError,
     CorruptReadbackError,
@@ -426,3 +435,96 @@ class TestRegistryMirror:
         assert [(n["retries"], n["verified"])
                 for n in transport_notes(flight)] \
             == [(2, True), (0, False)]
+
+    def test_retried_batch_note_counts_corrupt_attempts(self, session):
+        fabric = session.fabric
+        primary = fabric.device.primary_slr
+        frames = session.debugger.engine.all_frames_of_slr(primary)[:4]
+        words = capture_read_program(fabric, primary, frames)
+        flight = get_flight_recorder()
+        flight.clear()
+        with arm(channel_fault("read_flip", count=2),
+                 channel_fault("device_hang", count=1), seed=5):
+            fabric.transact(list(words))
+        [note] = transport_notes(flight)
+        # Three failed attempts, of which the two flips were corrupt
+        # readbacks and the hang was not.
+        assert (note["retries"], note["corrupt"], note["verified"]) \
+            == (3, 2, True)
+
+
+def stat_read_stream(*groups, trailing=0, nop=False):
+    """A synced stream: one STAT read on the primary, then one section
+    per hop group of ``groups[i]`` BOUT pulses (a NOP section with
+    ``nop``, else a STAT read), then ``trailing`` pulses."""
+    stat = encode_packet(Packet(opcode=READ, register=REGISTERS["STAT"],
+                                read_count=1))
+    body = encode_packet(Packet(opcode=NOP, register=0)) if nop else stat
+    words = [SYNC, *stat]
+    for pulses in groups:
+        words += [HOP_PULSE_WORD] * pulses + body
+    return words + [HOP_PULSE_WORD] * trailing
+
+
+def spy_executed_secondaries(monkeypatch, fabric):
+    """Record every ``JtagRing.run`` batch as ``(words, secondaries)``,
+    where ``secondaries`` are the non-primary SLRs whose controller ran
+    a packet of it."""
+    primary = fabric.device.primary_slr
+    executed: set[int] = set()
+    batches: list[tuple[list[int], set[int]]] = []
+    for controller in fabric.mcs:
+        def execute(packet, _controller=controller,
+                    _execute=controller.execute):
+            executed.add(_controller.slr_index)
+            return _execute(packet)
+        monkeypatch.setattr(controller, "execute", execute)
+    ring_run = fabric.jtag.run
+
+    def run(words):
+        executed.clear()
+        result = ring_run(words)
+        batches.append((list(words), executed - {primary}))
+        return result
+    monkeypatch.setattr(fabric.jtag, "run", run)
+    return batches
+
+
+class TestSecondaryTargets:
+    """The ``stuck`` fault judges a batch by the secondary SLRs it
+    addresses; that set must be the one the ring executes on."""
+
+    def test_session_batches_match_the_ring(self, monkeypatch):
+        fabric, debugger = launch_session(
+            compile_design(campaign_design("manycore"), CLOCKS_MHZ))
+        assert fabric.device.slr_count > 1
+        batches = spy_executed_secondaries(monkeypatch, fabric)
+        debugger.record_input("en", 1)
+        debugger.run(20)
+        debugger.pause()
+        snapshot = debugger.read_state()
+        debugger.restore(snapshot)
+        assert any(secondaries for _, secondaries in batches)
+        for words, secondaries in batches:
+            assert set(fabric.transport._secondary_targets(words)) \
+                == secondaries
+
+    @pytest.mark.parametrize("slr_count", [2, 3])
+    def test_hand_built_hop_groups_match_the_ring(self, monkeypatch,
+                                                  slr_count):
+        fabric = FabricDevice(make_test_device(slr_count))
+        batches = spy_executed_secondaries(monkeypatch, fabric)
+        groups = range(1, slr_count + 2)
+        streams = [stat_read_stream(pulses) for pulses in groups]
+        streams += [stat_read_stream(pulses, nop=True)
+                    for pulses in groups]
+        streams += [stat_read_stream(*groups),
+                    stat_read_stream(trailing=1),
+                    stat_read_stream(1, trailing=slr_count)]
+        for words in streams:
+            fabric.jtag.run(words)
+        assert len(batches) == len(streams)
+        assert any(secondaries for _, secondaries in batches)
+        for words, secondaries in batches:
+            assert set(fabric.transport._secondary_targets(words)) \
+                == secondaries
