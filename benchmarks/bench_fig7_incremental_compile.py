@@ -8,9 +8,12 @@ Zoomie's VTI lands around 18x (a ~95% reduction).
 A second benchmark measures the *host* wall clock of the incremental
 compile cache (cold vs warm-cache) and of a two-partition
 ``compile_incremental_many`` batch on a database-backed design, and
-records the numbers to ``benchmarks/BENCH_vti.json``. The warm-cache
-path must stay at least 5x faster than a cold recompile — that ratio
-is the CI gate for the artifact cache.
+records the numbers to ``benchmarks/BENCH_vti.json``. It gates no
+ratio: a cold recompile splices the partition into the baseline
+netlist and reuses the baseline placement, so cold and warm now differ
+by partition-sized work only. The end-to-end ``vti_edit_loop``
+workload (``benchmarks/e2e``) times misses and hits under its bound
+and checks that every revert hits.
 """
 
 import time
@@ -20,9 +23,6 @@ from conftest import emit, emit_table, record_bench
 PAPER_INITIAL_HOURS = 4.5
 PAPER_VENDOR_SPEEDUP = 1.10
 PAPER_VTI_SPEEDUP = 18.0
-
-#: CI gate: warm-cache incremental vs cold recompile, host wall clock.
-CACHE_SPEEDUP_FLOOR = 5.0
 
 
 def test_fig7_compile_series(benchmark, u200, manycore_soc,
@@ -87,9 +87,10 @@ def test_fig7_compile_series(benchmark, u200, manycore_soc,
 def _pipeline_farm(leaves=2, stages=400):
     """Two deep pipeline partitions plus a small static counter.
 
-    Big partitions make the cold path (synthesis, elaboration,
-    placement) dominate the per-compile fixed costs, so the cache
-    speedup measured here reflects the work the cache actually skips.
+    Big partitions make the cold path (synthesis, the partition's
+    flatten and splice) dominate the per-compile fixed costs, so the
+    cache speedup measured here reflects the work the cache actually
+    skips.
     """
     from repro.designs import make_counter
     from repro.rtl import ModuleBuilder, mux
@@ -133,8 +134,8 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
     from repro.fpga import make_test_device
     from repro.vti import CompileCache, PartitionSpec, VtiFlow
 
-    # Cache gate design: one partition deep enough to fill the debug
-    # SLR, so cold synthesis/elaboration/placement dominates.
+    # Cache design: one partition deep enough to fill the debug SLR,
+    # so cold synthesis and the partition splice dominate.
     deep = _pipeline_farm(leaves=1, stages=440)
     deep_specs = [PartitionSpec("c0")]
 
@@ -148,7 +149,7 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
     warm_initial = warm_flow.compile_initial(
         deep, {"clk": 100.0}, deep_specs, debug_slr=0)
 
-    # Cold: every compile redoes synthesis, elaboration and placement.
+    # Cold: every compile redoes synthesis and the partition splice.
     cold_wall = _best_of(
         lambda: cold_flow.compile_incremental(cold_initial, "c0"))
 
@@ -198,8 +199,5 @@ def test_vti_scheduler_and_cache_host_wall(benchmark):
         "modeled_many_wall_s": round(modeled_wall, 3),
         "cache": cache.stats.as_dict(),
     })
-
-    # CI gate: the cache must keep paying for itself.
-    assert speedup >= CACHE_SPEEDUP_FLOOR, (
-        f"warm-cache compile only {speedup:.1f}x faster than cold "
-        f"(floor {CACHE_SPEEDUP_FLOOR}x)")
+    # Every warm compile after the first was served by the cache.
+    assert (cache.stats.misses, cache.stats.puts) == (1, 1)

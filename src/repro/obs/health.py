@@ -340,12 +340,24 @@ DEFAULT_RULES: tuple[HealthRule, ...] = (
 
 
 def evaluate(window: MetricsWindow) -> HealthReport:
-    """Check every default rule against ``window``."""
+    """Check every default rule against ``window``.
+
+    A degraded report notes ``supervise``/``health_degraded`` in the
+    flight recorder unless the newest such note already names the same
+    failed rules: a degradation persists across evaluations, and a note
+    per evaluation would evict the chaos and journal notes a
+    post-mortem reads from the sticky ring.
+    """
     report = HealthReport(
         results=[rule.check(window) for rule in DEFAULT_RULES])
     if report.status == "degraded":
         # Degradations are flight-worthy events (not dump triggers: the
         # condition persists; the *cause* already dumped).
-        get_flight_recorder().note(
-            "supervise", "health_degraded", rules=",".join(report.failed))
+        flight = get_flight_recorder()
+        rules = ",".join(report.failed)
+        last = next((record for record in reversed(flight.events)
+                     if record["kind"] == "supervise"
+                     and record["name"] == "health_degraded"), None)
+        if last is None or last.get("rules") != rules:
+            flight.note("supervise", "health_degraded", rules=rules)
     return report

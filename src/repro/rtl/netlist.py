@@ -19,6 +19,20 @@ from .expr import Expr
 from .module import Memory, Register
 
 
+def copy_register(reg: Register) -> Register:
+    """An independent copy of a flat register (``Expr`` trees shared)."""
+    return Register(**reg.__dict__)
+
+
+def copy_memory(mem: Memory) -> Memory:
+    """An independent copy of a flat memory: ports and init duplicated."""
+    return Memory(
+        name=mem.name, width=mem.width, depth=mem.depth,
+        read_ports=[dataclasses.replace(p) for p in mem.read_ports],
+        write_ports=[dataclasses.replace(p) for p in mem.write_ports],
+        init=dict(mem.init))
+
+
 @dataclass
 class Netlist:
     """An elaborated, flat design."""
@@ -151,15 +165,10 @@ class Netlist:
         out.outputs = set(self.outputs)
         out.assigns = dict(self.assigns)
         out.registers = {
-            name: dataclasses.replace(reg)
+            name: copy_register(reg)
             for name, reg in self.registers.items()}
         out.memories = {
-            name: Memory(
-                name=mem.name, width=mem.width, depth=mem.depth,
-                read_ports=[dataclasses.replace(p) for p in mem.read_ports],
-                write_ports=[dataclasses.replace(p) for p in mem.write_ports],
-                init=dict(mem.init))
-            for name, mem in self.memories.items()}
+            name: copy_memory(mem) for name, mem in self.memories.items()}
         out.assertions = list(self.assertions)
         out.owner = dict(self.owner)
         out.interfaces = list(self.interfaces)

@@ -1,12 +1,15 @@
 """Content-addressed artifact cache for VTI incremental compiles.
 
 An incremental recompile of an unchanged partition module repeats the
-expensive, *version-independent* work: boundary check, partition-local
-synthesis, requirement estimation, region timing, elaboration of the
-stitched top, and the partition's BEL re-placement. All of that is a
-pure function of (device, flow seed, baseline checkpoint, partition
-spec, region, old module netlist, new module netlist) — so it is keyed
-by a SHA-256 fingerprint over exactly those inputs and memoized here.
+*version-independent* work: boundary check, partition-local synthesis,
+requirement estimation, region timing, flattening the partition and
+splicing it into the baseline netlist, and the partition's BEL
+placement (the baseline's, reused when the edit keeps the register
+layout). All of that is a pure function of (device, flow seed, baseline
+checkpoint, partition spec, region, old module netlist, new module
+netlist) — so it is keyed by a SHA-256 fingerprint over exactly those
+inputs and memoized here. The baseline module's half of the key is
+computed once, by the initial compile.
 
 What is *never* cached: modeled stage seconds (their jitter is keyed by
 the compile's version so single, batched, and cached compiles stay
@@ -23,7 +26,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from ..config.logic_loc import LLEntry
 from ..obs import get_registry
@@ -117,19 +120,20 @@ def module_fingerprint(module: Module) -> str:
 
 def compile_fingerprint(*, part: str, seed: str, base_name: str,
                         partition_path: str, over_provision: float,
-                        region: str, baseline: Module,
-                        module: Module) -> str:
+                        region: str, baseline_boundary: str,
+                        baseline_digest: str, module: Module) -> str:
     """Content address of one incremental compile's cacheable work.
 
-    ``baseline`` (the partition module the initial compile split out) is
-    part of the key because a hit also vouches for the boundary check —
-    which was proven against exactly this baseline.
+    The baseline (the partition module the initial compile split out)
+    is part of the key, as its :func:`boundary_signature` and
+    :func:`module_fingerprint`, because a hit also vouches for the
+    boundary check — which was proven against exactly this baseline.
     """
     material = "\x00".join([
         CACHE_MAGIC, part, seed, base_name, partition_path,
         f"{over_provision:.6f}", region,
-        boundary_signature(baseline), boundary_signature(module),
-        module_fingerprint(baseline), module_fingerprint(module),
+        baseline_boundary, boundary_signature(module),
+        baseline_digest, module_fingerprint(module),
     ])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -142,22 +146,23 @@ def compile_fingerprint(*, part: str, seed: str, base_name: str,
 class CacheEntry:
     """The version-independent artifacts of one incremental compile.
 
-    ``flat``, ``new_top``, ``partition_ll``, and ``partition_memories``
-    are filled lazily by the database rebuild (designs without a fabric
-    database never compute them).
+    ``new_top`` is the stitched top of a real edit. ``flat`` (the
+    spliced netlist), ``partition_ll`` and ``partition_memories`` are
+    filled by the database rebuild (designs without a fabric database
+    never compute them); the last two are the baseline's own, shared,
+    when the edit kept the partition's register layout. A hit serves
+    all of them, so it neither flattens nor places.
     """
 
     fingerprint: str
-    partition_path: str
     boundary_nets: int
     requirement: RegionRequirement
     timing: TimingResult
     partition_nets: int
-    partition_ll: Optional[list[LLEntry]] = None
-    partition_memories: Optional[dict[str, MemoryPlacement]] = None
+    partition_ll: Optional[Sequence[LLEntry]] = None
+    partition_memories: Optional[Mapping[str, MemoryPlacement]] = None
     flat: Optional[Netlist] = None
     new_top: Optional[Module] = None
-    hits: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +216,6 @@ class CompileCache:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                entry.hits += 1
                 self.stats.hits += 1
                 self._m_hits.inc()
                 return entry

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from ..config.database import DesignDatabase, synthesize_frame_words
-from ..config.logic_loc import LogicLocationFile
+from ..config.logic_loc import LLEntry, LogicLocationFile
 from ..config.program import build_partial_bitstream
 from ..errors import PartitionError
 from ..fpga.device import Device
@@ -32,9 +32,12 @@ from ..obs import get_flight_recorder, get_registry, get_tracer
 _TRACER = get_tracer()
 _FLIGHT = get_flight_recorder()
 from ..fpga.frames import BLOCK_MAIN, FrameAddress
+from ..rtl.flatten import InstanceCut, cut_instances, flatten_instance, \
+    splice
 from ..rtl.module import Module
 from ..vendor import cost
 from ..vendor.flow import CompileResult, VivadoFlow
+from ..vendor.place import MemoryPlacement, place_partition, state_layout
 from ..vendor.synth import SynthesisResult, synthesize
 from ..vendor.timing import (
     FF_OVERHEAD_NS,
@@ -44,11 +47,48 @@ from ..vendor.timing import (
     congestion_penalty_ns,
 )
 from .cache import CacheEntry, CompileCache, compile_fingerprint, \
-    get_default_cache
+    get_default_cache, module_fingerprint
 from .estimate import RegionRequirement, estimate_requirements
 from .floorplan import Floorplan, floorplan_partitions, region_frame_count
-from .link import LinkReport, check_boundary_compatible, replace_instance_module
+from .link import LinkReport, boundary_signature, \
+    check_boundary_compatible, replace_instance_module
 from .partition import DesignSplit, PartitionSpec, split_design
+
+
+def _within(name: str, path: str) -> bool:
+    """Whether flat ``name`` lies in the instance subtree at ``path``."""
+    return name == path or name.startswith(path + ".")
+
+
+@dataclass(frozen=True)
+class PartitionBaseline:
+    """Everything the initial compile fixes for one partition.
+
+    Derived from the baseline alone, once, by
+    :meth:`VtiFlow.compile_initial`; incremental compiles and cache
+    entries only read it, so nothing an edit produces outlives a cache
+    clear here.
+    """
+
+    #: The baseline module's half of every compile fingerprint.
+    boundary: str
+    digest: str
+    #: The reserved region's capacity and configuration frame count.
+    capacity: dict[str, int]
+    region_frames: int
+    #: The baseline netlist around the partition's block (None without
+    #: a fabric database; so is everything below).
+    cut: Optional[InstanceCut] = None
+    #: The region's logic frames, rewritten by every partial bitstream.
+    frames: tuple[FrameAddress, ...] = ()
+    #: The baseline partition's :func:`state_layout` and its placement.
+    layout: tuple = ()
+    ll: tuple[LLEntry, ...] = ()
+    memories: Mapping[str, MemoryPlacement] = field(default_factory=dict)
+    #: Every other entry and memory placement of the baseline database.
+    static_ll: tuple[LLEntry, ...] = ()
+    static_memories: Mapping[str, MemoryPlacement] = field(
+        default_factory=dict)
 
 
 @dataclass
@@ -61,6 +101,8 @@ class VtiCompileResult:
     requirements: dict[str, RegionRequirement]
     clocks: dict[str, float]
     top: Module
+    #: Partition path -> what the baseline fixes for it.
+    partitions: dict[str, PartitionBaseline]
     version: int = 0
     #: Incremental versions claimed against this baseline so far; the
     #: flow advances it under a lock so chained recompiles, and flows
@@ -202,7 +244,53 @@ class VtiFlow:
 
         return VtiCompileResult(
             base=base, split=split, floorplan=plan,
-            requirements=requirements, clocks=dict(clocks), top=top)
+            requirements=requirements, clocks=dict(clocks), top=top,
+            partitions=self._partition_baselines(
+                top, split, plan, base.database))
+
+    def _partition_baselines(self, top: Module, split: DesignSplit,
+                             plan: Floorplan,
+                             database: Optional[DesignDatabase]
+                             ) -> dict[str, PartitionBaseline]:
+        """One :class:`PartitionBaseline` per partition, from the
+        baseline design and (when there is one) its database."""
+        out = {}
+        if database is not None:
+            cuts = cut_instances(top, split.partition_paths())
+        for partition in split.partitions:
+            path, module = partition.path, partition.module
+            region = plan.regions[path]
+            keys = (boundary_signature(module), module_fingerprint(module),
+                    region.capacity(self.device),
+                    region_frame_count(self.device, region))
+            if database is None:
+                out[path] = PartitionBaseline(*keys)
+                continue
+            # Regions are exclusive, so the baseline's full placement
+            # gave each partition exactly what place_partition gives it:
+            # its entries and memory placements split off by name.
+            entries = database.ll.entries
+            memories = database.memory_map
+            columns = sorted({c.index for c in region.columns(self.device)})
+            out[path] = PartitionBaseline(
+                *keys, cut=cuts[path],
+                frames=tuple(
+                    FrameAddress(block_type=BLOCK_MAIN, region=index,
+                                 column=column, minor=0)
+                    for index in range(region.region_lo,
+                                       region.region_hi + 1)
+                    for column in columns),
+                layout=state_layout(flatten_instance(module, cuts[path])),
+                ll=tuple(e for e in entries if _within(e.name, path)),
+                memories={name: placement
+                          for name, placement in memories.items()
+                          if _within(name, path)},
+                static_ll=tuple(e for e in entries
+                                if not _within(e.name, path)),
+                static_memories={name: placement
+                                 for name, placement in memories.items()
+                                 if not _within(name, path)})
+        return out
 
     # ------------------------------------------------------------------
     # incremental recompile
@@ -260,9 +348,10 @@ class VtiFlow:
         # cache-hit recompiles of the same change stay bit-identical.
         run = version
         partition = initial.split.partition(partition_path)
+        baseline = initial.partitions[partition_path]
         new_module = modified_module or partition.module
         region = initial.floorplan.regions[partition_path]
-        capacity = region.capacity(self.device)
+        capacity = baseline.capacity
 
         entry = None
         if self.cache is not None:
@@ -271,8 +360,8 @@ class VtiFlow:
                 base_name=initial.base.name,
                 partition_path=partition_path,
                 over_provision=partition.spec.over_provision,
-                region=str(region), baseline=partition.module,
-                module=new_module)
+                region=str(region), baseline_boundary=baseline.boundary,
+                baseline_digest=baseline.digest, module=new_module)
             entry = self.cache.get(fingerprint)
         else:
             fingerprint = ""
@@ -297,7 +386,6 @@ class VtiFlow:
             timing = self._partition_timing(psynth, fill, initial.clocks)
             entry = CacheEntry(
                 fingerprint=fingerprint,
-                partition_path=partition_path,
                 boundary_nets=boundary_nets,
                 requirement=requirement, timing=timing,
                 partition_nets=psynth.total_nets())
@@ -323,7 +411,7 @@ class VtiFlow:
         # host wall-clock, never modeled hardware time.
         seed = f"{self.seed}:{partition_path}"
         design_cells = initial.base.synth.totals.total_cells()
-        region_frames = region_frame_count(self.device, region)
+        region_frames = baseline.region_frames
         seconds = {
             "synth": cost.synth_seconds(requirement.raw.lut, seed, run),
             "place": cost.place_seconds(
@@ -356,7 +444,7 @@ class VtiFlow:
         region_mask = initial.floorplan.region_mask(partition_path)
         if initial.base.database is not None:
             database, partial = self._rebuild_database(
-                initial, new_top, partition_path, region_mask, version,
+                initial, new_module, partition_path, region_mask, version,
                 entry)
         if fresh and self.cache is not None:
             self.cache.put(entry)
@@ -447,72 +535,63 @@ class VtiFlow:
             met=all(s >= 0 for s in slack.values()), paths=paths)
 
     def _rebuild_database(self, initial: VtiCompileResult,
-                          new_top: Module, partition_path: str,
+                          new_module: Module, partition_path: str,
                           region_mask: int, version: int,
                           entry: Optional[CacheEntry] = None):
         """Fabric-executable path: updated database + partial bitstream.
 
-        O(partition), not O(design): the static region's logic-location
-        entries and memory placements are copied from the initial
-        compile's database (regions are exclusive, so a full re-place
-        would reproduce them bit-for-bit), and only the changed
-        partition is re-placed — via :func:`place_partition`, or pulled
-        straight from the compile cache when the netlist was seen
-        before. Frame content and the partial bitstream depend on the
-        database *name* (hence version), so they are synthesized fresh
-        every call.
+        Partition-sized work on top of the partition's
+        :class:`PartitionBaseline`: the new module is flattened alone
+        and spliced between the baseline netlist's items around the
+        partition (:func:`~repro.rtl.flatten.splice`; the static items
+        are copied, never re-flattened). When the edit keeps the
+        partition's :func:`state_layout`, the baseline's own
+        logic-location entries and memory placements are reused;
+        otherwise :func:`place_partition` places it afresh. The static
+        region's entries and placements come from the baseline as they
+        stand (regions are exclusive, so a full re-place would reproduce
+        them bit-for-bit). A cache hit reuses the spliced netlist and
+        the placement, so it neither flattens nor places. Frame content
+        and the partial bitstream depend on the database *name* (hence
+        version), so they are synthesized fresh every call.
         """
         base_db = initial.base.database
         assert base_db is not None
-        from ..rtl.flatten import elaborate
-        from ..vendor.place import place_partition
+        baseline = initial.partitions[partition_path]
 
-        flat = entry.flat if entry is not None else None
-        if flat is None:
-            flat = elaborate(new_top)
+        if entry is not None and entry.flat is not None:
+            flat = entry.flat
+            partition_ll = entry.partition_ll
+            partition_memories = entry.partition_memories
+        else:
+            block = flatten_instance(new_module, baseline.cut)
+            flat = splice(baseline.cut, block)
+            if state_layout(block) == baseline.layout:
+                partition_ll = baseline.ll
+                partition_memories = baseline.memories
+            else:
+                partition_ll, partition_memories = place_partition(
+                    flat, self.device, partition_path,
+                    dict(initial.floorplan.regions))
             if entry is not None:
                 entry.flat = flat
-        partition_ll = entry.partition_ll if entry is not None else None
-        partition_memories = (
-            entry.partition_memories if entry is not None else None)
-        if partition_ll is None:
-            partition_ll, partition_memories = place_partition(
-                flat, self.device, partition_path,
-                dict(initial.floorplan.regions))
-            if entry is not None:
                 entry.partition_ll = partition_ll
                 entry.partition_memories = partition_memories
 
-        dotted = partition_path + "."
-        def is_static(name: str) -> bool:
-            return not (name == partition_path
-                        or name.startswith(dotted))
-        ll = LogicLocationFile(
-            [e for e in base_db.ll.entries if is_static(e.name)]
-            + list(partition_ll))
-        memory_map = {
-            name: placement
-            for name, placement in base_db.memory_map.items()
-            if is_static(name)
-        }
-        memory_map.update(partition_memories or {})
+        ll = LogicLocationFile([*baseline.static_ll, *partition_ll])
+        memory_map = dict(baseline.static_memories)
+        memory_map.update(partition_memories)
 
-        region = initial.floorplan.regions[partition_path]
-        columns = {c.index for c in region.columns(self.device)}
+        slr = initial.floorplan.regions[partition_path].slr
         name = f"{base_db.name}.v{version}"
         new_image = {
-            slr: dict(frames)
-            for slr, frames in base_db.frame_image.items()
+            index: dict(frames)
+            for index, frames in base_db.frame_image.items()
         }
-        partial_frames: dict[FrameAddress, list[int]] = {}
-        for region_index in range(region.region_lo, region.region_hi + 1):
-            for column in sorted(columns):
-                address = FrameAddress(
-                    block_type=BLOCK_MAIN, region=region_index,
-                    column=column, minor=0)
-                words = synthesize_frame_words(name, address)
-                new_image.setdefault(region.slr, {})[address] = words
-                partial_frames[address] = words
+        partial_frames = {
+            address: synthesize_frame_words(name, address)
+            for address in baseline.frames}
+        new_image.setdefault(slr, {}).update(partial_frames)
 
         database = DesignDatabase(
             name=name, device=self.device, netlist=flat,
@@ -521,5 +600,5 @@ class VtiFlow:
             gate_signals=dict(base_db.gate_signals),
             memory_map=memory_map)
         partial = build_partial_bitstream(
-            database, region.slr, partial_frames, region_mask)
+            database, slr, partial_frames, region_mask)
         return database, partial

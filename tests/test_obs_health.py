@@ -217,6 +217,28 @@ class TestHealthEngine:
         assert ("supervise", "health_degraded") in names
         flight.clear()
 
+    def test_persisting_degradation_notes_once(self):
+        from repro.obs.flight import get_flight_recorder
+        flight = get_flight_recorder()
+        flight.clear()
+        flight.note("chaos", "device_hang", site="fabric.run")
+        registry = MetricsRegistry()
+        registry.counter("supervise.breaker_opens").inc()
+        for _ in range(300):
+            evaluate(MetricsWindow(registry))
+        names = [(r["kind"], r["name"]) for r in flight.events]
+        assert names == [("chaos", "device_hang"),
+                         ("supervise", "health_degraded")]
+        registry.counter("transport.exhausted").inc()
+        evaluate(MetricsWindow(registry))
+        evaluate(MetricsWindow(registry))
+        # A changed failed set notes again, once.
+        rules = [r["rules"] for r in flight.events
+                 if r["name"] == "health_degraded"]
+        assert rules == ["supervise.breaker_opens",
+                         "transport.exhausted,supervise.breaker_opens"]
+        flight.clear()
+
     def test_default_rule_names_are_unique(self):
         names = [rule.name for rule in DEFAULT_RULES]
         assert len(names) == len(set(names))
