@@ -7,8 +7,9 @@ Three cooperating pieces (see the module docstrings for depth):
   only way to inject a fault anywhere in the stack: disk I/O, the
   fabric, the JTAG channel, and host death. Arm a schedule for a block
   with :func:`install_chaos`;
-- :mod:`.supervise` — modeled-seconds deadlines, bounded retries,
-  circuit breakers, and the asserted graceful-degradation table;
+- :mod:`.supervise` — modeled-seconds deadlines and bounded retries,
+  always on for every session, circuit breakers, and the asserted
+  graceful-degradation table;
 - :mod:`.campaign` — the automated harness that replays one seeded
   debugger script on designs from :mod:`repro.campaign.designs` under
   randomized schedules and checks the differential invariants.
@@ -35,7 +36,6 @@ from .supervise import (
     DOCUMENTED_FALLBACKS,
     CircuitBreaker,
     Degradation,
-    SuperviseConfig,
     Supervisor,
     get_supervisor,
     modeled_io_seconds,
@@ -48,7 +48,7 @@ __all__ = [
     "FaultSpec", "Injection", "chaos_active", "fault_point",
     "install_chaos", "sites_for_kind",
     "DOCUMENTED_FALLBACKS", "CircuitBreaker", "Degradation",
-    "SuperviseConfig", "Supervisor", "get_supervisor",
+    "Supervisor", "get_supervisor",
     "modeled_io_seconds", "note_degradation", "run_io",
     "CampaignConfig", "CampaignReport", "ScheduleOutcome",
     "run_campaign",

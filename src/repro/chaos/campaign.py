@@ -5,8 +5,9 @@ from the campaign table (:mod:`repro.campaign.designs`) — the
 single-clock pipeline, the Cohort SoC, and the multi-SLR manycore
 cluster, compiled at :data:`CLOCKS_MHZ` — under N randomized (but
 seed-deterministic) :class:`~repro.chaos.schedule.FaultSchedule`\\ s,
-with supervision enabled and crash safety attached. After every faulted
-run it checks the differential invariants the robustness work promises:
+with crash safety and a circuit breaker attached to every session.
+After every faulted run it checks the differential invariants the
+robustness work promises:
 
 - **Convergence** — after any number of supervised recoveries, the
   faulted session's final design state is *bit-identical* (same
@@ -47,7 +48,7 @@ from ..errors import (
 )
 from ..obs import get_registry
 from .schedule import FaultRegistry, FaultSchedule, install_chaos
-from .supervise import SuperviseConfig, get_supervisor
+from .supervise import RETRIES, get_supervisor
 
 #: Designs a default campaign exercises, and the only ones
 #: :func:`script_for` has inputs for: a plain pipeline, the Cohort SoC,
@@ -73,7 +74,6 @@ class CampaignConfig:
     #: Recoveries allowed per schedule/design run before the campaign
     #: declares the retry loop unbounded (a violation, not an error).
     max_recoveries: int = 8
-    supervise: SuperviseConfig = field(default_factory=SuperviseConfig)
 
 
 @dataclass
@@ -336,11 +336,10 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
                 outcome.outcome = "recovered"
 
     # Bounded-retry invariant: every supervised retry is chargeable to
-    # an injected fault, each bounded by the configured per-op budget.
+    # an injected fault, each bounded by the per-op budget.
     retries = metrics.counter("supervise.retries").value - retries_before
-    per_fault = config.supervise.retries
-    allowed = registry.faults_fired * per_fault \
-        + recoveries * len(script) * per_fault
+    allowed = registry.faults_fired * RETRIES \
+        + recoveries * len(script) * RETRIES
     if retries > allowed:
         violations.append(
             f"supervised retries unbounded: {retries} retries for "
@@ -396,44 +395,38 @@ def run_campaign(config: CampaignConfig, workdir,
     root.mkdir(parents=True, exist_ok=True)
     report = CampaignReport(config=config)
 
-    sup = get_supervisor()
-    was_enabled = sup.enabled
-    sup.enable(config.supervise)
-    try:
-        compiled = {}
-        clean = {}
-        scripts = {}
-        for design in config.designs:
-            compiled[design] = compile_design(campaign_design(design),
-                                              CLOCKS_MHZ)
-            scripts[design] = script_for(design, compiled[design],
-                                         config.seed)
-            # The twin runs unfaulted but *supervised*, proving the
-            # supervision layer itself never perturbs design state.
-            clean[design] = _clean_key(compiled[design], scripts[design])
-            if progress is not None:
-                progress(f"compiled {design} "
-                         f"(clean key {clean[design][:12]})")
+    compiled = {}
+    clean = {}
+    scripts = {}
+    for design in config.designs:
+        compiled[design] = compile_design(campaign_design(design),
+                                          CLOCKS_MHZ)
+        scripts[design] = script_for(design, compiled[design],
+                                     config.seed)
+        # The twin runs unfaulted and without a breaker: whatever
+        # retries, repairs and fallbacks a faulted run takes, its final
+        # state must equal the twin's.
+        clean[design] = _clean_key(compiled[design], scripts[design])
+        if progress is not None:
+            progress(f"compiled {design} "
+                     f"(clean key {clean[design][:12]})")
 
-        for number in range(config.schedules):
-            schedule = FaultSchedule.generate(
-                config.seed + number, max_faults=config.max_faults)
-            for design in config.designs:
-                rundir = root / f"s{number:04d}-{design}"
-                if rundir.exists():
-                    shutil.rmtree(rundir)
-                outcome = _run_schedule(
-                    design, compiled[design], scripts[design],
-                    clean[design], schedule, rundir, config)
-                report.outcomes.append(outcome)
-                shutil.rmtree(rundir, ignore_errors=True)
-            if progress is not None and (number + 1) % 10 == 0:
-                progress(f"schedule {number + 1}/{config.schedules}: "
-                         f"{report.count('clean')} clean / "
-                         f"{report.count('recovered')} recovered / "
-                         f"{report.count('detected_corruption')} "
-                         f"detected")
-    finally:
-        if not was_enabled:
-            sup.disable()
+    for number in range(config.schedules):
+        schedule = FaultSchedule.generate(
+            config.seed + number, max_faults=config.max_faults)
+        for design in config.designs:
+            rundir = root / f"s{number:04d}-{design}"
+            if rundir.exists():
+                shutil.rmtree(rundir)
+            outcome = _run_schedule(
+                design, compiled[design], scripts[design],
+                clean[design], schedule, rundir, config)
+            report.outcomes.append(outcome)
+            shutil.rmtree(rundir, ignore_errors=True)
+        if progress is not None and (number + 1) % 10 == 0:
+            progress(f"schedule {number + 1}/{config.schedules}: "
+                     f"{report.count('clean')} clean / "
+                     f"{report.count('recovered')} recovered / "
+                     f"{report.count('detected_corruption')} "
+                     f"detected")
     return report

@@ -24,16 +24,18 @@ happens next. This module is that policy, in three pieces:
   *asserts* the fallback is in the documented table — an undocumented
   degradation is a bug, not a save.
 
-Everything here is disabled by default and costs one attribute check
-on clean paths; :func:`get_supervisor` / :meth:`Supervisor.enable`
-turn it on for chaos campaigns and hardened deployments.
+Supervision is always on, and a clean path costs no extra modeled
+time: :func:`run_io` charges exactly one write, and the debugger's
+pause and gate-write checks read state it already holds. The bounds
+are module constants. The breaker is the one per-fabric choice: the
+chaos campaign attaches one with :meth:`Supervisor.make_breaker`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import (
     ChaosError,
@@ -74,27 +76,15 @@ DOCUMENTED_FALLBACKS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class SuperviseConfig:
-    """Deadlines (modeled seconds) and retry/breaker bounds."""
-
-    #: Per-op-class modeled-seconds deadlines (None = unbounded).
-    journal_sync_deadline: Optional[float] = 0.5
-    snapshot_io_deadline: Optional[float] = 2.0
-    #: Bounded retries per supervised operation: disk I/O, pause-network
-    #: writes and gate-ack verification.
-    retries: int = 3
-    #: Consecutive transport failures that open a fabric's breaker.
-    breaker_threshold: int = 3
-    #: Modeled seconds an open breaker refuses traffic.
-    breaker_cooldown_seconds: float = 0.5
-
-    def io_deadline_for(self, site: str) -> Optional[float]:
-        if site.startswith("journal."):
-            return self.journal_sync_deadline
-        if site.startswith("snapstore."):
-            return self.snapshot_io_deadline
-        return None
+#: Bounded retries per supervised operation: disk I/O, pause-network
+#: writes and gate-ack verification.
+RETRIES = 3
+#: Modeled-seconds deadline of one disk operation, by site prefix.
+IO_DEADLINES = {"journal.": 0.5, "snapstore.": 2.0}
+#: Consecutive transport failures that open a fabric's breaker.
+BREAKER_THRESHOLD = 3
+#: Modeled seconds an open breaker refuses traffic.
+BREAKER_COOLDOWN_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -181,13 +171,11 @@ class CircuitBreaker:
 
 
 class Supervisor:
-    """Process-wide supervision switchboard (mirrors the obs singletons:
+    """Process-wide supervision record (mirrors the obs singletons:
     mutated in place, never replaced, so module-level references stay
     valid)."""
 
     def __init__(self) -> None:
-        self.enabled = False
-        self.config = SuperviseConfig()
         self.degradations: list[Degradation] = []
         self.deadline_hits: list[tuple[str, float, float]] = []
         self._lock = threading.Lock()
@@ -195,14 +183,6 @@ class Supervisor:
         self._m_deadline_hits = registry.counter("supervise.deadline_hits")
         self._m_retries = registry.counter("supervise.retries")
         self._m_degradations = registry.counter("supervise.degradations")
-
-    def enable(self, config: Optional[SuperviseConfig] = None) -> None:
-        if config is not None:
-            self.config = config
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def reset(self) -> None:
         with self._lock:
@@ -248,9 +228,8 @@ class Supervisor:
     def make_breaker(self, clock: Callable[[], float],
                      name: str = "fabric") -> CircuitBreaker:
         return CircuitBreaker(
-            clock, threshold=self.config.breaker_threshold,
-            cooldown_seconds=self.config.breaker_cooldown_seconds,
-            name=name)
+            clock, threshold=BREAKER_THRESHOLD,
+            cooldown_seconds=BREAKER_COOLDOWN_SECONDS, name=name)
 
 
 _SUPERVISOR = Supervisor()
@@ -262,8 +241,8 @@ def get_supervisor() -> Supervisor:
 
 def note_degradation(fallback: str, site: str = "",
                      detail: str = "") -> None:
-    """Record a graceful degradation (works supervised or not — the
-    documented-fallback assertion always holds)."""
+    """Record a graceful degradation; a name outside
+    :data:`DOCUMENTED_FALLBACKS` raises."""
     _SUPERVISOR.note_degradation(fallback, site=site, detail=detail)
 
 
@@ -278,21 +257,16 @@ def run_io(site: str, nbytes: int, attempt,
     fail. ``repair(error)`` (optional) restores on-disk consistency
     between attempts.
 
-    Unsupervised, this degenerates to ``attempt(fault_point(site))`` —
-    faults surface raw, which is exactly what the chaos campaign's
-    "supervision off" baseline measures. Supervised, each attempt is
-    charged :func:`modeled_io_seconds` (plus any fault-attached slow
-    seconds) against the site's deadline; retries are bounded by
-    ``retries``; exhaustion or a spent deadline surfaces a typed
-    error. Returns ``(value, modeled_seconds)``.
+    Each attempt is charged :func:`modeled_io_seconds` (plus any
+    fault-attached slow seconds) against the site's deadline in
+    :data:`IO_DEADLINES`; retryable failures are retried up to
+    :data:`RETRIES` times; exhaustion or a spent deadline surfaces a
+    typed error. Returns ``(value, modeled_seconds)``.
     """
     sup = _SUPERVISOR
     fault = fault_point(site)
-    if not sup.enabled:
-        seconds = modeled_io_seconds(nbytes) + \
-            (fault.seconds if fault is not None else 0.0)
-        return attempt(fault), seconds
-    deadline = sup.config.io_deadline_for(site)
+    deadline = next((seconds for prefix, seconds in IO_DEADLINES.items()
+                     if site.startswith(prefix)), None)
     spent = 0.0
     failures = 0
     while True:
@@ -305,7 +279,7 @@ def run_io(site: str, nbytes: int, attempt,
             failures += 1
             if deadline is not None and spent >= deadline:
                 raise sup.deadline_hit(site, spent, deadline) from error
-            if failures > sup.config.retries or not is_retryable(error):
+            if failures > RETRIES or not is_retryable(error):
                 raise
             sup.record_retry(site)
             if repair is not None:

@@ -22,9 +22,10 @@ from typing import Optional
 
 from ..bitstream.assembler import BitstreamAssembler
 from ..chaos.schedule import fault_point
-from ..chaos.supervise import get_supervisor
+from ..chaos.supervise import RETRIES, get_supervisor
 from ..config.capture_plan import RegisterLayout, capture_plan
 from ..config.fabric import FabricDevice
+from ..config.program import build_state_write
 from ..errors import (
     BreakpointError,
     CircuitOpenError,
@@ -145,11 +146,6 @@ class ZoomieDebugger:
         self.checkpoint_every = checkpoint_every
         self._since_checkpoint = 0
 
-    def detach_crash_safety(self) -> None:
-        self.journal = None
-        self.snapshot_store = None
-        self.checkpoint_every = None
-
     @contextmanager
     def _journaled(self, command: str, **args):
         """Write-ahead frame around one mutating command.
@@ -262,9 +258,9 @@ class ZoomieDebugger:
         The gates live on the primary SLR's always-reachable controller
         (paper Section 4.2), so this works even when the fault is a
         stuck *secondary* — the design freezes and the session stays
-        inspectable after recovery or repair. Under supervision the
-        gate write is *verified* (the control plane can drop an ack)
-        and re-issued a bounded number of times.
+        inspectable after recovery or repair. The gate write is
+        *verified* (the control plane can drop an ack) and re-issued a
+        bounded number of times.
         """
         db = self.fabric.db
         assert db is not None
@@ -280,21 +276,18 @@ class ZoomieDebugger:
             self.safe_paused = False
 
     def _verified_gate_write(self, mask: int) -> None:
-        """Write the global gate mask; supervised sessions verify the
-        control plane accepted it (dropped gate acks are a chaos fault)
-        and re-issue up to ``retries`` times. Unsupervised, this is
-        exactly one write — the historical behaviour."""
+        """Write the global gate mask, verify the control plane accepted
+        it (dropped gate acks are a chaos fault) and re-issue up to
+        :data:`~repro.chaos.supervise.RETRIES` times."""
         sup = get_supervisor()
         attempts = 0
         while True:
             attempts += 1
             self.fabric.set_clock_gates(
                 mask, self.fabric.device.primary_slr)
-            if not sup.enabled:
-                return
             if self.fabric.gate_mask == mask:
                 return
-            if attempts > sup.config.retries:
+            if attempts > RETRIES:
                 # Best effort: the caller's error (if any) still
                 # surfaces; an unacked emergency stop is better
                 # reported than spun on forever.
@@ -354,9 +347,9 @@ class ZoomieDebugger:
         """Host-initiated pause (e.g. the design appears hung).
 
         The pause network can silently drop the latch write (a chaos
-        fault modeling the real stuck-pause-tree failure). Supervised
-        sessions verify the design actually paused and re-issue the
-        write a bounded number of times, then escalate to the primary
+        fault modeling the real stuck-pause-tree failure), so the
+        debugger verifies the design actually paused and re-issues the
+        write a bounded number of times, then escalates to the primary
         controller's emergency clock gates — the documented
         ``pause.emergency_gates`` fallback.
         """
@@ -373,9 +366,9 @@ class ZoomieDebugger:
                 # else: the write was acked on the ring but the pause
                 # network never latched it — detectable only by
                 # verifying the pause actually took.
-                if not sup.enabled or self.is_paused():
+                if self.is_paused():
                     return
-                if attempts > sup.config.retries:
+                if attempts > RETRIES:
                     sup.note_degradation(
                         "pause.emergency_gates",
                         site="fabric.pause_write",
@@ -697,7 +690,7 @@ class ZoomieDebugger:
             device = self.fabric.device
             asm = BitstreamAssembler(device)
             asm.preamble()
-            self._hop(asm, placement.slr)
+            asm.hop_to_slr(placement.slr)
             asm.command("WCFG")
             for address in sorted(frames):
                 asm.write_register("FAR", [address.to_word()])
@@ -759,14 +752,12 @@ class ZoomieDebugger:
 
     def _write_slr(self, slr: int, updates: dict[str, int],
                    layout: RegisterLayout) -> None:
-        device = self.fabric.device
-
         # 1. Capture current state and read the frames we must edit.
         frames_needed = layout.frames_of(updates)
 
-        asm = BitstreamAssembler(device)
+        asm = BitstreamAssembler(self.fabric.device)
         asm.preamble()
-        self._hop(asm, slr)
+        asm.hop_to_slr(slr)
         asm.clear_mask()
         asm.capture()
         for address in frames_needed:
@@ -784,22 +775,6 @@ class ZoomieDebugger:
 
         # 3. Write the edited capture frames back and GRESTORE: every
         #    register reloads its just-captured value, except the edits.
-        asm = BitstreamAssembler(device)
-        asm.preamble()
-        self._hop(asm, slr)
-        asm.clear_mask()
-        asm.command("WCFG")
-        for address in frames_needed:
-            asm.write_register("FAR", [address.to_word()])
-            asm.write_register("FDRI", frame_words[address])
-        asm.restore()
-        asm.command("DESYNC").dummy(2)
-        result = self.fabric.transact(asm.words)
+        result = self.fabric.transact(
+            build_state_write(self.fabric.db, slr, frame_words))
         self.session_seconds += result.seconds
-
-    def _hop(self, asm: BitstreamAssembler, slr: int) -> None:
-        hops = asm.hops_to(slr)
-        for _ in range(hops):
-            asm.write_register("BOUT", [])
-        if hops:
-            asm.dummy(4)

@@ -134,14 +134,9 @@ class ReadbackEngine:
     def read_slr(self, slr: int, frames: list[FrameAddress],
                  prefix: str = "") -> ReadbackResult:
         """Capture + read the given frames of one SLR over the ring."""
-        device = self.fabric.device
-        asm = BitstreamAssembler(device)
+        asm = BitstreamAssembler(self.fabric.device)
         asm.preamble()
-        hops = asm.hops_to(slr)
-        for _ in range(hops):
-            asm.write_register("BOUT", [])
-        if hops:
-            asm.dummy(4)
+        asm.hop_to_slr(slr)
         asm.clear_mask()  # Section 4.7: always clear before readback
         asm.capture()
         wanted, runs = self._coalesce(slr, frames)
@@ -225,14 +220,9 @@ class ReadbackEngine:
             # and coalesce contiguous content runs into FDRO bursts,
             # exactly like register readback does.
             wanted, runs = self._coalesce(slr, requested)
-            device = self.fabric.device
-            asm = BitstreamAssembler(device)
+            asm = BitstreamAssembler(self.fabric.device)
             asm.preamble()
-            hops = asm.hops_to(slr)
-            for _ in range(hops):
-                asm.write_register("BOUT", [])
-            if hops:
-                asm.dummy(4)
+            asm.hop_to_slr(slr)
             asm.clear_mask()
             asm.capture()
             for start, count in runs:

@@ -185,10 +185,6 @@ class RoutingError(FlowError):
     """The router could not complete all nets."""
 
 
-class TimingError(FlowError):
-    """Static timing analysis failed to close timing."""
-
-
 class PartitionError(FlowError):
     """Invalid VTI partition specification."""
 

@@ -45,12 +45,6 @@ class Column:
     index: int
     kind: str  # CLB | CLBM | BRAM
 
-    def luts_per_row(self) -> int:
-        return LUTS_PER_CLB if self.kind in (CLB, CLBM) else 0
-
-    def ffs_per_row(self) -> int:
-        return FFS_PER_CLB if self.kind in (CLB, CLBM) else 0
-
 
 @dataclass(frozen=True)
 class Slr:

@@ -174,33 +174,6 @@ class Netlist:
         out.interfaces = list(self.interfaces)
         return out
 
-    def state_elements(self) -> list[tuple[str, int]]:
-        """(name, width) of every register plus (name, bits) per memory.
-
-        This is the inventory readback exposes: "full visibility" in the
-        paper means exactly these elements.
-        """
-        out = [(name, reg.width) for name, reg in self.registers.items()]
-        out.extend((name, mem.bits) for name, mem in self.memories.items())
-        return out
-
-    def total_state_bits(self) -> int:
-        return sum(bits for _, bits in self.state_elements())
-
-    def comb_node_count(self) -> int:
-        """Total AST nodes across assigns; the synthesis cost driver."""
-        return sum(expr.node_count() for expr in self.assigns.values())
-
-    def signals_of_owner(self, prefix: str) -> list[str]:
-        """All signals owned by instances at or below ``prefix``."""
-        if not prefix:
-            return list(self.signals)
-        return [
-            name for name, owner in self.owner.items()
-            if owner == prefix or owner.startswith(prefix + ".")
-            or name == prefix or name.startswith(prefix + ".")
-        ]
-
     def validate(self) -> None:
         """Consistency check: every non-input signal must have a driver and
         every expression must reference known signals."""

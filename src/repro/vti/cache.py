@@ -42,12 +42,6 @@ CACHE_MAGIC = "zoomie-vticache-v1"
 #: Entries kept before LRU eviction.
 DEFAULT_CAPACITY = 256
 
-#: Module attributes stamped by ``split_design`` (reset insertion); they
-#: mark bookkeeping, not netlist content, so fingerprints skip them —
-#: the pristine user module and its partition-prepared twin must hash
-#: identically.
-_SPLIT_MARKERS = ("vti_partition", "vti_reset_inserted")
-
 
 # --------------------------------------------------------------------------
 # fingerprinting
@@ -102,8 +96,6 @@ def module_fingerprint(module: Module) -> str:
         for text in m.assertions:
             put(f"assert {text}")
         for key in sorted(m.attributes):
-            if key in _SPLIT_MARKERS:
-                continue
             put(f"attr {key} = {m.attributes[key]!r}")
         for name in sorted(m.instances):
             inst = m.instances[name]

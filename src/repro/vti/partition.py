@@ -3,11 +3,13 @@
 The user partitioning "takes the form of a list of modules" (paper
 Section 3.5): each :class:`PartitionSpec` names one instance path the
 designer intends to iterate on. :class:`DesignSplit` validates the paths
-against the hierarchy, derives each partition's module definition and
-resource needs, and performs *reset insertion* — partition boundaries get
-a dedicated reset so a freshly reloaded partition can be brought up
-without touching the static region (Figure 4's "Design Split, Reset
-Insertion" step).
+against the hierarchy and resolves each partition's module definition.
+It leaves the user's modules untouched: a module may sit under several
+paths (one definition per core), so nothing per-partition is stamped on
+it. Figure 4's "Reset Insertion" step is the region ``MASK`` of the
+partial bitstream (:func:`repro.config.program.build_partial_bitstream`),
+which lets the vendor GSR bring the fresh logic up while the static
+region keeps running.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class Partition:
 
     spec: PartitionSpec
     module: Module
-    #: True once reset insertion wrapped the partition boundary.
-    reset_inserted: bool = False
 
     @property
     def path(self) -> str:
@@ -79,20 +79,6 @@ def _resolve_instance(top: Module, path: str) -> Module:
     return module
 
 
-def _insert_reset(partition: Partition) -> None:
-    """Mark the partition's module for post-reload reset.
-
-    The attribute drives two things downstream: the floorplanner keeps
-    the partition's region aligned to clock-region (GSR mask) boundaries,
-    and the partial-bitstream builder sets that region's MASK so the
-    vendor GSR brings the fresh logic up while the static region keeps
-    running.
-    """
-    partition.module.attributes["vti_partition"] = partition.path
-    partition.module.attributes["vti_reset_inserted"] = True
-    partition.reset_inserted = True
-
-
 def split_design(top: Module,
                  specs: list[PartitionSpec]) -> DesignSplit:
     """Resolve and validate partition specs against the hierarchy."""
@@ -110,8 +96,6 @@ def split_design(top: Module,
                     f"partitions {existing!r} and {spec.path!r} nest; "
                     f"partitions must be disjoint subtrees")
         seen.add(spec.path)
-        module = _resolve_instance(top, spec.path)
-        partition = Partition(spec=spec, module=module)
-        _insert_reset(partition)
-        split.partitions.append(partition)
+        split.partitions.append(
+            Partition(spec=spec, module=_resolve_instance(top, spec.path)))
     return split

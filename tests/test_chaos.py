@@ -20,7 +20,6 @@ from repro.chaos import (
     CircuitBreaker,
     FaultSchedule,
     FaultSpec,
-    SuperviseConfig,
     chaos_active,
     get_supervisor,
     install_chaos,
@@ -30,6 +29,7 @@ from repro.chaos import (
     sites_for_kind,
 )
 from repro.chaos.campaign import CLOCKS_MHZ
+from repro.chaos.supervise import RETRIES
 from repro.debug import (
     StateSnapshot,
     diff_snapshots,
@@ -63,11 +63,10 @@ def arm(*specs, seed=0):
 
 @pytest.fixture
 def supervised():
+    """The supervisor, with its records cleared."""
     sup = get_supervisor()
-    sup.enable(SuperviseConfig())
     sup.reset()
     yield sup
-    sup.disable()
     sup.reset()
 
 
@@ -237,7 +236,7 @@ class TestCircuitBreaker:
 
 
 class TestRunIO:
-    def test_unsupervised_passthrough_models_seconds(self):
+    def test_clean_write_models_one_attempt(self):
         value, seconds = run_io("journal.sync", 640, lambda fault: "ok")
         assert value == "ok"
         assert seconds == pytest.approx(modeled_io_seconds(640))
@@ -330,7 +329,8 @@ class TestJournalChaos:
         with pytest.raises(JournalCorruptError):
             read_journal(tmp_path / "j.log")
 
-    def test_enospc_unsupervised_surfaces_raw(self, tmp_path):
+    def test_enospc_surfaces_raw(self, tmp_path):
+        """ENOSPC is not retryable: the first failed sync surfaces."""
         journal = CommandJournal(tmp_path / "j.log")
         registry = arm(FaultSpec(site="journal.sync", kind="enospc",
                                  at=0))
@@ -353,11 +353,12 @@ def snap(**values):
 class TestSnapshotStoreChaos:
     def test_clean_put_rewrites_a_torn_object(self, tmp_path):
         """A put that finds a torn object under its key rewrites it
-        instead of deduping onto it."""
+        instead of deduping onto it. The tear outlasts every retry, so
+        the failed put leaves the torn object behind."""
         store = SnapshotStore(tmp_path)
         original = snap()
         registry = arm(FaultSpec(site="snapstore.put", kind="torn_write",
-                                 at=0))
+                                 rate=1.0, count=RETRIES + 1))
         with install_chaos(registry):
             with pytest.raises(DiskFaultError):
                 store.put(original)
@@ -380,10 +381,11 @@ class TestSnapshotStoreChaos:
         assert store.get(key).values == original.values
 
     def test_torn_put_is_a_detectable_defect(self, tmp_path):
+        """A put torn past its retries leaves an object verify flags."""
         store = SnapshotStore(tmp_path)
         original = snap()
         registry = arm(FaultSpec(site="snapstore.put", kind="torn_write",
-                                 at=0))
+                                 rate=1.0, count=RETRIES + 1))
         with install_chaos(registry):
             with pytest.raises(DiskFaultError):
                 store.put(original)
@@ -631,8 +633,6 @@ class TestCampaign:
         assert len(report.outcomes) == 3
         assert report.passed, report.describe()
         assert "invariants: all held" in report.describe()
-        # Supervision state is restored afterwards.
-        assert not get_supervisor().enabled
 
     def test_unknown_design_rejected(self, tmp_path):
         """Only designs the script has inputs for run, even if the

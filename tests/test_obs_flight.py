@@ -181,10 +181,8 @@ class TestSiteRecords:
 
     def test_degradation_note_says_why(self, clean_flight, tmp_path):
         from repro.chaos import FaultSchedule, FaultSpec, install_chaos
-        from repro.chaos.supervise import SuperviseConfig
         from repro.debug.journal import CommandJournal
         supervisor = get_supervisor()
-        supervisor.enable(SuperviseConfig())
         try:
             journal = CommandJournal(tmp_path / "j.log")
             journal.append("pause")
@@ -193,7 +191,6 @@ class TestSiteRecords:
             with install_chaos(schedule.registry()):
                 journal.append("resume", {"clear_triggers": True})
         finally:
-            supervisor.disable()
             supervisor.reset()
         [note] = [event for event in clean_flight.events
                   if event["name"] == "degradation"]

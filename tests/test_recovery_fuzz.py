@@ -22,7 +22,6 @@ from repro.campaign.designs import (
 from repro.chaos import (
     FaultSchedule,
     FaultSpec,
-    SuperviseConfig,
     get_supervisor,
     install_chaos,
 )
@@ -32,6 +31,7 @@ from repro.chaos.campaign import (
     apply_step,
     script_for,
 )
+from repro.chaos.supervise import RETRIES
 from repro.debug import diff_snapshots, enable_crash_safety, recover_session
 from repro.errors import SessionCrashedError
 
@@ -141,15 +141,22 @@ def test_recovery_survives_faulted_snapshot_put(kind, tmp_path):
     enable_crash_safety(debugger, tmp_path)
     for step in script[:snap_index]:
         apply_step(debugger, step)
-    registry = _armed(FaultSpec(site="snapstore.put", kind=kind, at=0),
-                      seed=SEED)
+    # One tear is retried and lands; a tear that outlasts every retry
+    # aborts the put and leaves the torn object on disk.
+    if kind == "torn_write":
+        spec = FaultSpec(site="snapstore.put", kind=kind, rate=1.0,
+                         count=RETRIES + 1)
+    else:
+        spec = FaultSpec(site="snapstore.put", kind=kind, at=0)
+    registry = _armed(spec, seed=SEED)
     with install_chaos(registry):
         if kind == "bit_rot":
             debugger.snapshot("first")  # lands, silently damaged
         else:
             with pytest.raises(DiskFaultError):
                 debugger.snapshot("first")
-    assert registry.faults_fired == 1
+    assert registry.faults_fired == (RETRIES + 1
+                                     if kind == "torn_write" else 1)
 
     # The process "dies" here. The journal already holds the snapshot
     # record (write-ahead), so replay re-executes it.
@@ -184,7 +191,6 @@ def test_lockstep_faulted_run_matches_clean_twin(tmp_path):
     enable_crash_safety(faulted, tmp_path)
 
     sup = get_supervisor()
-    sup.enable(SuperviseConfig())
     sup.reset()
     registry = _armed(
         FaultSpec(site="journal.sync", kind="torn_write", rate=0.4,
@@ -209,5 +215,4 @@ def test_lockstep_faulted_run_matches_clean_twin(tmp_path):
         assert registry.faults_fired > 0, \
             "schedule never fired; test is vacuous"
     finally:
-        sup.disable()
         sup.reset()

@@ -35,7 +35,6 @@ class TestPartitionSpec:
         soc = make_manycore_soc(24, 12, imem_depth=64)
         split = split_design(soc, [PartitionSpec("tile0.core3")])
         assert split.partitions[0].module.name == "serv_core"
-        assert split.partitions[0].reset_inserted
 
     def test_unknown_path_rejected(self):
         soc = make_manycore_soc(24, 12, imem_depth=64)

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.designs import make_cluster
 from repro.errors import PartitionError
 from repro.vti import CompileCache, PartitionSpec, VtiFlow
 from repro.vti.cache import module_fingerprint
@@ -154,16 +155,36 @@ def test_fingerprint_distinguishes_init_values():
     hot = build_mutant(init=255)
     assert module_fingerprint(base) == module_fingerprint(same)
     assert module_fingerprint(base) != module_fingerprint(hot)
+    # A module attribute is content too.
+    same.attributes["real_change"] = 1
+    assert module_fingerprint(base) != module_fingerprint(same)
+
+
+def _module_attributes(top):
+    """A copy of every module definition's attributes, by identity."""
+    out = {}
+    stack = [top]
+    while stack:
+        module = stack.pop()
+        if id(module) not in out:
+            out[id(module)] = dict(module.attributes)
+            stack.extend(inst.module for inst in module.instances.values())
+    return out
 
 
 @pytest.mark.fuzz
-def test_fingerprint_ignores_split_markers():
-    """split_design stamps partition modules with bookkeeping attrs; the
-    pristine user module must hash identically to its prepared twin."""
-    module = build_mutant()
-    before = module_fingerprint(module)
-    module.attributes["vti_partition"] = "c0"
-    module.attributes["vti_reset_inserted"] = True
-    assert module_fingerprint(module) == before
-    module.attributes["real_change"] = 1
-    assert module_fingerprint(module) != before
+def test_compile_initial_leaves_module_attributes_unchanged():
+    """The split writes nothing into the user's modules. The cluster
+    puts one ``serv_core`` definition under both cores, so a
+    per-partition mark would end up naming whichever core was split
+    last; both partition orders must leave every module as it was."""
+    top = make_cluster(cores=2, imem_depth=64)
+    before = _module_attributes(top)
+    for paths in (("core0", "core1"), ("core1", "core0")):
+        initial = VtiFlow(make_test_device(2)).compile_initial(
+            top, {"clk": 100.0}, [PartitionSpec(p) for p in paths],
+            debug_slr=0)
+        split = initial.split
+        assert split.partition("core0").module \
+            is split.partition("core1").module
+        assert _module_attributes(top) == before, paths
