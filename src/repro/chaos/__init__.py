@@ -8,8 +8,8 @@ Three cooperating pieces (see the module docstrings for depth):
   fabric, the JTAG channel, and host death. Arm a schedule for a block
   with :func:`install_chaos`;
 - :mod:`.supervise` — modeled-seconds deadlines and bounded retries,
-  always on for every session, circuit breakers, and the asserted
-  graceful-degradation table;
+  always on for every session, and the asserted graceful-degradation
+  table;
 - :mod:`.campaign` — the automated harness that replays one seeded
   debugger script on designs from :mod:`repro.campaign.designs` under
   randomized schedules and checks the differential invariants.
@@ -34,7 +34,6 @@ from .schedule import (
 )
 from .supervise import (
     DOCUMENTED_FALLBACKS,
-    CircuitBreaker,
     Degradation,
     Supervisor,
     get_supervisor,
@@ -47,8 +46,8 @@ __all__ = [
     "KINDS", "SITE_KINDS", "Fault", "FaultRegistry", "FaultSchedule",
     "FaultSpec", "Injection", "chaos_active", "fault_point",
     "install_chaos", "sites_for_kind",
-    "DOCUMENTED_FALLBACKS", "CircuitBreaker", "Degradation",
-    "Supervisor", "get_supervisor",
+    "DOCUMENTED_FALLBACKS", "Degradation", "Supervisor",
+    "get_supervisor",
     "modeled_io_seconds", "note_degradation", "run_io",
     "CampaignConfig", "CampaignReport", "ScheduleOutcome",
     "run_campaign",

@@ -5,7 +5,7 @@ from the campaign table (:mod:`repro.campaign.designs`) — the
 single-clock pipeline, the Cohort SoC, and the multi-SLR manycore
 cluster, compiled at :data:`CLOCKS_MHZ` — under N randomized (but
 seed-deterministic) :class:`~repro.chaos.schedule.FaultSchedule`\\ s,
-with crash safety and a circuit breaker attached to every session.
+with crash safety attached to every session.
 After every faulted run it checks the differential invariants the
 robustness work promises:
 
@@ -269,10 +269,8 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
     violations: list[str] = []
     mttrs: list[float] = []
 
-    fabric, debugger = launch_session(compiled)
+    _, debugger = launch_session(compiled)
     enable_crash_safety(debugger, workdir)
-    fabric.transport.breaker = sup.make_breaker(
-        lambda f=fabric: f.jtag.total_seconds, name=f"{name}-fabric")
 
     recoveries = 0
     with install_chaos(registry):
@@ -305,10 +303,7 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
                     # Recovery itself tripped another (bounded) fault;
                     # charge a recovery attempt and go again.
                     continue
-                fabric, debugger, report = recovered
-                fabric.transport.breaker = sup.make_breaker(
-                    lambda f=fabric: f.jtag.total_seconds,
-                    name=f"{name}-fabric")
+                debugger, report = recovered
                 mttrs.append(report.modeled_seconds)
                 metrics.histogram("chaos.mttr_seconds").observe(
                     report.modeled_seconds)
@@ -357,17 +352,17 @@ def _run_schedule(name: str, compiled, script, clean_key: str,
 def _recover_once(compiled, workdir):
     """One recovery attempt on a fresh session.
 
-    Returns ``(fabric, debugger, report)`` on success, or the exception
+    Returns ``(debugger, report)`` on success, or the exception
     (chaos may fault the recovery itself — the caller charges it
     against the bounded recovery budget).
     """
     from ..debug import recover_session
-    fabric, debugger = launch_session(compiled)
+    _, debugger = launch_session(compiled)
     try:
         report = recover_session(debugger, workdir)
     except (ReproError, OSError) as error:
         return error
-    return fabric, debugger, report
+    return debugger, report
 
 
 # --------------------------------------------------------------------------
@@ -403,9 +398,9 @@ def run_campaign(config: CampaignConfig, workdir,
                                           CLOCKS_MHZ)
         scripts[design] = script_for(design, compiled[design],
                                      config.seed)
-        # The twin runs unfaulted and without a breaker: whatever
-        # retries, repairs and fallbacks a faulted run takes, its final
-        # state must equal the twin's.
+        # The twin runs unfaulted: whatever retries, repairs and
+        # fallbacks a faulted run takes, its final state must equal the
+        # twin's.
         clean[design] = _clean_key(compiled[design], scripts[design])
         if progress is not None:
             progress(f"compiled {design} "

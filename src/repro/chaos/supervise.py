@@ -3,7 +3,7 @@
 The debugger's watchdog bounds *transport* time per command; nothing
 bounded the rest of the stack — a journal sync or a snapshot write
 could take arbitrary (modeled) time or fail without a policy for what
-happens next. This module is that policy, in three pieces:
+happens next. This module is that policy, in two pieces:
 
 - :func:`run_io` wraps one disk operation in a modeled-seconds deadline
   and a bounded retry loop with an optional repair step between
@@ -11,13 +11,6 @@ happens next. This module is that policy, in three pieces:
   sync). Deadline violations surface as the same typed
   :class:`DebugTimeoutError` the watchdog uses — "no operation outlives
   its deadline" is one invariant with one error type.
-
-- :class:`CircuitBreaker` guards one fabric's transport: repeated
-  transaction failures open the breaker, and further batches are
-  refused with :class:`CircuitOpenError` *without touching the
-  channel* until a modeled cooldown elapses. This is the
-  bounded-retry escalation between "retry the batch" (the transport's
-  RetryPolicy) and "abandon the fabric" (session recovery).
 
 - :func:`note_degradation` records every graceful-degradation event
   (torn journal→tail repair, stuck pause→emergency gates) and
@@ -27,19 +20,16 @@ happens next. This module is that policy, in three pieces:
 Supervision is always on, and a clean path costs no extra modeled
 time: :func:`run_io` charges exactly one write, and the debugger's
 pause and gate-write checks read state it already holds. The bounds
-are module constants. The breaker is the one per-fabric choice: the
-chaos campaign attaches one with :meth:`Supervisor.make_breaker`.
+are module constants.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from ..errors import (
     ChaosError,
-    CircuitOpenError,
     DebugTimeoutError,
     DiskFaultError,
     is_retryable,
@@ -81,10 +71,6 @@ DOCUMENTED_FALLBACKS: dict[str, str] = {
 RETRIES = 3
 #: Modeled-seconds deadline of one disk operation, by site prefix.
 IO_DEADLINES = {"journal.": 0.5, "snapstore.": 2.0}
-#: Consecutive transport failures that open a fabric's breaker.
-BREAKER_THRESHOLD = 3
-#: Modeled seconds an open breaker refuses traffic.
-BREAKER_COOLDOWN_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,80 +80,6 @@ class Degradation:
     fallback: str
     site: str
     detail: str = ""
-
-
-class CircuitBreaker:
-    """Three-state (closed / open / half-open) breaker on modeled time.
-
-    ``clock`` supplies the modeled-seconds timeline the cooldown is
-    measured on — for a fabric, the JTAG ring's ``total_seconds``, so
-    an idle host does not silently "wait out" a sick device: only
-    modeled channel activity moves the clock.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(self, clock: Callable[[], float],
-                 threshold: int = 3, cooldown_seconds: float = 0.5,
-                 name: str = "fabric"):
-        if threshold < 1:
-            raise ChaosError("breaker threshold must be >= 1",
-                             kind="breaker")
-        self.clock = clock
-        self.threshold = threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.name = name
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-        self.opens = 0
-        registry = get_registry()
-        self._m_opens = registry.counter("supervise.breaker_opens")
-        #: How many breakers are currently OPEN, process-wide.
-        self._g_open = registry.gauge("supervise.breakers_open")
-
-    def allow(self) -> None:
-        """Gate one operation; raises :class:`CircuitOpenError` open."""
-        if self.state == self.OPEN:
-            elapsed = self.clock() - self.opened_at
-            if elapsed < self.cooldown_seconds:
-                raise CircuitOpenError(
-                    f"{self.name} circuit breaker open after "
-                    f"{self.failures} consecutive failure(s); "
-                    f"{self.cooldown_seconds - elapsed:.3f} modeled "
-                    f"seconds of cooldown remain",
-                    failures=self.failures,
-                    cooldown_seconds=self.cooldown_seconds)
-            self._g_open.dec()
-            self.state = self.HALF_OPEN
-
-    def record_success(self) -> None:
-        self.failures = 0
-        self.state = self.CLOSED
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.state == self.HALF_OPEN or \
-                self.failures >= self.threshold:
-            if self.state != self.OPEN:
-                self.opens += 1
-                self._m_opens.inc()
-                self._g_open.inc()
-                # An OPEN transition is a flight trigger: the channel
-                # is about to go dark, so capture the lead-up now.
-                _FLIGHT.trigger("breaker.open", breaker=self.name,
-                                failures=self.failures)
-            self.state = self.OPEN
-            self.opened_at = self.clock()
-
-    def reset(self) -> None:
-        """Explicit repair acknowledgement (post-recovery)."""
-        if self.state == self.OPEN:
-            self._g_open.dec()
-        self.failures = 0
-        self.state = self.CLOSED
 
 
 class Supervisor:
@@ -224,12 +136,6 @@ class Supervisor:
         get_registry().counter(f"supervise.degradations.{fallback}").inc()
         _FLIGHT.note("supervise", "degradation", fallback=fallback,
                      site=site, detail=detail)
-
-    def make_breaker(self, clock: Callable[[], float],
-                     name: str = "fabric") -> CircuitBreaker:
-        return CircuitBreaker(
-            clock, threshold=BREAKER_THRESHOLD,
-            cooldown_seconds=BREAKER_COOLDOWN_SECONDS, name=name)
 
 
 _SUPERVISOR = Supervisor()

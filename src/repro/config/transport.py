@@ -157,11 +157,6 @@ class VerifiedTransport:
         #: readback and snapshot of this session raises
         #: :class:`SessionCrashedError`; recovery runs on a fresh fabric.
         self.crashed = False
-        #: Optional per-fabric circuit breaker
-        #: (:class:`~repro.chaos.supervise.CircuitBreaker`): consulted
-        #: before every batch, fed every terminal outcome. None (the
-        #: default) costs one attribute check per batch.
-        self.breaker = None
         #: Modeled-seconds budget of the *current guarded operation*
         #: (the debugger's watchdog window); None = no deadline. All
         #: batches inside the window — including successful ones and
@@ -271,25 +266,12 @@ class VerifiedTransport:
 
     def _run_verified(self, words: list[int]) -> "JtagResult":
         self.check_alive()
-        if self.breaker is not None:
-            # May raise CircuitOpenError — refused without touching the
-            # channel, charging nothing, counting nothing: the whole
-            # point of the breaker.
-            self.breaker.allow()
         self._count("batches")
         if self._deadline_expired():
             raise TransportError(
                 "operation deadline already exhausted before this "
                 "batch", kind="deadline")
-        try:
-            result = self._run_attempts(words)
-        except TransportError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return result
+        return self._run_attempts(words)
 
     def _run_attempts(self, words: list[int]) -> "JtagResult":
         wasted = 0.0

@@ -42,7 +42,6 @@ class ZoomieProject:
     partitions: list[PartitionSpec] = field(default_factory=list)
     debug_slr: Optional[int] = None
     insert_monitors: bool = True
-    insert_pause_buffers: bool = True
 
     def __post_init__(self):
         if isinstance(self.device, str):

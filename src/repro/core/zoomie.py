@@ -116,8 +116,7 @@ class Zoomie:
         instrumented = instrument_netlist(
             netlist,
             watch=list(self.project.watch),
-            insert_monitors=self.project.insert_monitors,
-            insert_pause_buffers=self.project.insert_pause_buffers)
+            insert_monitors=self.project.insert_monitors)
 
         flow = VivadoFlow(self.project.device)
         result = flow.compile_netlist(

@@ -339,8 +339,7 @@ def _substitute_everywhere(netlist: Netlist, old: str, new: str,
 
 
 def instrument_netlist(netlist: Netlist, watch: list[str],
-                       insert_monitors: bool = True,
-                       insert_pause_buffers: bool = True
+                       insert_monitors: bool = True
                        ) -> InstrumentedDesign:
     """Insert Zoomie into a flattened user design.
 
@@ -393,24 +392,22 @@ def instrument_netlist(netlist: Netlist, watch: list[str],
     pause_ref = Ref(f"{DC_PREFIX}.pause_out", 1)
     buffers: list[str] = []
     watch_remap: dict[str, str] = {}
-    if insert_pause_buffers:
-        for prefix, iface in netlist.interfaces:
-            if prefix or not isinstance(iface, DecoupledInterface):
-                continue
-            buffers.append(
-                _insert_pause_buffer(netlist, iface, pause_ref))
-            valid, ready, data = iface.signal_names()
-            pb = f"zoomie_pb_{iface.name}"
-            if iface.role == REQUESTER:
-                # MUT's offers enter the buffer on the enq side.
-                watch_remap[valid] = f"{pb}.enq_valid"
-                watch_remap[data] = f"{pb}.enq_data"
-                watch_remap[ready] = f"{pb}.enq_ready"
-            else:
-                # What the MUT sees comes out of the deq side.
-                watch_remap[valid] = f"{pb}.deq_valid"
-                watch_remap[data] = f"{pb}.deq_data"
-                watch_remap[ready] = f"{pb}.deq_ready"
+    for prefix, iface in netlist.interfaces:
+        if prefix or not isinstance(iface, DecoupledInterface):
+            continue
+        buffers.append(_insert_pause_buffer(netlist, iface, pause_ref))
+        valid, ready, data = iface.signal_names()
+        pb = f"zoomie_pb_{iface.name}"
+        if iface.role == REQUESTER:
+            # MUT's offers enter the buffer on the enq side.
+            watch_remap[valid] = f"{pb}.enq_valid"
+            watch_remap[data] = f"{pb}.enq_data"
+            watch_remap[ready] = f"{pb}.enq_ready"
+        else:
+            # What the MUT sees comes out of the deq side.
+            watch_remap[valid] = f"{pb}.deq_valid"
+            watch_remap[data] = f"{pb}.deq_data"
+            watch_remap[ready] = f"{pb}.deq_ready"
 
     slots = []
     for index, name in enumerate(watch):

@@ -28,7 +28,6 @@ from ..config.fabric import FabricDevice
 from ..config.program import build_state_write
 from ..errors import (
     BreakpointError,
-    CircuitOpenError,
     DebugError,
     DebugTimeoutError,
     NotPausedError,
@@ -98,8 +97,7 @@ class ZoomieDebugger:
         when tracing is on.
 
         This is also the unhandled-exception boundary: anything except
-        a typed timeout (dumped at its raise site) or a breaker
-        refusal (dumped at the OPEN transition) escaping a command
+        a typed timeout (dumped at its raise site) escaping a command
         triggers a flight dump before it propagates.
         """
         self._m_commands.inc()
@@ -114,7 +112,7 @@ class ZoomieDebugger:
                     span.set(
                         cycle=self.cycles(),
                         session_seconds=round(self.session_seconds, 6))
-        except (DebugTimeoutError, CircuitOpenError):
+        except DebugTimeoutError:
             raise
         except Exception as error:
             _FLIGHT.trigger("debug.exception", verb=verb,

@@ -333,23 +333,6 @@ class DiskFaultError(ChaosError):
                          retryable=kind in self.RETRYABLE_KINDS)
 
 
-class CircuitOpenError(ReproError):
-    """A per-fabric circuit breaker is open: the operation was refused
-    without touching the channel.
-
-    Repeated transport failures tripped the breaker; callers must back
-    off (modeled cooldown) or escalate to session recovery on a fresh
-    fabric instead of hammering a sick one. Not retryable by
-    definition — the breaker exists to stop retries.
-    """
-
-    def __init__(self, message: str, failures: int = 0,
-                 cooldown_seconds: float = 0.0):
-        super().__init__(message)
-        self.failures = failures
-        self.cooldown_seconds = cooldown_seconds
-
-
 class FormalError(ReproError):
     """A bounded model check found a counterexample or was misconfigured."""
 

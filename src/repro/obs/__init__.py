@@ -15,7 +15,7 @@ or trigger); spans time it and metrics count it:
   into.
 - :mod:`flight` — the always-on flight recorder: a bounded ring of
   recent commands/batches/chaos events, auto-dumped on timeouts,
-  breaker opens, unhandled command exceptions, and journal corruption.
+  unhandled command exceptions, and journal corruption.
 - :mod:`profile` — two-clock attribution profiler (per-command,
   per-kernel, per-VTI-stage cost tables; folded flame-graph stacks).
 - :mod:`health` — declarative SLO rules evaluated over a metrics

@@ -10,13 +10,11 @@ unconditionally (one attribute check, one small dict, one deque append
 per note; the <5% gate in ``benchmarks/bench_obs_overhead.py`` holds
 it to that), even with the full tracer off.
 
-When something goes wrong the ring is **dumped automatically**. Four
+When something goes wrong the ring is **dumped automatically**. Three
 trigger classes are wired through the stack:
 
 - ``debug.timeout`` — a :class:`~repro.errors.DebugTimeoutError` from
   the command watchdog or a supervised-I/O modeled deadline;
-- ``breaker.open`` — a :class:`~repro.chaos.supervise.CircuitBreaker`
-  transitioning to OPEN;
 - ``debug.exception`` — any other exception escaping a debugger
   command verb;
 - ``journal.corrupt`` — a :class:`~repro.errors.JournalCorruptError`

@@ -2,11 +2,11 @@
 
 The metrics registry says what *happened*; this module says whether
 that is *okay*. A :class:`HealthRule` is one machine-checkable service
-objective — "retries per verified batch stay under 10%", "no circuit
-breaker opened", "journal syncs land under their modeled deadline at
-p99" — checked against a :class:`MetricsWindow` (counter/histogram
-*deltas* since a baseline snapshot, so a verdict can cover one
-workload inside a long-lived process).
+objective — "retries per verified batch stay under 10%", "no batch
+exhausted its retries", "journal syncs land under their modeled
+deadline at p99" — checked against a :class:`MetricsWindow`
+(counter/histogram *deltas* since a baseline snapshot, so a verdict
+can cover one workload inside a long-lived process).
 
 :func:`evaluate` checks :data:`DEFAULT_RULES` against one window. The
 doctor (:mod:`.doctor`) rebases its window before the seeded workload
@@ -30,7 +30,6 @@ from typing import Callable, Optional
 from .flight import get_flight_recorder
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -73,9 +72,10 @@ class MetricsWindow:
 
     Counters and histograms read as deltas (a fresh window over a
     long-lived registry sees only what happened after
-    :meth:`rebase`); gauges read current — they are already
-    point-in-time. Missing instruments read as zero / None, so rules
-    can reference metrics a given workload never touched.
+    :meth:`rebase`). Missing instruments read as zero / None, so rules
+    can reference metrics a given workload never touched; a missing
+    counter reads the int ``0`` an unbumped one reads, so a report's
+    bytes do not depend on which counters earlier work created.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -103,14 +103,8 @@ class MetricsWindow:
     def counter(self, name: str) -> float:
         instrument = self.registry.get(name)
         if not isinstance(instrument, Counter):
-            return 0.0
+            return 0
         return instrument.value - self._base_counters.get(name, 0)
-
-    def gauge(self, name: str) -> float:
-        instrument = self.registry.get(name)
-        if not isinstance(instrument, Gauge):
-            return 0.0
-        return instrument.value
 
     def histogram(self, name: str) -> Optional[HistogramDelta]:
         instrument = self.registry.get(name)
@@ -303,10 +297,6 @@ DEFAULT_RULES: tuple[HealthRule, ...] = (
         "transport.exhausted",
         "batches that exhausted bounded retries",
         "max", 0.0, _counter("transport.exhausted")),
-    HealthRule(
-        "supervise.breaker_opens",
-        "circuit-breaker OPEN transitions in the window",
-        "max", 0.0, _counter("supervise.breaker_opens")),
     HealthRule(
         "journal.corrupt_dumps",
         "journal-corruption flight dumps in the window",

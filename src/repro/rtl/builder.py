@@ -168,8 +168,8 @@ class ModuleBuilder:
         """Reference an already-declared signal by name."""
         return self._module.ref(name)
 
-    def build(self, validate: bool = True) -> Module:
-        """Finalize and return the module (checks drivers by default)."""
+    def build(self) -> Module:
+        """Finalize, validate (every wire driven) and return the module."""
         if self._built:
             raise ElaborationError(
                 f"{self._module.name}: build() called twice")
@@ -178,8 +178,7 @@ class ModuleBuilder:
                 # A register with no next-state holds its value; model that
                 # explicitly so downstream passes never see None.
                 register.next = Ref(name, register.width)
-        if validate:
-            self._module.validate()
+        self._module.validate()
         self._built = True
         return self._module
 

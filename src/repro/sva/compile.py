@@ -199,9 +199,10 @@ def _minterm_expr(atoms: list[Expr], minterm: tuple[int, ...]) -> Expr:
 
 def compile_assertion(source: Union[str, Property],
                       widths: WidthSource,
-                      name: str | None = None,
-                      default_clock: str = "clk") -> AssertionMonitor:
+                      name: str | None = None) -> AssertionMonitor:
     """Compile one assertion into a monitor module.
+
+    A property with no clocking event keeps its state on ``clk``.
 
     Parameters
     ----------
@@ -212,13 +213,10 @@ def compile_assertion(source: Union[str, Property],
         monitor's input ports.
     name:
         Module name; defaults to the assertion's label or ``sva_monitor``.
-    default_clock:
-        Clock domain for monitor state when the property has no explicit
-        clocking event.
     """
     prop = (parse_assertion(source) if isinstance(source, str) else source)
     monitor_name = name or prop.name or "sva_monitor"
-    clock = prop.clock or default_clock
+    clock = prop.clock or "clk"
     mb = _MonitorBuilder(monitor_name, widths, clock)
     b = mb.b
     binder = mb.binder()

@@ -1,11 +1,11 @@
 """Stack-wide fault injection, supervision, and the chaos campaign.
 
 Covers the chaos subsystem end to end: seeded schedules and their
-firing semantics, the circuit breaker, supervised disk I/O
-(:func:`run_io`), every instrumented layer's fault + fallback behavior
-(journal, snapshot store, pause network, transport), trace capture's
-hook path against its streaming path, and a miniature campaign run with
-all differential invariants enabled.
+firing semantics, supervised disk I/O (:func:`run_io`), every
+instrumented layer's fault + fallback behavior (journal, snapshot
+store, pause network, transport), trace capture's hook path against
+its streaming path, a miniature campaign run with all differential
+invariants enabled, and the default campaign pinned number for number.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.campaign.designs import (
 )
 from repro.chaos import (
     DOCUMENTED_FALLBACKS,
-    CircuitBreaker,
     FaultSchedule,
     FaultSpec,
     chaos_active,
@@ -40,7 +39,6 @@ from repro.debug.journal import CommandJournal, read_journal
 from repro.debug.snapshot_store import SnapshotStore
 from repro.errors import (
     ChaosError,
-    CircuitOpenError,
     DebugTimeoutError,
     DiskFaultError,
     JournalCorruptError,
@@ -168,66 +166,6 @@ class TestFaultSchedule:
         text = schedule.describe()
         for spec in schedule.specs:
             assert spec.site in text and spec.kind in text
-
-
-# --------------------------------------------------------------------------
-# circuit breaker
-# --------------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=1.0):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(lambda: clock["now"],
-                                 threshold=threshold,
-                                 cooldown_seconds=cooldown, name="test")
-        return clock, breaker
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock, breaker = self.make(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        breaker.allow()  # still closed
-        breaker.record_failure()
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.allow()
-        assert info.value.failures == 3
-        assert info.value.retryable is False
-
-    def test_success_resets_the_failure_run(self):
-        clock, breaker = self.make(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.allow()  # 1 < threshold again
-
-    def test_half_open_after_cooldown_then_closes_on_success(self):
-        clock, breaker = self.make(threshold=1, cooldown=1.0)
-        breaker.record_failure()
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()
-        clock["now"] = 2.0
-        breaker.allow()  # half-open probe admitted
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_failure_reopens_immediately(self):
-        clock, breaker = self.make(threshold=5, cooldown=1.0)
-        for _ in range(5):
-            breaker.record_failure()
-        clock["now"] = 2.0
-        breaker.allow()
-        breaker.record_failure()  # probe failed: open again, no quota
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()
-
-    def test_cooldown_measured_on_the_supplied_clock(self):
-        clock, breaker = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock["now"] = 9.99
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +472,7 @@ class TestPauseChaos:
 
 
 # --------------------------------------------------------------------------
-# transport: hangs, power cycles, breaker integration
+# transport: hangs and power cycles
 # --------------------------------------------------------------------------
 
 
@@ -551,24 +489,6 @@ class TestTransportChaos:
             debugger.pause()  # first batch hangs once, retry lands
         assert debugger.is_paused()
         assert fabric.transport.stats.stuck_detected == before + 1
-
-    def test_breaker_refuses_traffic_after_exhaustion(
-            self, compiled_pipeline):
-        fabric, debugger = launch_session(compiled_pipeline)
-        fabric.transport.breaker = CircuitBreaker(
-            lambda: fabric.jtag.total_seconds, threshold=1,
-            cooldown_seconds=1e9, name="test-fabric")
-        registry = arm(FaultSpec(site="transport.batch",
-                                 kind="device_hang", rate=1.0,
-                                 count=1000))
-        from repro.errors import TransportError
-        with install_chaos(registry):
-            with pytest.raises(TransportError):
-                debugger.pause()  # every attempt hangs -> exhausted
-            batches = fabric.transport.stats.batches
-            with pytest.raises(CircuitOpenError):
-                debugger.pause()  # refused without touching the channel
-        assert fabric.transport.stats.batches == batches
 
     def test_power_cycle_reboots_and_recovery_converges(
             self, compiled_pipeline, tmp_path, supervised):
@@ -654,3 +574,30 @@ class TestCampaign:
                 for o in a.outcomes] \
             == [(o.outcome, o.faults_injected, o.recoveries)
                 for o in b.outcomes]
+
+    def test_default_campaign_is_pinned(self, tmp_path):
+        """The default 50-schedule campaign, number for number. A change
+        to ``SITE_KINDS``, the script or the recovery path that moves
+        any outcome must update these numbers and explain each one."""
+        from repro.chaos.campaign import CampaignConfig, run_campaign
+        report = run_campaign(CampaignConfig(), tmp_path)
+        assert report.describe().splitlines() == [
+            "chaos campaign: 50 schedule(s) x 3 design(s) = 150 run(s), "
+            "seed 2024",
+            "  outcomes: 36 clean, 112 recovered, 2 detected-corruption",
+            "  faults injected: 209; recoveries: 51; deadline hits: 0",
+            "  modeled MTTR: min 0.000 s / mean 0.173 s / max 1.049 s "
+            "over 49 recover(ies)",
+            "  degradation journal.tail_repair: x18",
+            "  invariants: all held",
+        ]
+        counts = {
+            design: tuple(
+                sum(1 for o in report.outcomes
+                    if o.design == design and o.outcome == outcome)
+                for outcome in ("clean", "recovered",
+                                "detected_corruption"))
+            for design in report.config.designs}
+        assert counts == {"pipeline": (12, 37, 1),
+                          "cohort": (12, 37, 1),
+                          "manycore": (12, 38, 0)}

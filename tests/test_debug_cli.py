@@ -343,7 +343,7 @@ class TestObservabilityVerbs:
         assert "transport.retry_rate" in out
         report = json.loads(cli.execute("doctor --json"))
         assert report["status"] in ("healthy", "warn", "degraded")
-        assert any(rule["name"] == "supervise.breaker_opens"
+        assert any(rule["name"] == "transport.exhausted"
                    for rule in report["rules"])
         assert cli.execute("doctor --wat").startswith("error: usage")
 

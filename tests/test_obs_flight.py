@@ -1,8 +1,8 @@
 """Flight-recorder trigger paths, end to end.
 
 One test per wired trigger class — command-watchdog/deadline timeout,
-circuit-breaker OPEN, unhandled debugger-command exception, journal
-corruption — each asserting a dump landed with the triggering event as
+unhandled debugger-command exception, journal corruption — each
+asserting a dump landed with the triggering event as
 the *final* record of the ring (the contract post-mortem readers rely
 on). Plus the dump's shape, the fields each instrumented site's one
 record carries, and a chaos-campaign run asserting every injected
@@ -11,7 +11,7 @@ fault class shows up in the flight recorder's sticky event ring.
 
 import pytest
 
-from repro.chaos import CircuitBreaker, get_supervisor
+from repro.chaos import get_supervisor
 from repro.errors import (
     DebugTimeoutError,
     JournalCorruptError,
@@ -58,21 +58,6 @@ class TestTriggerDumps:
         assert dump["trigger"]["site"] == "journal.sync"
         assert dump["records"][-1] is dump["trigger"]
         assert clean_flight.dump_count == 1
-
-    def test_breaker_open_transition_dumps_once(self, clean_flight):
-        breaker = CircuitBreaker(lambda: 0.0, threshold=2,
-                                 cooldown_seconds=10.0, name="flight-br")
-        breaker.record_failure()
-        assert clean_flight.last_dump is None  # still CLOSED
-        breaker.record_failure()
-        dump = clean_flight.last_dump
-        assert dump is not None and dump["trigger"]["name"] == "breaker.open"
-        assert dump["trigger"]["breaker"] == "flight-br"
-        assert dump["records"][-1] is dump["trigger"]
-        # Failures while already OPEN must not re-dump.
-        breaker.record_failure()
-        assert clean_flight.dump_count == 1
-        breaker.reset()
 
     def test_unhandled_command_exception_dumps(self, clean_flight):
         fabric, debugger = _session()
@@ -134,9 +119,9 @@ class TestRecorderMechanics:
         collected = []
         clean_flight.on_dump.append(collected.append)
         clean_flight.trigger("debug.timeout", site="a")
-        clean_flight.trigger("breaker.open", breaker="b")
+        clean_flight.trigger("journal.corrupt", path="b")
         assert [d["trigger"]["name"] for d in collected] \
-            == ["debug.timeout", "breaker.open"]
+            == ["debug.timeout", "journal.corrupt"]
 
 
 class TestSiteRecords:

@@ -23,7 +23,6 @@ from repro.campaign.designs import (
 )
 from repro.chaos import FaultSchedule, FaultSpec, install_chaos
 from repro.chaos.campaign import CLOCKS_MHZ
-from repro.chaos.supervise import CircuitBreaker
 from repro.config import FabricDevice, RetryPolicy, TransportStats
 from repro.config.microcontroller import COMMAND_LOG_DEPTH
 from repro.config.transport import (
@@ -34,7 +33,6 @@ from repro.config.transport import (
 from repro.designs import make_cluster
 from repro.fpga import make_test_device
 from repro.errors import (
-    CircuitOpenError,
     CorruptReadbackError,
     TransportError,
 )
@@ -396,24 +394,6 @@ class TestRegistryMirror:
             assert stat_delta, f"{key} never moved"
             assert mirror_after[key] - mirror_before[key] \
                 == pytest.approx(stat_delta, rel=1e-12, abs=0), key
-
-    def test_breaker_refusal_counts_nothing(self, session):
-        fabric, dbg = session.fabric, session.debugger
-        transport = fabric.transport
-        transport.policy = RetryPolicy(max_attempts=2)
-        transport.breaker = CircuitBreaker(
-            lambda: fabric.jtag.total_seconds, threshold=1,
-            cooldown_seconds=1e9, name="test-fabric")
-        with arm(channel_fault("device_hang")):
-            with pytest.raises(TransportError):
-                dbg.read_state()
-            stats_before, mirror_before = transport.stats.as_dict(), \
-                mirror_values()
-            with pytest.raises(CircuitOpenError):
-                dbg.read_state()
-        assert transport.stats.as_dict() == stats_before
-        assert mirror_values() == mirror_before
-        transport.breaker.reset()  # the open-breakers gauge is global
 
     def test_only_retried_or_failed_batches_leave_a_note(self, session):
         fabric = session.fabric
