@@ -15,7 +15,7 @@ from ..errors import BitstreamError
 from ..fpga.device import Device
 from ..fpga.frames import FRAME_WORDS, FrameAddress
 from .crc import crc32_writes
-from .packets import NOP, READ, WRITE, Packet, encode_packet
+from .packets import NOP_WORD, READ, WRITE, Packet, encode_packet
 from .words import CMD_VALUES, DUMMY, REGISTERS, SYNC
 
 #: Dummy words emitted after a BOUT hop group (the "appropriate padding"
@@ -35,23 +35,28 @@ class BitstreamAssembler:
     # -- raw emission --------------------------------------------------------
 
     def emit(self, *words: int) -> "BitstreamAssembler":
-        self.words.extend(w & 0xFFFF_FFFF for w in words)
+        self.words.extend([w & 0xFFFF_FFFF for w in words])
         return self
 
     def dummy(self, count: int = 1) -> "BitstreamAssembler":
-        return self.emit(*([DUMMY] * count))
+        self.words.extend([DUMMY] * count)
+        return self
 
     def sync(self) -> "BitstreamAssembler":
-        return self.emit(SYNC)
+        self.words.append(SYNC)
+        return self
 
     def packet(self, packet: Packet) -> "BitstreamAssembler":
-        if packet.opcode == WRITE:
-            self._writes.append((packet.register, array("I", packet.words)))
-        return self.emit(*encode_packet(packet))
+        if packet.opcode != WRITE:
+            return self.emit(*encode_packet(packet))
+        # array("I") rejects a payload word outside 32 bits, so a
+        # WRITE's encoded words need no mask.
+        self._writes.append((packet.register, array("I", packet.words)))
+        self.words.extend(encode_packet(packet))
+        return self
 
     def nop(self, count: int = 1) -> "BitstreamAssembler":
-        for _ in range(count):
-            self.packet(Packet(opcode=NOP, register=0))
+        self.words.extend([NOP_WORD] * count)
         return self
 
     # -- register access ------------------------------------------------------

@@ -29,7 +29,7 @@ _T1_MAX_WORDS = 0x7FF
 _T2_MAX_WORDS = 0x07FF_FFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One decoded configuration packet."""
 
@@ -64,25 +64,32 @@ def _type2_header(opcode: int, count: int) -> int:
     return (_TYPE2 << 29) | (opcode << 27) | count
 
 
+def read_headers(register: int, count: int) -> list[int]:
+    """The header word(s) of a read request for ``count`` words."""
+    if count <= _T1_MAX_WORDS:
+        return [_type1_header(READ, register, count)]
+    return [_type1_header(READ, register, 0), _type2_header(READ, count)]
+
+
+def write_headers(register: int, count: int) -> list[int]:
+    """The header word(s) of a write of ``count`` payload words."""
+    if count <= _T1_MAX_WORDS:
+        return [_type1_header(WRITE, register, count)]
+    return [_type1_header(WRITE, register, 0), _type2_header(WRITE, count)]
+
+
+#: The one word of an encoded NOP.
+NOP_WORD = _type1_header(NOP, 0, 0)
+
+
 def encode_packet(packet: Packet) -> list[int]:
     """Encode one packet as a word list (splitting to Type 2 as needed)."""
     if packet.opcode == NOP:
-        return [_type1_header(NOP, 0, 0)]
+        return [NOP_WORD]
     if packet.opcode == READ:
-        if packet.read_count <= _T1_MAX_WORDS:
-            return [_type1_header(READ, packet.register, packet.read_count)]
-        return [
-            _type1_header(READ, packet.register, 0),
-            _type2_header(READ, packet.read_count),
-        ]
-    count = len(packet.words)
-    if count <= _T1_MAX_WORDS:
-        return [_type1_header(WRITE, packet.register, count), *packet.words]
-    return [
-        _type1_header(WRITE, packet.register, 0),
-        _type2_header(WRITE, count),
-        *packet.words,
-    ]
+        return read_headers(packet.register, packet.read_count)
+    return [*write_headers(packet.register, len(packet.words)),
+            *packet.words]
 
 
 def decode_stream(words: list[int], synced: bool = False
@@ -93,13 +100,18 @@ def decode_stream(words: list[int], synced: bool = False
     words, bus-width patterns). ``synced=True`` starts past that state.
     A DESYNC is not interpreted here — stream consumers (the
     microcontroller) handle command semantics; this is a pure codec.
+    Each WRITE's payload is one slice of ``words`` (a list); packets
+    are built positionally, the cheaper call on this per-batch path.
     """
+    if not isinstance(words, list):
+        words = list(words)
     index = 0
     length = len(words)
     if not synced:
-        while index < length and words[index] != SYNC:
-            index += 1
-        index += 1  # consume sync (or run off the end: empty stream)
+        try:
+            index = words.index(SYNC) + 1  # consume the sync
+        except ValueError:
+            index = length  # no sync: an empty stream
     pending_register: int | None = None
     while index < length:
         header = words[index]
@@ -113,7 +125,7 @@ def decode_stream(words: list[int], synced: bool = False
             count = header & _T1_MAX_WORDS
             pending_register = register
             if opcode == NOP:
-                yield Packet(opcode=NOP, register=0)
+                yield Packet(NOP, 0)
                 continue
             if count == 0 and opcode in (READ, WRITE):
                 # Either an *empty write* (how BOUT hops are expressed) or
@@ -124,37 +136,32 @@ def decode_stream(words: list[int], synced: bool = False
                 if next_is_type2:
                     continue
                 if opcode == WRITE:
-                    yield Packet(opcode=WRITE, register=register, words=[])
+                    yield Packet(WRITE, register, [])
                 else:
-                    yield Packet(opcode=READ, register=register,
-                                 read_count=0)
+                    yield Packet(READ, register, [], 0)
                 continue
             if opcode == READ:
-                yield Packet(opcode=READ, register=register,
-                             read_count=count)
+                yield Packet(READ, register, [], count)
                 continue
             if index + count > length:
                 raise BitstreamError(
                     f"type-1 payload truncated: need {count} words")
             payload = words[index:index + count]
             index += count
-            yield Packet(opcode=WRITE, register=register,
-                         words=list(payload))
+            yield Packet(WRITE, register, payload)
         elif header_type == _TYPE2:
             if pending_register is None:
                 raise BitstreamError("type-2 packet without preceding type-1")
             count = header & _T2_MAX_WORDS
             if opcode == READ:
-                yield Packet(opcode=READ, register=pending_register,
-                             read_count=count)
+                yield Packet(READ, pending_register, [], count)
                 continue
             if index + count > length:
                 raise BitstreamError(
                     f"type-2 payload truncated: need {count} words")
             payload = words[index:index + count]
             index += count
-            yield Packet(opcode=WRITE, register=pending_register,
-                         words=list(payload))
+            yield Packet(WRITE, pending_register, payload)
         else:
             raise BitstreamError(
                 f"unknown packet header {header:#010x} at word {index - 1}")

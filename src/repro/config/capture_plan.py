@@ -37,7 +37,14 @@ import struct
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..errors import ConfigError
-from ..fpga.frames import FRAME_WORDS, ConfigMemory, FrameAddress, FrameSpace
+from ..fpga.frames import (
+    BLOCK_MAIN,
+    FRAME_WORDS,
+    ZERO_FRAME,
+    ConfigMemory,
+    FrameAddress,
+    FrameSpace,
+)
 from .logic_loc import LLEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bits per configuration frame.
 FRAME_BITS = FRAME_WORDS * 32
 _FRAME = struct.Struct(f"<{FRAME_WORDS}I")
-_ZERO_FRAME = (0,) * FRAME_WORDS
 
 
 class RegisterLayout:
@@ -73,6 +79,9 @@ class RegisterLayout:
         self.frame_counts: dict[str, int] = {}
         #: Prefix -> :meth:`columns_under`'s answer.
         self._columns: dict[str, dict[int, set[int]]] = {}
+        #: ``(slr, prefix)`` -> :meth:`readback_frames`' answer.
+        self._readback: dict[tuple[int, str],
+                             tuple[FrameAddress, ...]] = {}
 
         words: dict[tuple[int, FrameAddress], dict[int, list]] = {}
         registers: dict[tuple[int, FrameAddress], list[str]] = {}
@@ -152,6 +161,20 @@ class RegisterLayout:
                         columns.setdefault(slr, set()).add(frame.column)
         return columns
 
+    def readback_frames(self, prefix: str, slr: int,
+                        space: FrameSpace) -> tuple[FrameAddress, ...]:
+        """The main-block frames, in FAR order, of the columns that hold
+        the registers under ``prefix`` on ``slr`` (``space`` is that
+        SLR's frame space): what an optimized readback reads. Cached
+        per (SLR, prefix), like :meth:`columns_under`."""
+        key = (slr, prefix)
+        frames = self._readback.get(key)
+        if frames is None:
+            columns = self.columns_under(prefix).get(slr, set())
+            frames = self._readback[key] = tuple(
+                space.frames_of_columns(columns, BLOCK_MAIN))
+        return frames
+
     def frames_of(self, names) -> list[FrameAddress]:
         """The capture frames holding the named registers, sorted."""
         return sorted({run[1] for name in names for run in self.runs[name]})
@@ -224,7 +247,7 @@ class MemoryImage:
         first, last = start // width, (end - 1) // width + 1
         lo = first * width // FRAME_BITS
         hi = (last * width - 1) // FRAME_BITS + 1
-        image = _join(config.stored(address) or _ZERO_FRAME
+        image = _join(config.stored(address) or ZERO_FRAME
                       for address in self.frames[lo:hi])
         live[first:last] = _unpack(
             image >> (first * width - lo * FRAME_BITS), width, last - first)
@@ -285,6 +308,9 @@ class CapturePlan:
                     self._gsr.setdefault(address.region, set()).add(name)
         self._inits = {name: netlist.registers[name].init
                        for names in self._gsr.values() for name in names}
+        #: What the all-regions GRESTORE (the debugger's, MASK cleared)
+        #: loads; see :meth:`_restore_plan`.
+        self._all_regions = self._restore_plan(self.frames)
 
         #: Memory name -> its image, for the memories placed on this SLR.
         self.memories: dict[str, MemoryImage] = {}
@@ -320,8 +346,7 @@ class CapturePlan:
     def capture(self, sim, config: ConfigMemory,
                 regions: Optional[set[int]]) -> None:
         """GCAPTURE: register values and memory contents into frames."""
-        peek = sim.peek
-        values = {name: peek(name) for name in self._masks}
+        values = dict(zip(self._masks, sim.peek_many(self._masks)))
         for address, region, ops in self.frames:
             if regions is not None and region not in regions:
                 continue
@@ -339,25 +364,42 @@ class CapturePlan:
                 regions: Optional[set[int]]) -> None:
         """GRESTORE: load registers from their capture frames. Bits of
         a register outside the enabled regions keep their value."""
-        values: dict[str, int] = {}
-        covered: dict[str, int] = {}
-        for address, region, ops in self.frames:
-            if regions is not None and region not in regions:
-                continue
-            frame = config.stored(address) or _ZERO_FRAME
+        if regions is None:
+            frames = self.frames
+            names, kept = self._all_regions
+        else:
+            frames = [entry for entry in self.frames if entry[1] in regions]
+            names, kept = self._restore_plan(frames)
+        values = dict.fromkeys(names, 0)
+        for address, _region, ops in frames:
+            frame = config.stored(address) or ZERO_FRAME
             for word, _keep, runs in ops:
                 value = frame[word]
                 for name, bit, mask, shift in runs:
-                    values[name] = values.get(name, 0) \
-                        | ((value >> shift) & mask) << bit
+                    values[name] |= ((value >> shift) & mask) << bit
+        if kept:
+            # Read every partly restored register before the first force.
+            for (name, bits), live in zip(kept.items(),
+                                          sim.peek_many(kept)):
+                values[name] |= live & bits
+        sim.force_many(values)
+
+    def _restore_plan(self, frames) -> tuple[tuple[str, ...],
+                                             dict[str, int]]:
+        """The registers a GRESTORE of ``frames`` loads and, for those
+        with bits outside ``frames``, the width bits that keep their
+        live value."""
+        covered: dict[str, int] = {}
+        for _address, _region, ops in frames:
+            for _word, _keep, runs in ops:
+                for name, bit, mask, _shift in runs:
                     covered[name] = covered.get(name, 0) | mask << bit
-        # Read every partly restored register before the first force.
-        for name, value in values.items():
-            kept = self._masks[name] & ~covered[name]
-            if kept:
-                values[name] = value | (sim.peek(name) & kept)
-        for name, value in values.items():
-            sim.force(name, value)
+        kept = {}
+        for name, bits in covered.items():
+            rest = self._masks[name] & ~bits
+            if rest:
+                kept[name] = rest
+        return tuple(covered), kept
 
     def gsr(self, sim, regions: Optional[set[int]]) -> None:
         """Global set/reset: registers in the enabled regions return to
@@ -366,8 +408,7 @@ class CapturePlan:
         for region, in_region in self._gsr.items():
             if regions is None or region in regions:
                 names |= in_region
-        for name in names:
-            sim.force(name, self._inits[name])
+        sim.force_many({name: self._inits[name] for name in names})
 
     # ------------------------------------------------------------------
     # memories

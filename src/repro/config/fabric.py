@@ -31,6 +31,7 @@ from .capture_plan import capture_plan
 from .database import DesignDatabase
 from .jtag import JtagResult, JtagRing
 from .microcontroller import Microcontroller
+from .program import SlrProgram
 from .transport import VerifiedTransport
 
 
@@ -45,6 +46,7 @@ class FabricDevice:
                     for index in range(device.slr_count)]
         self.jtag = JtagRing(self)
         self.transport = VerifiedTransport(self.jtag)
+        self._programs: dict[int, SlrProgram] = {}
         self.db: Optional[DesignDatabase] = None
         self.sim: Optional[Simulator] = None
         self.booted = False
@@ -68,6 +70,16 @@ class FabricDevice:
         policy is set on ``self.transport.policy``.
         """
         return self.transport.run(words)
+
+    def program(self, slr_index: int) -> SlrProgram:
+        """The debugger's program builder for one SLR, assembled on
+        first use (an SLR off the device raises
+        :class:`~repro.errors.BitstreamError`)."""
+        program = self._programs.get(slr_index)
+        if program is None:
+            program = self._programs[slr_index] = SlrProgram(
+                self.device, slr_index)
+        return program
 
     # ------------------------------------------------------------------
     # programming lifecycle

@@ -66,30 +66,34 @@ class JtagRing:
         fabric = self.fabric
         primary = fabric.device.primary_slr
         count = fabric.device.slr_count
-        result = JtagResult()
-        result.seconds += BATCH_OVERHEAD_SECONDS
-        result.seconds += len(words) * 4 / JTAG_BYTES_PER_SECOND
+        mcs = fabric.mcs
+        read_words: list[int] = []
+        seconds = (BATCH_OVERHEAD_SECONDS
+                   + len(words) * 4 / JTAG_BYTES_PER_SECOND)
 
         target = primary
+        controller = mcs[target]
         pending_hops = 0
         for packet in decode_stream(words):
-            if packet.opcode == WRITE and packet.register == _BOUT \
+            opcode = packet.opcode
+            if opcode == WRITE and packet.register == _BOUT \
                     and not packet.words:
                 pending_hops += 1
                 continue
             if pending_hops:
                 target = (primary + pending_hops) % count
-                result.seconds += pending_hops * HOP_SECONDS
+                controller = mcs[target]
+                seconds += pending_hops * HOP_SECONDS
                 pending_hops = 0
-            controller = fabric.mcs[target]
             data = controller.execute(packet)
-            if packet.opcode == READ:
-                result.read_words.extend(data)
+            if opcode == READ:
+                read_words.extend(data)
                 hops = (target - primary) % count
-                result.seconds += (
+                seconds += (
                     len(data) * 4 / JTAG_BYTES_PER_SECOND
                     + hops * HOP_SECONDS)
-        result.read_crc = crc32_stream(result.read_words)
+        result = JtagResult(read_words=read_words, seconds=seconds,
+                            read_crc=crc32_stream(read_words))
         self.batches += 1
-        self.total_seconds += result.seconds
+        self.total_seconds += seconds
         return result

@@ -14,7 +14,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigError
-from ..fpga.frames import FrameAddress
+from ..fpga.frames import FRAME_WORDS, ZERO_FRAME, FrameAddress
 from ..bitstream.packets import Packet, READ, WRITE
 from ..bitstream.words import CMD_NAMES, REGISTERS
 
@@ -82,7 +82,8 @@ class Microcontroller:
     def _write(self, register: int, words: list[int]) -> None:
         if register == _FAR:
             self._require(len(words) == 1, "FAR write needs one word")
-            self.far = FrameAddress.from_word(words[0])
+            self.far = self.space.frame_at_far.get(words[0]) \
+                or FrameAddress.from_word(words[0])
             self.space.validate(self.far)
         elif register == _CMD:
             for word in words:
@@ -169,7 +170,6 @@ class Microcontroller:
     def _write_frames(self, words: list[int]) -> None:
         self._require(self.mode == "write",
                       "FDRI write requires CMD=WCFG first")
-        from ..fpga.frames import FRAME_WORDS
         self._require(len(words) % FRAME_WORDS == 0,
                       f"FDRI payload must be whole frames "
                       f"({FRAME_WORDS} words each)")
@@ -185,14 +185,29 @@ class Microcontroller:
                 self.fabric.apply_content_frame(self.slr_index, written)
 
     def _read_frames(self, count: int) -> list[int]:
-        from ..fpga.frames import FRAME_WORDS
+        """FDRO: ``count`` words from the frames at and after FAR, in
+        FAR order. The FAR was validated when written, so each frame is
+        copied once, from its stored words (or zeros, never written)."""
         self._require(count % FRAME_WORDS == 0,
                       "FDRO read must request whole frames")
         out: list[int] = []
-        for _ in range(count // FRAME_WORDS):
-            self._require(self.far is not None, "FDRO read without FAR")
-            out.extend(self.memory.read_frame(self.far))
-            self._advance_far()
+        frames = count // FRAME_WORDS
+        if not frames:
+            return out
+        self._require(self.far is not None, "FDRO read without FAR")
+        order = self.space.frame_order
+        start = self.space.frame_index.get(self.far)
+        if start is None:  # left by a FAR write that failed validation
+            self.space.validate(self.far)
+        end = start + frames
+        if end > len(order):
+            self.far = None  # ran off the end, as _advance_far does
+            raise ConfigError(
+                f"SLR{self.slr_index}: FDRO read without FAR")
+        stored = self.memory.stored
+        for address in order[start:end]:
+            out.extend(stored(address) or ZERO_FRAME)
+        self.far = order[end] if end < len(order) else None
         return out
 
     def _require(self, condition: bool, message: str) -> None:

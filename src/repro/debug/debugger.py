@@ -20,12 +20,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from ..bitstream.assembler import BitstreamAssembler
 from ..chaos.schedule import fault_point
 from ..chaos.supervise import RETRIES, get_supervisor
 from ..config.capture_plan import RegisterLayout, capture_plan
 from ..config.fabric import FabricDevice
-from ..config.program import build_state_write
 from ..errors import (
     BreakpointError,
     DebugError,
@@ -685,16 +683,8 @@ class ZoomieDebugger:
                 self._op_guard("write_memory"):
             image = capture_plan(db, placement.slr).memories[name]
             frames = dict(zip(image.frames, image.pack(words)))
-            device = self.fabric.device
-            asm = BitstreamAssembler(device)
-            asm.preamble()
-            asm.hop_to_slr(placement.slr)
-            asm.command("WCFG")
-            for address in sorted(frames):
-                asm.write_register("FAR", [address.to_word()])
-                asm.write_register("FDRI", list(frames[address]))
-            asm.command("DESYNC").dummy(2)
-            result = self.fabric.transact(asm.words)
+            result = self.fabric.transact(
+                self.fabric.program(placement.slr).memory_write(frames))
             self.session_seconds += result.seconds
 
     def restore(self, snapshot: StateSnapshot) -> None:
@@ -750,18 +740,12 @@ class ZoomieDebugger:
 
     def _write_slr(self, slr: int, updates: dict[str, int],
                    layout: RegisterLayout) -> None:
-        # 1. Capture current state and read the frames we must edit.
+        # 1. Capture current state and read the frames we must edit,
+        #    one FDRO run per frame.
         frames_needed = layout.frames_of(updates)
-
-        asm = BitstreamAssembler(self.fabric.device)
-        asm.preamble()
-        asm.hop_to_slr(slr)
-        asm.clear_mask()
-        asm.capture()
-        for address in frames_needed:
-            asm.read_frames(address, 1)
-        asm.command("DESYNC").dummy(2)
-        result = self.fabric.transact(asm.words)
+        program = self.fabric.program(slr)
+        result = self.fabric.transact(program.capture_readback(
+            [(address, 1) for address in frames_needed]))
         self.session_seconds += result.seconds
         frame_words = {
             address: result.read_words[i * FRAME_WORDS:(i + 1) * FRAME_WORDS]
@@ -773,6 +757,5 @@ class ZoomieDebugger:
 
         # 3. Write the edited capture frames back and GRESTORE: every
         #    register reloads its just-captured value, except the edits.
-        result = self.fabric.transact(
-            build_state_write(self.fabric.db, slr, frame_words))
+        result = self.fabric.transact(program.state_write(frame_words))
         self.session_seconds += result.seconds

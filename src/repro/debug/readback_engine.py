@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bitstream.assembler import BitstreamAssembler
 from ..config.capture_plan import capture_plan
 from ..config.fabric import FabricDevice
-from ..config.jtag import BATCH_OVERHEAD_SECONDS, HOP_SECONDS, JTAG_BYTES_PER_SECOND
+from ..config.jtag import (
+    BATCH_OVERHEAD_SECONDS,
+    HOP_SECONDS,
+    JTAG_BYTES_PER_SECOND,
+    JtagResult,
+)
 from ..errors import DebugError
 from ..fpga.frames import CAPTURE_MINOR, FRAME_WORDS, BLOCK_MAIN, FrameAddress
 from .state import StateSnapshot, parse_capture_frames
@@ -105,9 +109,8 @@ class ReadbackEngine:
         if granularity != "column":
             raise DebugError(
                 f"unknown readback granularity {granularity!r}")
-        columns = self.db.ll.layout().columns_under(prefix).get(slr, set())
-        return self.fabric.spaces[slr].frames_of_columns(
-            columns, BLOCK_MAIN)
+        return list(self.db.ll.layout().readback_frames(
+            prefix, slr, self.fabric.spaces[slr]))
 
     # ------------------------------------------------------------------
     # executable readback
@@ -131,25 +134,27 @@ class ReadbackEngine:
         return ([order[position] for position in positions],
                 [(order[start], count) for start, count in spans])
 
+    def _capture_and_read(self, slr: int, frames: list[FrameAddress],
+                          what: str
+                          ) -> tuple[list[FrameAddress], JtagResult]:
+        """One batch: clear the MASK (Section 4.7: always, before
+        readback), GCAPTURE the SLR and read ``frames`` (deduped, in
+        FAR order, contiguous ones as one FDRO run); returns the frames
+        read and the batch's result."""
+        program = self.fabric.program(slr)
+        wanted, runs = self._coalesce(slr, frames)
+        result = self.fabric.transact(program.capture_readback(runs))
+        if len(result.read_words) != len(wanted) * FRAME_WORDS:
+            raise DebugError(
+                f"short {what}: got {len(result.read_words)} words for "
+                f"{len(wanted)} frames")
+        return wanted, result
+
     def read_slr(self, slr: int, frames: list[FrameAddress],
                  prefix: str = "") -> ReadbackResult:
         """Capture + read the given frames of one SLR over the ring."""
-        asm = BitstreamAssembler(self.fabric.device)
-        asm.preamble()
-        asm.hop_to_slr(slr)
-        asm.clear_mask()  # Section 4.7: always clear before readback
-        asm.capture()
-        wanted, runs = self._coalesce(slr, frames)
-        for start, count in runs:
-            asm.read_frames(start, count)
-        asm.command("DESYNC").dummy(2)
-
-        result = self.fabric.transact(asm.words)
+        wanted, result = self._capture_and_read(slr, frames, "readback")
         words = result.read_words
-        if len(words) != len(wanted) * FRAME_WORDS:
-            raise DebugError(
-                f"short readback: got {len(words)} words for "
-                f"{len(wanted)} frames")
         frame_map = {
             (slr, address): words[i * FRAME_WORDS:(i + 1) * FRAME_WORDS]
             for i, address in enumerate(wanted)
@@ -219,22 +224,9 @@ class ReadbackEngine:
             # Dedupe (a frame shared by several memories is read once)
             # and coalesce contiguous content runs into FDRO bursts,
             # exactly like register readback does.
-            wanted, runs = self._coalesce(slr, requested)
-            asm = BitstreamAssembler(self.fabric.device)
-            asm.preamble()
-            asm.hop_to_slr(slr)
-            asm.clear_mask()
-            asm.capture()
-            for start, count in runs:
-                asm.read_frames(start, count)
-            asm.command("DESYNC").dummy(2)
-            result = self.fabric.transact(asm.words)
+            wanted, result = self._capture_and_read(
+                slr, requested, "memory readback")
             seconds += result.seconds
-            if len(result.read_words) != len(wanted) * FRAME_WORDS:
-                raise DebugError(
-                    f"short memory readback: got "
-                    f"{len(result.read_words)} words for "
-                    f"{len(wanted)} frames")
             frame_words = {
                 address: result.read_words[
                     i * FRAME_WORDS:(i + 1) * FRAME_WORDS]

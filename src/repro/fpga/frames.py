@@ -12,6 +12,7 @@ state extraction uses (paper Section 3.2).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -22,6 +23,8 @@ from .device import BRAM, CLBM, REGION_ROWS, Slr
 
 #: Words per frame (UltraScale+: 93 x 32-bit words).
 FRAME_WORDS = 93
+#: The words of a frame never written.
+ZERO_FRAME = (0,) * FRAME_WORDS
 
 BLOCK_MAIN = 0
 BLOCK_BRAM = 1
@@ -100,6 +103,12 @@ def _frame_order(slr: Slr) -> tuple[tuple[FrameAddress, ...],
         {address: index for index, address in enumerate(order)})
 
 
+@lru_cache(maxsize=None)
+def _frames_by_far(slr: Slr) -> Mapping[int, FrameAddress]:
+    return MappingProxyType(
+        {address.to_word(): address for address in _frame_order(slr)[0]})
+
+
 class FrameSpace:
     """Enumerates the valid frames of one SLR."""
 
@@ -117,6 +126,12 @@ class FrameSpace:
         """Each frame's position in :attr:`frame_order` (shared, read
         only)."""
         return _frame_order(self.slr)[1]
+
+    @cached_property
+    def frame_at_far(self) -> Mapping[int, FrameAddress]:
+        """Each frame of :attr:`frame_order` by its FAR word (shared,
+        read only): how a microcontroller decodes a FAR write."""
+        return _frames_by_far(self.slr)
 
     def minors_of(self, column_kind: str, block_type: int) -> int:
         if block_type == BLOCK_MAIN:
@@ -178,14 +193,20 @@ class FrameSpace:
         return out
 
     def validate(self, address: FrameAddress) -> None:
+        """Raise :class:`DeviceError` unless ``address`` is a frame of
+        this SLR: one :attr:`frame_index` lookup."""
+        if address in self.frame_index:
+            return
         if address.region >= self.slr.clock_regions or address.region < 0:
             raise DeviceError(f"frame {address}: region out of range")
         column = next(
             (c for c in self.slr.columns if c.index == address.column), None)
         if column is None:
             raise DeviceError(f"frame {address}: no such column")
-        if address.minor >= self.minors_of(column.kind, address.block_type):
+        if not 0 <= address.minor < self.minors_of(column.kind,
+                                                   address.block_type):
             raise DeviceError(f"frame {address}: minor out of range")
+        raise DeviceError(f"frame {address}: not a frame of this SLR")
 
     # -- FF capture bit mapping -------------------------------------------
 
@@ -233,7 +254,12 @@ class ConfigMemory:
         if len(words) != FRAME_WORDS:
             raise DeviceError(
                 f"frame write needs {FRAME_WORDS} words, got {len(words)}")
-        self._frames[address] = [w & 0xFFFF_FFFF for w in words]
+        try:
+            array("I", words)  # raises if a word is outside 32 bits
+            stored = list(words)
+        except OverflowError:
+            stored = [w & 0xFFFF_FFFF for w in words]
+        self._frames[address] = stored
         self.dirty.add(address)
 
     def take_dirty(self) -> set[FrameAddress]:

@@ -624,15 +624,23 @@ class BatchSimulator(Simulator):
         self._check_lane(lane)
         return self._get_lane(name, lane)
 
+    def peek_many(self, names, lane: Optional[int] = None) -> list:
+        """:meth:`peek` each name, in order."""
+        return [self.peek(name, lane) for name in names]
+
     def force(self, name: str, value: int,
               lane: Optional[int] = None) -> None:
         """Overwrite a register (or sync read-port latch) value."""
-        if name not in self.netlist.registers \
-                and name not in self.netlist.sync_read_outputs():
+        if name not in self._force_masks:
             raise SimulationError(
                 f"{name!r} is not a register; poke() inputs, "
                 f"write_memory() memories")
         self._put(name, value, lane)
+
+    def force_many(self, values, lane: Optional[int] = None) -> None:
+        """:meth:`force` each ``name -> value``, in order."""
+        for name, value in values.items():
+            self.force(name, value, lane)
 
     def read_memory(self, name: str, addr: int, lane: int) -> int:
         self._check_lane(lane)

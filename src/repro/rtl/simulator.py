@@ -52,9 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .._bits import truncate
+from .._bits import mask, truncate
 from ..errors import SimulationError, UnknownSignalError
 from ..obs import get_flight_recorder, get_registry, get_tracer
 from ._codegen import compiled_plan_for
@@ -141,6 +141,14 @@ class Simulator:
             self.env[name] = 0
         for name, reg in netlist.registers.items():
             self.env[name] = truncate(reg.init, reg.width)
+        # What force() accepts: each register and sync read-port output
+        # latch, with its width mask. Set here, not on first use, so
+        # every instance keeps one attribute layout.
+        widths = netlist.sync_read_outputs()
+        widths.update((name, reg.width)
+                      for name, reg in netlist.registers.items())
+        self._force_masks = {name: mask(width)
+                             for name, width in widths.items()}
 
         # Pre-compile (or look up) the evaluation plan.
         if engine == ENGINE_FUSED:
@@ -257,6 +265,16 @@ class Simulator:
         self._settle()
         return self.env[name]
 
+    def peek_many(self, names: Iterable[str]) -> list[int]:
+        """:meth:`peek` each name, in order, settling once for all."""
+        self._settle()
+        env = self.env
+        try:
+            return [env[name] for name in names]
+        except KeyError as error:
+            raise UnknownSignalError(
+                f"unknown signal {error.args[0]!r}") from None
+
     def force(self, name: str, value: int) -> None:
         """Overwrite a register's current value (state manipulation).
 
@@ -264,17 +282,23 @@ class Simulator:
         forceable too: restore must be able to reload them, since they
         hold architectural state just like flip-flops.
         """
-        register = self.netlist.registers.get(name)
-        if register is not None:
-            width = register.width
-        else:
-            width = self.netlist.sync_read_outputs().get(name)
-            if width is None:
-                raise SimulationError(
-                    f"{name!r} is not a register; poke() inputs, "
-                    f"write_memory() memories")
-        self.env[name] = truncate(value, width)
-        self._dirty = True
+        self.force_many({name: value})
+
+    def force_many(self, values: Mapping[str, int]) -> None:
+        """:meth:`force` each ``name -> value``, in order, marking the
+        design unsettled once."""
+        masks = self._force_masks
+        env = self.env
+        try:
+            for name, value in values.items():
+                width_mask = masks.get(name)
+                if width_mask is None:
+                    raise SimulationError(
+                        f"{name!r} is not a register; poke() inputs, "
+                        f"write_memory() memories")
+                env[name] = value & width_mask
+        finally:
+            self._dirty = True
 
     def read_memory(self, name: str, addr: int) -> int:
         words = self._memory_words(name)

@@ -75,6 +75,45 @@ class TestPacketCodec:
         assert register_name(0x15) == "REG_0x15"
 
 
+class TestPacket:
+    """The packet type keeps its keywords, equality, repr and str."""
+
+    def test_keywords_equality_repr_and_str(self):
+        far = REGISTERS["FAR"]
+        write = Packet(opcode=WRITE, register=far, words=[0x1234],
+                       read_count=0)
+        assert write == Packet(opcode=WRITE, register=far, words=[0x1234])
+        assert write != Packet(opcode=WRITE, register=far, words=[0x1235])
+        assert write != Packet(opcode=READ, register=far)
+        assert repr(write) == (
+            f"Packet(opcode=2, register={far}, words=[4660], read_count=0)")
+        assert str(write) == "WRITE FAR x1"
+        read = Packet(opcode=READ, register=REGISTERS["FDRO"],
+                      read_count=186)
+        assert str(read) == "READ FDRO x186"
+        nop = Packet(opcode=NOP, register=0)
+        assert str(nop) == "NOP"
+        assert nop.words == [] and nop.read_count == 0
+        assert not hasattr(write, "__dict__")
+
+    def test_decoded_packets_equal_constructed_ones(self):
+        packets = [
+            Packet(opcode=NOP, register=0),
+            Packet(opcode=WRITE, register=REGISTERS["BOUT"], words=[]),
+            Packet(opcode=WRITE, register=REGISTERS["FDRI"],
+                   words=list(range(3000))),
+            Packet(opcode=READ, register=REGISTERS["FDRO"],
+                   read_count=93),
+            Packet(opcode=READ, register=REGISTERS["FDRO"],
+                   read_count=100_000),
+        ]
+        words = [SYNC]
+        for packet in packets:
+            words += encode_packet(packet)
+        assert list(decode_stream(words)) == packets
+        assert list(decode_stream(tuple(words))) == packets
+
+
 class TestAssembler:
     def test_preamble_contains_sync(self):
         asm = BitstreamAssembler(make_test_device())

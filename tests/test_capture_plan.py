@@ -27,12 +27,20 @@ from repro.config import DesignDatabase, FabricDevice, LLEntry, LogicLocationFil
 from repro.config.capture_plan import capture_plan
 from repro.debug import ZoomieDebugger, parse_capture_frames
 from repro.debug.controller import DebugControllerSpec, InstrumentedDesign
-from repro.designs import make_ariane_core
+from repro.designs import make_ariane_core, make_counter
 from repro.designs.ariane import healthy_program
 from repro.errors import ConfigError
+from repro.fpga import make_test_device
 from repro.fpga.device import BRAM, CLB, CLBM, REGION_ROWS, Column, Device, Slr
-from repro.fpga.frames import BLOCK_BRAM, FRAME_WORDS, FrameAddress, FrameSpace
-from repro.rtl import ModuleBuilder, elaborate, mux
+from repro.fpga.frames import (
+    BLOCK_BRAM,
+    BLOCK_MAIN,
+    FRAME_WORDS,
+    ConfigMemory,
+    FrameAddress,
+    FrameSpace,
+)
+from repro.rtl import ModuleBuilder, Simulator, elaborate, mux
 from repro.vendor.place import MemoryPlacement
 
 # --------------------------------------------------------------------------
@@ -551,3 +559,58 @@ class TestPlanLifetime:
         rebooted = {name: fabric.sim.peek(name) for name in running}
         assert rebooted != running
         assert debugger.read_state(allow_running=True).values == rebooted
+
+    def test_readback_frames_are_cached_per_slr_and_prefix(self):
+        fabric, debugger = self.launch()
+        layout = fabric.db.ll.layout()
+        space = fabric.spaces[0]
+        frames = layout.readback_frames("", 0, space)
+        assert isinstance(frames, tuple) and frames
+        assert layout.readback_frames("", 0, space) is frames
+        columns = layout.columns_under("")[0]
+        assert list(frames) == space.frames_of_columns(columns, BLOCK_MAIN)
+        handed = debugger.engine.mut_frames_of_slr(0)
+        assert handed == list(frames)
+        handed.clear()
+        assert debugger.engine.mut_frames_of_slr(0) == list(frames)
+        # The cache lives on the layout, which add() drops: an entry in
+        # a new column is read from then on.
+        column = next(c.index for c in space.slr.columns
+                      if c.index not in columns)
+        frame, offset = space.ff_location(column, 0, 0)
+        fabric.db.ll.add(LLEntry("zoomie_dc.paused", 1, 0, frame, offset))
+        grown = fabric.db.ll.layout().readback_frames("", 0, space)
+        assert set(grown) - set(frames) == {
+            address for address in space.frame_order
+            if address.column == column and address.block_type == BLOCK_MAIN}
+
+
+class TestAllRegionsRestore:
+    """The all-regions GRESTORE (the debugger's: MASK cleared) loads
+    every register with bits on the SLR, and a register's bits that no
+    capture frame of the SLR holds keep their live value."""
+
+    def test_bits_outside_the_slr_keep_their_value(self):
+        device = make_test_device(2)
+        netlist = elaborate(make_counter(8))
+        ll = LogicLocationFile()
+        for slr, bits in ((0, range(0, 3)), (1, range(3, 6))):
+            space = FrameSpace(device.slr(slr))
+            for bit in bits:
+                frame, offset = space.ff_location(0, 0, bit)
+                ll.add(LLEntry("count", bit, slr, frame, offset))
+        db = DesignDatabase(name="split", device=device, netlist=netlist,
+                            ll=ll, clocks={"clk": 1000})
+        for slr, loaded in ((0, 0b101), (1, 0b011)):
+            space = FrameSpace(device.slr(slr))
+            config = ConfigMemory(space)
+            frame, offset = space.ff_location(0, 0, 3 * slr)
+            words = [0] * FRAME_WORDS
+            words[offset // 32] = loaded << (offset % 32)
+            config.write_frame(frame, words)
+            sim = Simulator(netlist)
+            sim.force("count", 0b1111_1111)
+            capture_plan(db, slr).restore(sim, config, None)
+            kept = 0b1111_1111 & ~(0b111 << 3 * slr)
+            assert sim.peek("count") == kept | loaded << 3 * slr
+

@@ -67,6 +67,29 @@ class TestFrameSpace:
         with pytest.raises(DeviceError):
             space.validate(FrameAddress(BLOCK_MAIN, 0, 0, 99))
 
+    @pytest.mark.parametrize("address", [
+        FrameAddress(0, 0, 0, -1),
+        FrameAddress(2, 0, 0, -5),
+        FrameAddress(-1, 0, 0, -1),
+    ])
+    def test_validate_rejects_addresses_outside_the_frame_index(
+            self, address):
+        # Each passed the range checks validate used to make (a negative
+        # minor is below every minor count), and write_frame stored it.
+        space = FrameSpace(make_test_device().slr(0))
+        assert address not in space.frame_index
+        with pytest.raises(DeviceError):
+            space.validate(address)
+        memory = ConfigMemory(space)
+        with pytest.raises(DeviceError):
+            memory.write_frame(address, [0] * FRAME_WORDS)
+        assert memory.written_frames() == []
+
+    def test_validate_accepts_every_frame_of_the_slr(self):
+        space = FrameSpace(make_test_device().slr(0))
+        for address in space.frame_order:
+            space.validate(address)
+
     def test_ff_location_is_stable_and_unique(self):
         space = FrameSpace(make_test_device().slr(0))
         seen = set()

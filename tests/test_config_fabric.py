@@ -11,7 +11,7 @@ import pytest
 from repro.bitstream import BitstreamAssembler
 from repro.config import DesignDatabase, FabricDevice, LLEntry, LogicLocationFile
 from repro.config.database import synthesize_frame_words
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, DeviceError, SimulationError
 from repro.fpga import FRAME_WORDS, FrameAddress, make_test_device, make_u200, make_u250
 from repro.fpga.frames import CAPTURE_MINOR, BLOCK_MAIN
 from repro.rtl import ModuleBuilder, elaborate
@@ -320,3 +320,50 @@ class TestStateTraffic:
             fabric.run(-3)
         assert fabric.sim.peek("count") == 0
         assert fabric.run(0) == 0
+
+
+class TestFarDecoding:
+    """A FAR write decodes through the SLR geometry's FAR-word table;
+    words the table lacks take the field decode, as before."""
+
+    @staticmethod
+    def fdro_stream(device, far_word, frames=1):
+        asm = BitstreamAssembler(device)
+        asm.preamble().command("RCFG")
+        asm.write_register("FAR", [far_word])
+        asm.read_register("FDRO", frames * FRAME_WORDS)
+        return asm.words
+
+    def test_every_frame_decodes_to_itself(self):
+        space = FabricDevice(make_test_device()).spaces[0]
+        for address in space.frame_order:
+            decoded = space.frame_at_far[address.to_word()]
+            assert decoded is address
+            assert FrameAddress.from_word(address.to_word()) == decoded
+
+    def test_reads_match_the_field_decode(self):
+        fabric, _db = TestStateTraffic.counter_fabric()
+        space = fabric.spaces[0]
+        order = space.frame_order
+        memory = fabric.config[0]
+        for index, address in enumerate(order[:4]):
+            memory.write_frame(address, [index + 1] * FRAME_WORDS)
+        start = order[1].to_word()
+        stray = start | 1 << 31  # outside every FAR field
+        assert stray not in space.frame_at_far
+        for word in (start, stray):
+            words = fabric.jtag.run(
+                self.fdro_stream(fabric.device, word, 2)).read_words
+            assert words == [2] * FRAME_WORDS + [3] * FRAME_WORDS
+            assert fabric.mcs[0].far == order[3]
+
+    def test_an_invalid_far_keeps_raising_device_errors(self):
+        fabric, _db = TestStateTraffic.counter_fabric()
+        bad = FrameAddress(BLOCK_MAIN, 0, 999, 0).to_word()
+        with pytest.raises(DeviceError):
+            fabric.jtag.run(self.fdro_stream(fabric.device, bad))
+        asm = BitstreamAssembler(fabric.device)
+        asm.preamble().read_register("FDRO", FRAME_WORDS)
+        with pytest.raises(DeviceError):
+            fabric.jtag.run(asm.words)
+

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     CombinationalLoopError,
+    ReproError,
     SimulationError,
     UnknownSignalError,
 )
@@ -327,6 +328,74 @@ class TestStateManipulation:
         sim.write_memory("mem", 1, 0)
         sim.restore(snap)
         assert sim.read_memory("mem", 1) == 42
+
+
+class TestBatchedAccess:
+    """peek_many/force_many against per-name peek/force."""
+
+    def test_force_many_truncates_like_force(self):
+        one, many = counter_sim(width=4), counter_sim(width=4)
+        for value in (0x1F, -1, 0x10, 7, -9):
+            one.force("count", value)
+            many.force_many({"count": value})
+            assert many.peek_many(["count", "out"]) \
+                == [one.peek("count"), one.peek("out")]
+
+    def test_sync_read_latches(self):
+        from repro.designs import make_ariane_core
+        from repro.designs.ariane import healthy_program
+
+        netlist = elaborate(make_ariane_core(healthy_program()))
+        one, many = Simulator(netlist), Simulator(netlist)
+        for sim in (one, many):
+            sim.poke("resetn", 1)
+            sim.step(7)
+        names = ["fetch_rdata", "pc", "opcode"]
+        assert many.peek_many(names) == [one.peek(name) for name in names]
+        width = netlist.sync_read_outputs()["fetch_rdata"]
+        updates = {"fetch_rdata": (0x5A << width) | 0x1234_5678, "pc": 3}
+        for name, value in updates.items():
+            one.force(name, value)
+        many.force_many(updates)
+        assert many.peek_many(names) == [one.peek(name) for name in names]
+        one.step(3)
+        many.step(3)
+        assert many.snapshot() == one.snapshot()
+
+    def test_unknown_names_raise_the_same_errors(self):
+        sim = counter_sim()
+
+        def message(call, *args):
+            with pytest.raises(ReproError) as info:
+                call(*args)
+            return type(info.value), str(info.value)
+
+        assert message(sim.peek_many, ["out", "nope"]) \
+            == message(sim.peek, "nope")
+        assert message(sim.peek_many, ["nope"])[0] is UnknownSignalError
+        assert message(sim.force_many, {"count": 1, "en": 1}) \
+            == message(sim.force, "en", 1)
+        assert message(sim.force, "en", 1)[0] is SimulationError
+        assert message(sim.force_many, {"nope": 1}) \
+            == message(sim.force, "nope", 1)
+
+    def test_peek_after_force_many_resettles(self):
+        sim = counter_sim()
+        assert sim.peek("out") == 0
+        sim.force_many({"count": 9})
+        assert sim.peek("out") == 9
+        sim.force_many({"count": 4})
+        assert sim.peek_many(["out", "count"]) == [4, 4]
+        sim.step(1)
+        assert sim.peek("out") == 5
+
+    def test_batch_simulator_access_is_per_lane(self):
+        batch = counter_sim().to_batch(3)
+        batch.force_many({"count": 5}, lane=1)
+        assert batch.peek_many(["out"], lane=1) == [5]
+        assert batch.peek_many(["out", "count"]) == [[0, 5, 0], [0, 5, 0]]
+        with pytest.raises(SimulationError):
+            batch.force_many({"en": 1})
 
 
 class TestClockMap:
