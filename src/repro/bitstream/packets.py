@@ -80,6 +80,9 @@ def write_headers(register: int, count: int) -> list[int]:
 
 #: The one word of an encoded NOP.
 NOP_WORD = _type1_header(NOP, 0, 0)
+#: The packet :func:`decode_stream` yields for every NOP (shared: do
+#: not mutate).
+NOP_PACKET = Packet(NOP, 0)
 
 
 def encode_packet(packet: Packet) -> list[int]:
@@ -101,7 +104,8 @@ def decode_stream(words: list[int], synced: bool = False
     A DESYNC is not interpreted here — stream consumers (the
     microcontroller) handle command semantics; this is a pure codec.
     Each WRITE's payload is one slice of ``words`` (a list); packets
-    are built positionally, the cheaper call on this per-batch path.
+    are built positionally, the cheaper call on this per-batch path,
+    and every NOP is the one :data:`NOP_PACKET`.
     """
     if not isinstance(words, list):
         words = list(words)
@@ -125,7 +129,7 @@ def decode_stream(words: list[int], synced: bool = False
             count = header & _T1_MAX_WORDS
             pending_register = register
             if opcode == NOP:
-                yield Packet(NOP, 0)
+                yield NOP_PACKET
                 continue
             if count == 0 and opcode in (READ, WRITE):
                 # Either an *empty write* (how BOUT hops are expressed) or

@@ -19,8 +19,12 @@ it at two levels:
 - :class:`RegisterLayout`, one per logic-location file (cached on the
   file), groups register bits into *runs*. A run ``(register, bit,
   mask, shift)`` moves ``(value >> bit) & mask`` of a register to bit
-  ``shift`` of one 32-bit frame word, and back.
-  Readback parsing and the debugger's register edits run on it.
+  ``shift`` of one 32-bit frame word, and back. From the runs it
+  generates, once and at first use, two straight-line kernels per
+  capture frame (:class:`FrameKernels`): ``pack`` for GCAPTURE and
+  ``unpack`` for GRESTORE and readback parsing. Readback
+  (:class:`Readback`, cached per SLR and prefix) and the debugger's
+  register edits run on it.
 - :class:`CapturePlan`, one per (design database, SLR), adds what needs
   the netlist and the frame space: GCAPTURE, GRESTORE, GSR,
   content-frame writes, and memory packing and unpacking.
@@ -28,13 +32,16 @@ it at two levels:
 A plan checks every frame address (:meth:`FrameSpace.validate`), every
 register name (against the netlist) and every bit position (no two
 entries share one) once, when it is built; its per-call paths only
-index prebuilt tables.
+call the kernels and index prebuilt tables.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Optional, Sequence
+import sys
+from array import array
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from ..errors import ConfigError
 from ..fpga.frames import (
@@ -55,6 +62,18 @@ FRAME_BITS = FRAME_WORDS * 32
 _FRAME = struct.Struct(f"<{FRAME_WORDS}I")
 
 
+class FrameKernels(NamedTuple):
+    """The two generated kernels of one capture frame."""
+
+    #: ``pack(env, words)``: GCAPTURE. Sets the frame's register bits
+    #: from the simulator's value environment, keeping every other bit.
+    pack: Callable
+    #: ``unpack(words, values)``: GRESTORE and readback parsing. Sets
+    #: ``values[name]`` for every register with bits in the frame (ORs
+    #: into it for a register whose bits span several frames).
+    unpack: Callable
+
+
 class RegisterLayout:
     """Logic-location entries grouped into word-level runs."""
 
@@ -69,9 +88,6 @@ class RegisterLayout:
         self.by_register = by_register
         #: Register -> ``(slr, frame, word, bit, mask, shift)`` runs.
         self.runs: dict[str, list[tuple]] = {}
-        #: ``(slr, frame)`` -> ``(word, keep, runs)`` per frame word the
-        #: file uses; ``keep`` masks the word's bits no entry owns.
-        self.frames: dict[tuple[int, FrameAddress], list[tuple]] = {}
         #: ``(slr, frame)`` -> the registers with bits in that frame.
         self.frame_registers: dict[tuple[int, FrameAddress],
                                    tuple[str, ...]] = {}
@@ -79,11 +95,13 @@ class RegisterLayout:
         self.frame_counts: dict[str, int] = {}
         #: Prefix -> :meth:`columns_under`'s answer.
         self._columns: dict[str, dict[int, set[int]]] = {}
-        #: ``(slr, prefix)`` -> :meth:`readback_frames`' answer.
-        self._readback: dict[tuple[int, str],
-                             tuple[FrameAddress, ...]] = {}
+        #: ``(slr, prefix)`` -> :meth:`readback`'s answer.
+        self._readback: dict[tuple[int, str], Readback] = {}
 
-        words: dict[tuple[int, FrameAddress], dict[int, list]] = {}
+        #: ``(slr, frame)`` -> ``{word: [(register, bit, mask, shift)]}``:
+        #: what :attr:`kernels` are generated from.
+        self._words: dict[tuple[int, FrameAddress],
+                          dict[int, list[tuple]]] = {}
         registers: dict[tuple[int, FrameAddress], list[str]] = {}
         for name, bits in by_register.items():
             spans: list[list] = []
@@ -107,45 +125,86 @@ class RegisterLayout:
                 key = (slr, frame)
                 if key not in keys:
                     keys.append(key)
-                words.setdefault(key, {}).setdefault(word, []).append(
+                self._words.setdefault(key, {}).setdefault(word, []).append(
                     (name, bit, mask, shift))
             self.frame_counts[name] = len(keys)
             for key in keys:
                 registers.setdefault(key, []).append(name)
-        for key, by_word in words.items():
-            self.frame_registers[key] = tuple(registers[key])
-            ops = []
-            for word, runs in sorted(by_word.items()):
-                owned = 0
-                for _name, _bit, mask, shift in runs:
-                    owned |= mask << shift
-                ops.append((word, ~owned & 0xFFFF_FFFF, tuple(runs)))
-            self.frames[key] = ops
+        for key, names in registers.items():
+            self.frame_registers[key] = tuple(names)
 
-    def parse(self, frames: dict[tuple[int, FrameAddress], list[int]],
+    @cached_property
+    def kernels(self) -> dict[tuple[int, FrameAddress], FrameKernels]:
+        """``(slr, frame)`` -> the capture frame's :class:`FrameKernels`,
+        generated for every frame at first use as straight-line code
+        (one assignment per frame word and per register)."""
+        code = compile(self._kernel_source(), "<capture-kernels>", "exec")
+        namespace: dict = {}
+        exec(code, namespace)  # noqa: S102
+        return {key: FrameKernels(namespace[f"pack_{index}"],
+                                  namespace[f"unpack_{index}"])
+                for index, key in enumerate(self._words)}
+
+    def _kernel_source(self) -> str:
+        """The source of every capture frame's ``pack_<i>`` and
+        ``unpack_<i>`` kernels, ``i`` the frame's position in
+        :attr:`_words`."""
+        lines: list[str] = []
+        for index, ((slr, address), by_word) in enumerate(
+                self._words.items()):
+            registers = self.frame_registers[(slr, address)]
+            local = {name: f"r{n}" for n, name in enumerate(registers)}
+            lines.append(f"def pack_{index}(e, f):  # SLR{slr} {address}")
+            lines.extend(f"    {local[name]} = e[{name!r}]"
+                         for name in registers)
+            terms: dict[str, list[str]] = {name: [] for name in registers}
+            for word in sorted(by_word):
+                owned = 0
+                placed = []
+                for name, bit, mask, shift in by_word[word]:
+                    owned |= mask << shift
+                    value = f"{local[name]} >> {bit}" if bit else local[name]
+                    placed.append(_shifted(f"{value} & {mask:#x}", shift))
+                    value = f"w{word} >> {shift}" if shift else f"w{word}"
+                    terms[name].append(_shifted(f"{value} & {mask:#x}", bit))
+                keep = ~owned & 0xFFFF_FFFF
+                if keep:
+                    placed.insert(0, f"f[{word}] & {keep:#x}")
+                lines.append(f"    f[{word}] = {' | '.join(placed)}")
+            lines.append(f"def unpack_{index}(w, v):  # SLR{slr} {address}")
+            lines.extend(f"    w{word} = w[{word}]"
+                         for word in sorted(by_word))
+            for name in registers:
+                value = " | ".join(terms[name])
+                if self.frame_counts[name] > 1:
+                    value = f"v.get({name!r}, 0) | {value}"
+                lines.append(f"    v[{name!r}] = {value}")
+        return "\n".join(lines) + "\n"
+
+    def parse(self, frames: dict[tuple[int, FrameAddress], Sequence[int]],
               prefix: str = "") -> dict[str, int]:
         """Register values from captured frame words; see
         :func:`repro.debug.state.parse_capture_frames`."""
+        kernels = self.kernels
         values: dict[str, int] = {}
         seen: dict[str, int] = {}
         for key, words in frames.items():
-            ops = self.frames.get(key)
-            if ops is None:
+            registers = self.frame_registers.get(key)
+            if registers is None:
                 continue
-            for word, _keep, runs in ops:
-                value = words[word]
-                for name, bit, mask, shift in runs:
-                    values[name] = values.get(name, 0) \
-                        | ((value >> shift) & mask) << bit
-            for name in self.frame_registers[key]:
+            kernels[key].unpack(words, values)
+            for name in registers:
                 seen[name] = seen.get(name, 0) + 1
+        return {name: values[name] for name in self._complete(seen, prefix)}
+
+    def _complete(self, seen: dict[str, int], prefix: str) -> list[str]:
+        """The registers under ``prefix`` whose every frame ``seen``
+        counts, in file order."""
         dotted = prefix + "."
-        # Keep only registers whose every frame was read, in file order.
-        return {
-            name: values[name] for name in self.by_register
-            if seen.get(name) == self.frame_counts[name]
-            and (not prefix or name == prefix or name.startswith(dotted))
-        }
+        return [name for name in self.by_register
+                if seen.get(name) == self.frame_counts[name]
+                and (not prefix or name == prefix
+                     or name.startswith(dotted))]
 
     def columns_under(self, prefix: str) -> dict[int, set[int]]:
         """SLR -> the columns holding the registers under a hierarchical
@@ -161,19 +220,46 @@ class RegisterLayout:
                         columns.setdefault(slr, set()).add(frame.column)
         return columns
 
+    def readback(self, prefix: str, slr: int,
+                 space: FrameSpace) -> "Readback":
+        """The optimized readback of the registers under ``prefix`` on
+        ``slr`` (``space`` is that SLR's frame space): every main-block
+        frame of the columns that hold them. Cached per (SLR, prefix),
+        like :meth:`columns_under`."""
+        key = (slr, prefix)
+        readback = self._readback.get(key)
+        if readback is None:
+            columns = self.columns_under(prefix).get(slr, set())
+            readback = self._readback[key] = self.readback_of(
+                slr, space, space.frames_of_columns(columns, BLOCK_MAIN),
+                prefix)
+        return readback
+
     def readback_frames(self, prefix: str, slr: int,
                         space: FrameSpace) -> tuple[FrameAddress, ...]:
-        """The main-block frames, in FAR order, of the columns that hold
-        the registers under ``prefix`` on ``slr`` (``space`` is that
-        SLR's frame space): what an optimized readback reads. Cached
-        per (SLR, prefix), like :meth:`columns_under`."""
-        key = (slr, prefix)
-        frames = self._readback.get(key)
-        if frames is None:
-            columns = self.columns_under(prefix).get(slr, set())
-            frames = self._readback[key] = tuple(
-                space.frames_of_columns(columns, BLOCK_MAIN))
-        return frames
+        """The frames, in FAR order, of :meth:`readback`: what an
+        optimized readback reads."""
+        return self.readback(prefix, slr, space).frames
+
+    def readback_of(self, slr: int, space: FrameSpace, frames,
+                    prefix: str = "") -> "Readback":
+        """A readback of ``frames`` on ``slr``, parsing the registers
+        under ``prefix`` that the frames hold whole. A frame outside the
+        SLR raises :class:`~repro.errors.DeviceError`."""
+        wanted, runs = space.coalesce(frames)
+        kernels = self.kernels
+        reads = []
+        seen: dict[str, int] = {}
+        for index, address in enumerate(wanted):
+            key = (slr, address)
+            registers = self.frame_registers.get(key)
+            if registers is None:
+                continue
+            reads.append((index * FRAME_WORDS, kernels[key].unpack))
+            for name in registers:
+                seen[name] = seen.get(name, 0) + 1
+        return Readback(wanted, runs, tuple(reads),
+                        tuple(self._complete(seen, prefix)))
 
     def frames_of(self, names) -> list[FrameAddress]:
         """The capture frames holding the named registers, sorted."""
@@ -189,6 +275,37 @@ class RegisterLayout:
                 words = frame_words[frame]
                 words[word] = (words[word] & ~(mask << shift)) \
                     | ((value >> bit) & mask) << shift
+
+
+class Readback:
+    """One capture-and-FDRO readback of one SLR: the frames it reads
+    (deduped, in FAR order), their ``(first frame, count)`` FDRO runs,
+    and the parse of the words that come back."""
+
+    __slots__ = ("frames", "runs", "_reads", "_names")
+
+    def __init__(self, frames: tuple[FrameAddress, ...],
+                 runs: tuple[tuple[FrameAddress, int], ...],
+                 reads: tuple[tuple[int, Callable], ...],
+                 names: tuple[str, ...]):
+        self.frames = frames
+        self.runs = runs
+        #: ``(first word, unpack kernel)`` per read frame that holds
+        #: register bits: only those are sliced and parsed.
+        self._reads = reads
+        #: The registers the read frames hold whole, under the prefix.
+        self._names = names
+
+    def parse(self, words: Sequence[int]) -> dict[str, int]:
+        """Register values from the batch's read words, in file order."""
+        values: dict[str, int] = {}
+        for start, unpack in self._reads:
+            unpack(words[start:start + FRAME_WORDS], values)
+        return {name: values[name] for name in self._names}
+
+
+def _shifted(term: str, shift: int) -> str:
+    return f"({term}) << {shift}" if shift else f"({term})"
 
 
 class MemoryImage:
@@ -207,13 +324,19 @@ class MemoryImage:
         #: Words and leftover bits of the image in its last frame.
         self._tail = divmod(self.bits - (len(frames) - 1) * FRAME_BITS, 32)
 
-    def pack(self, words: Sequence[int]) -> list[tuple[int, ...]]:
+    def pack(self, words: Sequence[int]) -> list[array]:
         """Frame words holding ``words``, each truncated to the width;
-        image bits past the memory's extent are zero."""
+        image bits past the memory's extent are zero. One
+        ``array("I")`` per content frame, as frames are stored."""
+        size = _FRAME.size
         data = _pack(words, self.width).to_bytes(
-            len(self.frames) * _FRAME.size, "little")
-        return [_FRAME.unpack_from(data, index * _FRAME.size)
-                for index in range(len(self.frames))]
+            len(self.frames) * size, "little")
+        frames = [array("I", data[index * size:(index + 1) * size])
+                  for index in range(len(self.frames))]
+        if sys.byteorder == "big":  # pragma: no cover - little on CI
+            for frame in frames:
+                frame.byteswap()
+        return frames
 
     def unpack(self, frames: Sequence[Sequence[int]]) -> list[int]:
         """The memory's words from its content frames' words."""
@@ -287,18 +410,19 @@ class CapturePlan:
                     f"SLR{slr}")
             located.add((entry.name, entry.bit))
 
-        #: ``(frame, region, ops)`` per capture frame of this SLR.
-        self.frames: list[tuple[FrameAddress, int, list[tuple]]] = []
+        self.slr = slr
+        #: ``(frame, region)`` per capture frame of this SLR.
+        self.frames: list[tuple[FrameAddress, int]] = []
         #: Register (or memory output latch) -> width mask, for the
         #: registers with bits on this SLR.
         self._masks: dict[str, int] = {}
         #: Clock region -> the netlist registers GSR resets there.
         self._gsr: dict[int, set[str]] = {}
-        for (frame_slr, address), ops in self.layout.frames.items():
+        for frame_slr, address in self.layout.frame_registers:
             if frame_slr != slr:
                 continue
             space.validate(address)
-            self.frames.append((address, address.region, ops))
+            self.frames.append((address, address.region))
             for name in self.layout.frame_registers[(slr, address)]:
                 register = netlist.registers.get(name)
                 width = latches[name] if register is None \
@@ -308,9 +432,9 @@ class CapturePlan:
                     self._gsr.setdefault(address.region, set()).add(name)
         self._inits = {name: netlist.registers[name].init
                        for names in self._gsr.values() for name in names}
-        #: What the all-regions GRESTORE (the debugger's, MASK cleared)
-        #: loads; see :meth:`_restore_plan`.
-        self._all_regions = self._restore_plan(self.frames)
+        #: The bits the all-regions GRESTORE (the debugger's, MASK
+        #: cleared) leaves live; see :meth:`_kept`.
+        self._all_kept = self._kept(address for address, _ in self.frames)
 
         #: Memory name -> its image, for the memories placed on this SLR.
         self.memories: dict[str, MemoryImage] = {}
@@ -343,19 +467,23 @@ class CapturePlan:
     # flip-flops
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _kernels(self) -> list[tuple[FrameAddress, int, Callable, Callable]]:
+        """``(frame, region, pack, unpack)`` per capture frame of this
+        SLR: the layout's kernels, fetched at first capture."""
+        kernels = self.layout.kernels
+        return [(address, region, *kernels[(self.slr, address)])
+                for address, region in self.frames]
+
     def capture(self, sim, config: ConfigMemory,
                 regions: Optional[set[int]]) -> None:
-        """GCAPTURE: register values and memory contents into frames."""
-        values = dict(zip(self._masks, sim.peek_many(self._masks)))
-        for address, region, ops in self.frames:
-            if regions is not None and region not in regions:
-                continue
-            frame = config.capture_frame(address)
-            for word, keep, runs in ops:
-                value = frame[word] & keep
-                for name, bit, mask, shift in runs:
-                    value |= ((values[name] >> bit) & mask) << shift
-                frame[word] = value
+        """GCAPTURE: register values and memory contents into frames.
+        Capture reads state (registers, memory output latches, memory
+        words) and no wire, so the design is not settled first."""
+        env = sim.env
+        for address, region, pack, _unpack in self._kernels:
+            if regions is None or region in regions:
+                pack(env, config.capture_frame(address))
         for image in self.memories.values():
             if regions is None or image.region in regions:
                 image.capture(config, sim.memories[image.name])
@@ -365,41 +493,40 @@ class CapturePlan:
         """GRESTORE: load registers from their capture frames. Bits of
         a register outside the enabled regions keep their value."""
         if regions is None:
-            frames = self.frames
-            names, kept = self._all_regions
+            frames, kept = self._kernels, self._all_kept
         else:
-            frames = [entry for entry in self.frames if entry[1] in regions]
-            names, kept = self._restore_plan(frames)
-        values = dict.fromkeys(names, 0)
-        for address, _region, ops in frames:
-            frame = config.stored(address) or ZERO_FRAME
-            for word, _keep, runs in ops:
-                value = frame[word]
-                for name, bit, mask, shift in runs:
-                    values[name] |= ((value >> shift) & mask) << bit
+            frames = [entry for entry in self._kernels
+                      if entry[1] in regions]
+            kept = self._kept(entry[0] for entry in frames)
+        values: dict[str, int] = {}
+        stored = config.stored
+        for address, _region, _pack, unpack in frames:
+            unpack(stored(address) or ZERO_FRAME, values)
         if kept:
             # Read every partly restored register before the first force.
-            for (name, bits), live in zip(kept.items(),
-                                          sim.peek_many(kept)):
-                values[name] |= live & bits
+            env = sim.env
+            for name, bits in kept.items():
+                values[name] |= env[name] & bits
         sim.force_many(values)
 
-    def _restore_plan(self, frames) -> tuple[tuple[str, ...],
-                                             dict[str, int]]:
-        """The registers a GRESTORE of ``frames`` loads and, for those
-        with bits outside ``frames``, the width bits that keep their
-        live value."""
-        covered: dict[str, int] = {}
-        for _address, _region, ops in frames:
-            for _word, _keep, runs in ops:
-                for name, bit, mask, _shift in runs:
-                    covered[name] = covered.get(name, 0) | mask << bit
+    def _kept(self, addresses) -> dict[str, int]:
+        """For each register a GRESTORE of the capture frames at
+        ``addresses`` loads, the width bits no such frame holds: those
+        keep their live value."""
+        keys = {(self.slr, address) for address in addresses}
         kept = {}
-        for name, bits in covered.items():
-            rest = self._masks[name] & ~bits
+        for name in dict.fromkeys(
+                name for key in keys
+                for name in self.layout.frame_registers[key]):
+            covered = 0
+            for slr, frame, _word, bit, mask, _shift \
+                    in self.layout.runs[name]:
+                if (slr, frame) in keys:
+                    covered |= mask << bit
+            rest = self._masks[name] & ~covered
             if rest:
                 kept[name] = rest
-        return tuple(covered), kept
+        return kept
 
     def gsr(self, sim, regions: Optional[set[int]]) -> None:
         """Global set/reset: registers in the enabled regions return to

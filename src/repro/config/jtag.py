@@ -16,11 +16,12 @@ why reading the primary SLR is measurably (slightly) faster.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..bitstream.crc import crc32_stream
-from ..bitstream.packets import READ, WRITE, decode_stream
+from ..bitstream.packets import NOP, READ, WRITE, decode_stream
 from ..bitstream.words import REGISTERS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +45,9 @@ BATCH_OVERHEAD_SECONDS = 0.05
 class JtagResult:
     """Outcome of one :meth:`JtagRing.run` batch."""
 
-    read_words: list[int] = field(default_factory=list)
+    #: The batch's FDRO and register read replies, in order, as 32-bit
+    #: words.
+    read_words: array = field(default_factory=lambda: array("I"))
     seconds: float = 0.0
     #: Device-side CRC-32 over ``read_words`` as they were sent back
     #: (the golden channel). The verified transport compares the host's
@@ -67,7 +70,7 @@ class JtagRing:
         primary = fabric.device.primary_slr
         count = fabric.device.slr_count
         mcs = fabric.mcs
-        read_words: list[int] = []
+        read_words = array("I")
         seconds = (BATCH_OVERHEAD_SECONDS
                    + len(words) * 4 / JTAG_BYTES_PER_SECOND)
 
@@ -85,9 +88,11 @@ class JtagRing:
                 controller = mcs[target]
                 seconds += pending_hops * HOP_SECONDS
                 pending_hops = 0
+            if opcode == NOP:
+                continue  # nothing for a controller to do
             data = controller.execute(packet)
             if opcode == READ:
-                read_words.extend(data)
+                read_words += data
                 hops = (target - primary) % count
                 seconds += (
                     len(data) * 4 / JTAG_BYTES_PER_SECOND

@@ -10,29 +10,25 @@ anything (Section 4.5, "Mutating Device ID in Bitstream").
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ConfigError
-from ..fpga.frames import FRAME_WORDS, ZERO_FRAME, FrameAddress
+from ..fpga.frames import FRAME_WORDS, FrameAddress
 from ..bitstream.packets import Packet, READ, WRITE
 from ..bitstream.words import CMD_NAMES, REGISTERS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fabric import FabricDevice
 
-_FAR = REGISTERS["FAR"]
-_FDRI = REGISTERS["FDRI"]
-_FDRO = REGISTERS["FDRO"]
-_CMD = REGISTERS["CMD"]
-_MASK = REGISTERS["MASK"]
-_IDCODE = REGISTERS["IDCODE"]
-_CLK_GATE = REGISTERS["CLK_GATE"]
-_BOUT = REGISTERS["BOUT"]
-
 #: CMD names kept per controller (most recent last): enough to see the
 #: last few batches, bounded so a long session does not grow memory.
 COMMAND_LOG_DEPTH = 256
+
+#: The bytes of a frame never written, appended to an FDRO reply by
+#: memcpy.
+_ZERO_FRAME_BYTES = bytes(4 * FRAME_WORDS)
 
 
 class Microcontroller:
@@ -70,89 +66,99 @@ class Microcontroller:
     # packet execution
     # ------------------------------------------------------------------
 
-    def execute(self, packet: Packet) -> list[int]:
-        """Run one packet; returns read data (empty for writes)."""
-        if packet.opcode == WRITE:
-            self._write(packet.register, packet.words)
-            return []
-        if packet.opcode == READ:
-            return self._read(packet.register, packet.read_count)
-        return []
+    def execute(self, packet: Packet):
+        """Run one packet; returns its read data as an ``array("I")``
+        (nothing for writes and NOPs). A write dispatches on its
+        register (:data:`_WRITERS`), a read on its register
+        (:data:`_READERS`), each CMD word on its code
+        (:data:`_COMMANDS`); any other register stores its last word."""
+        opcode = packet.opcode
+        if opcode == WRITE:
+            write = _WRITERS.get(packet.register)
+            if write is not None:
+                write(self, packet.words)
+            elif packet.words:
+                # CRC included: stored, never checked (sections
+                # assembled by different tools interleave per-SLR
+                # traffic).
+                self.stored[packet.register] = packet.words[-1]
+            return ()
+        if opcode == READ:
+            read = _READERS.get(packet.register)
+            if read is not None:
+                return read(self, packet.read_count)
+            return _repeat(self.stored.get(packet.register, 0),
+                           packet.read_count)
+        return ()
 
-    def _write(self, register: int, words: list[int]) -> None:
-        if register == _FAR:
-            self._require(len(words) == 1, "FAR write needs one word")
-            self.far = self.space.frame_at_far.get(words[0]) \
-                or FrameAddress.from_word(words[0])
-            self.space.validate(self.far)
-        elif register == _CMD:
-            for word in words:
-                self._run_command(word)
-        elif register == _MASK:
-            self._require(len(words) == 1, "MASK write needs one word")
-            self.mask = words[0]
-        elif register == _IDCODE:
-            self._require(len(words) == 1, "IDCODE write needs one word")
-            self.idcode_received = words[0]
-            if self.is_primary and words[0] != self.fabric.device.idcode:
-                raise ConfigError(
-                    f"SLR{self.slr_index}: IDCODE mismatch "
-                    f"(got {words[0]:#010x}, device is "
-                    f"{self.fabric.device.idcode:#010x})")
-            # Secondary SLRs: stored, never enforced (paper Section 4.5).
-        elif register == _FDRI:
-            self._write_frames(words)
-        elif register == _CLK_GATE:
-            self._require(len(words) == 1, "CLK_GATE write needs one word")
-            self.fabric.set_clock_gates(words[0], source_slr=self.slr_index)
-        elif register == _BOUT:
+    def _write_far(self, words: list[int]) -> None:
+        self._require(len(words) == 1, "FAR write needs one word")
+        far = self.space.frame_at_far.get(words[0])
+        if far is not None:
+            self.far = far
+            return
+        self.far = FrameAddress.from_word(words[0])
+        self.space.validate(self.far)
+
+    def _write_commands(self, words: list[int]) -> None:
+        for code in words:
+            command = _COMMANDS.get(code)
+            if command is None:
+                raise ConfigError(f"unknown CMD value {code:#x}")
+            name, run = command
+            self.command_log.append(name)
+            if run is not None:
+                run(self)
+
+    def _write_mask(self, words: list[int]) -> None:
+        self._require(len(words) == 1, "MASK write needs one word")
+        self.mask = words[0]
+
+    def _write_idcode(self, words: list[int]) -> None:
+        self._require(len(words) == 1, "IDCODE write needs one word")
+        self.idcode_received = words[0]
+        if self.is_primary and words[0] != self.fabric.device.idcode:
             raise ConfigError(
-                "BOUT writes are ring routing; they must not reach a "
-                "microcontroller")
-        else:
-            # CRC included: stored, never checked (sections assembled by
-            # different tools interleave per-SLR traffic).
-            if words:
-                self.stored[register] = words[-1]
+                f"SLR{self.slr_index}: IDCODE mismatch "
+                f"(got {words[0]:#010x}, device is "
+                f"{self.fabric.device.idcode:#010x})")
+        # Secondary SLRs: stored, never enforced (paper Section 4.5).
 
-    def _read(self, register: int, count: int) -> list[int]:
-        if register == _FDRO:
-            self._require(self.mode == "read",
-                          "FDRO read requires CMD=RCFG first")
-            return self._read_frames(count)
-        if register == _IDCODE:
-            return [self.fabric.device.idcode] * max(count, 1)
-        if register == REGISTERS["STAT"]:
-            status = 0x1 if self.fabric.booted else 0x0
-            return [status] * max(count, 1)
-        return [self.stored.get(register, 0)] * max(count, 1)
+    def _write_clock_gates(self, words: list[int]) -> None:
+        self._require(len(words) == 1, "CLK_GATE write needs one word")
+        self.fabric.set_clock_gates(words[0], source_slr=self.slr_index)
+
+    def _write_bout(self, words: list[int]) -> None:
+        raise ConfigError(
+            "BOUT writes are ring routing; they must not reach a "
+            "microcontroller")
+
+    def _read_fdro(self, count: int) -> array:
+        self._require(self.mode == "read",
+                      "FDRO read requires CMD=RCFG first")
+        return self._read_frames(count)
+
+    def _read_idcode(self, count: int) -> array:
+        return _repeat(self.fabric.device.idcode, count)
+
+    def _read_status(self, count: int) -> array:
+        return _repeat(0x1 if self.fabric.booted else 0x0, count)
 
     # ------------------------------------------------------------------
     # commands
     # ------------------------------------------------------------------
 
-    def _run_command(self, code: int) -> None:
-        name = CMD_NAMES.get(code)
-        if name is None:
-            raise ConfigError(f"unknown CMD value {code:#x}")
-        self.command_log.append(name)
-        if name == "WCFG":
-            self.mode = "write"
-        elif name == "RCFG":
-            self.mode = "read"
-        elif name == "NULL" or name == "LFRM":
-            self.mode = "idle"
-        elif name == "START":
-            self.fabric.start(self.slr_index, self.enabled_regions())
-        elif name == "SHUTDOWN":
-            self.fabric.shutdown(self.slr_index)
-        elif name == "GCAPTURE":
-            self.fabric.capture(self.slr_index, self.enabled_regions())
-        elif name == "GRESTORE":
-            self.fabric.restore(self.slr_index, self.enabled_regions())
-        elif name == "DESYNC":
-            self.mode = "idle"
-        # RCRC, MFW, AGHIGH, SWITCH: accepted, no model behaviour needed.
+    def _start(self) -> None:
+        self.fabric.start(self.slr_index, self.enabled_regions())
+
+    def _shutdown(self) -> None:
+        self.fabric.shutdown(self.slr_index)
+
+    def _capture(self) -> None:
+        self.fabric.capture(self.slr_index, self.enabled_regions())
+
+    def _restore(self) -> None:
+        self.fabric.restore(self.slr_index, self.enabled_regions())
 
     # ------------------------------------------------------------------
     # frame traffic
@@ -184,13 +190,14 @@ class Microcontroller:
             if self.fabric.booted:
                 self.fabric.apply_content_frame(self.slr_index, written)
 
-    def _read_frames(self, count: int) -> list[int]:
+    def _read_frames(self, count: int) -> array:
         """FDRO: ``count`` words from the frames at and after FAR, in
         FAR order. The FAR was validated when written, so each frame is
-        copied once, from its stored words (or zeros, never written)."""
+        appended once, by memcpy, from its stored words (or zeros,
+        never written)."""
         self._require(count % FRAME_WORDS == 0,
                       "FDRO read must request whole frames")
-        out: list[int] = []
+        out = array("I")
         frames = count // FRAME_WORDS
         if not frames:
             return out
@@ -206,7 +213,11 @@ class Microcontroller:
                 f"SLR{self.slr_index}: FDRO read without FAR")
         stored = self.memory.stored
         for address in order[start:end]:
-            out.extend(stored(address) or ZERO_FRAME)
+            frame = stored(address)
+            if frame is None:
+                out.frombytes(_ZERO_FRAME_BYTES)
+            else:
+                out += frame
         self.far = order[end] if end < len(order) else None
         return out
 
@@ -217,3 +228,52 @@ class Microcontroller:
     def __repr__(self) -> str:
         return (f"Microcontroller(slr={self.slr_index}, "
                 f"primary={self.is_primary})")
+
+
+def _repeat(word: int, count: int) -> array:
+    """A register read: ``word``, ``count`` times (at least once)."""
+    return array("I", (word,)) * max(count, 1)
+
+
+#: Register -> its write handler.
+_WRITERS: dict[int, Callable[[Microcontroller, list[int]], None]] = {
+    REGISTERS["FAR"]: Microcontroller._write_far,
+    REGISTERS["CMD"]: Microcontroller._write_commands,
+    REGISTERS["MASK"]: Microcontroller._write_mask,
+    REGISTERS["IDCODE"]: Microcontroller._write_idcode,
+    REGISTERS["FDRI"]: Microcontroller._write_frames,
+    REGISTERS["CLK_GATE"]: Microcontroller._write_clock_gates,
+    REGISTERS["BOUT"]: Microcontroller._write_bout,
+}
+
+#: Register -> its read handler.
+_READERS: dict[int, Callable[[Microcontroller, int], array]] = {
+    REGISTERS["FDRO"]: Microcontroller._read_fdro,
+    REGISTERS["IDCODE"]: Microcontroller._read_idcode,
+    REGISTERS["STAT"]: Microcontroller._read_status,
+}
+
+def _enter(mode: str) -> Callable[[Microcontroller], None]:
+    def enter(controller: Microcontroller) -> None:
+        controller.mode = mode
+    return enter
+
+
+#: CMD name -> what it does (RCRC, MFW, AGHIGH and SWITCH are accepted
+#: and need no model behaviour).
+_HANDLERS: dict[str, Callable[[Microcontroller], None]] = {
+    "WCFG": _enter("write"),
+    "RCFG": _enter("read"),
+    "NULL": _enter("idle"),
+    "LFRM": _enter("idle"),
+    "DESYNC": _enter("idle"),
+    "START": Microcontroller._start,
+    "SHUTDOWN": Microcontroller._shutdown,
+    "GCAPTURE": Microcontroller._capture,
+    "GRESTORE": Microcontroller._restore,
+}
+
+#: CMD code -> (name, handler or None).
+_COMMANDS: dict[int, tuple[str, Optional[Callable[[Microcontroller],
+                                                  None]]]] = {
+    code: (name, _HANDLERS.get(name)) for code, name in CMD_NAMES.items()}

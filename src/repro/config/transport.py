@@ -212,17 +212,26 @@ class VerifiedTransport:
         carrying attempt/retry/CRC attributes plus both clocks (wall
         time measured, channel seconds modeled).
         """
+        if _TRACER.enabled:
+            return self._run_traced(words)
+        stats = self.stats
+        retries, corrupt = stats.retries, stats.corrupt_detected
+        try:
+            result = self._run_verified(words)
+        except TransportError:
+            self._note(stats.retries - retries,
+                       stats.corrupt_detected - corrupt, None)
+            raise
+        self._batch_seconds.observe(result.seconds)
+        if stats.retries != retries:
+            self._note(stats.retries - retries,
+                       stats.corrupt_detected - corrupt, result)
+        return result
+
+    def _run_traced(self, words: list[int]) -> "JtagResult":
         stats = self.stats
         before = (stats.attempts, stats.retries, stats.corrupt_detected,
                   stats.command_faults_detected, stats.seconds_in_retry)
-        if not _TRACER.enabled:
-            try:
-                result = self._run_verified(words)
-            except TransportError:
-                self._publish(before, None, None)
-                raise
-            self._publish(before, None, result)
-            return result
         with _TRACER.span("jtag.batch", words=len(words)) as span:
             try:
                 result = self._run_verified(words)
@@ -233,36 +242,40 @@ class VerifiedTransport:
             self._publish(before, span, result)
             return result
 
+    @staticmethod
+    def _note(retries: int, corrupt: int, result) -> None:
+        """The flight note of a batch that retried or failed. Only those
+        are noted: a clean one says no more than the dump's
+        transport.batches counter, and would evict older commands from
+        the ring."""
+        if _FLIGHT.enabled:
+            _FLIGHT.note("transport", "batch", retries=retries,
+                         corrupt=corrupt, verified=result is not None)
+
     def _publish(self, before: tuple, span, result) -> None:
-        """Histogram, flight note and span attributes for one
-        completed batch, from the stats ``before`` it."""
+        """Histogram, flight note and span attributes for one traced
+        batch, from the stats ``before`` it."""
         stats = self.stats
         attempts0, retries0, corrupt0, command0, retry_seconds0 = before
         retries = stats.retries - retries0
         if result is not None:
             self._batch_seconds.observe(result.seconds)
-        if (retries or result is None) and _FLIGHT.enabled:
-            # Only a retried or failed batch is noted: a clean one says
-            # no more than the dump's transport.batches counter, and
-            # would evict older commands from the ring.
-            _FLIGHT.note("transport", "batch", retries=retries,
-                         corrupt=stats.corrupt_detected - corrupt0,
-                         verified=result is not None)
-        if span is not None:
-            span.set(
-                attempts=stats.attempts - attempts0,
-                retries=retries,
-                crc_faults=stats.corrupt_detected - corrupt0,
-                command_faults=stats.command_faults_detected - command0,
-                verified=result is not None)
-            # Modeled channel seconds: a successful result already
-            # carries its failed attempts' time; a failed batch only
-            # has its retry time.
-            if result is not None:
-                span.set(read_words=len(result.read_words))
-                span.add_modeled(result.seconds)
-            else:
-                span.add_modeled(stats.seconds_in_retry - retry_seconds0)
+        if retries or result is None:
+            self._note(retries, stats.corrupt_detected - corrupt0, result)
+        span.set(
+            attempts=stats.attempts - attempts0,
+            retries=retries,
+            crc_faults=stats.corrupt_detected - corrupt0,
+            command_faults=stats.command_faults_detected - command0,
+            verified=result is not None)
+        # Modeled channel seconds: a successful result already carries
+        # its failed attempts' time; a failed batch only has its retry
+        # time.
+        if result is not None:
+            span.set(read_words=len(result.read_words))
+            span.add_modeled(result.seconds)
+        else:
+            span.add_modeled(stats.seconds_in_retry - retry_seconds0)
 
     def _run_verified(self, words: list[int]) -> "JtagResult":
         self.check_alive()
@@ -404,10 +417,12 @@ class VerifiedTransport:
                 f"(host CRC != golden channel CRC)")
 
     def _secondary_targets(self, words: list[int]) -> list[int]:
-        """Secondary SLRs this program addresses: one per BOUT-hop
-        section, routed as :meth:`JtagRing.run` routes it."""
+        """Secondary SLRs this program sends a packet to: one per
+        BOUT-hop section that holds one, routed as :meth:`JtagRing.run`
+        routes it (a NOP reaches no controller)."""
         device = self.ring.fabric.device
         primary = device.primary_slr
         targets = {(primary + section.hop_count) % device.slr_count
-                   for section in analyze_bitstream(words).sections}
+                   for section in analyze_bitstream(words).sections
+                   if section.packets}
         return sorted(targets - {primary})

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config.capture_plan import capture_plan
+from ..config.capture_plan import Readback, capture_plan
 from ..config.fabric import FabricDevice
 from ..config.jtag import (
     BATCH_OVERHEAD_SECONDS,
@@ -27,7 +27,7 @@ from ..config.jtag import (
 )
 from ..errors import DebugError
 from ..fpga.frames import CAPTURE_MINOR, FRAME_WORDS, BLOCK_MAIN, FrameAddress
-from .state import StateSnapshot, parse_capture_frames
+from .state import StateSnapshot
 
 
 def estimate_readback_seconds(frame_count: int, hops: int = 0,
@@ -116,52 +116,32 @@ class ReadbackEngine:
     # executable readback
     # ------------------------------------------------------------------
 
-    def _coalesce(self, slr: int, frames: list[FrameAddress]
-                  ) -> tuple[list[FrameAddress],
-                             list[tuple[FrameAddress, int]]]:
-        """Dedupe + order ``frames`` by the SLR's frame space, then
-        coalesce contiguous addresses into (start, count) FDRO runs."""
-        space = self.fabric.spaces[slr]
-        index = space.frame_index
-        positions = sorted({index[address] for address in frames})
-        spans: list[list[int]] = []
-        for position in positions:
-            if spans and position == spans[-1][0] + spans[-1][1]:
-                spans[-1][1] += 1
-            else:
-                spans.append([position, 1])
-        order = space.frame_order
-        return ([order[position] for position in positions],
-                [(order[start], count) for start, count in spans])
-
-    def _capture_and_read(self, slr: int, frames: list[FrameAddress],
-                          what: str
-                          ) -> tuple[list[FrameAddress], JtagResult]:
+    def _capture_and_read(self, slr: int, frames: tuple[FrameAddress, ...],
+                          runs, what: str) -> JtagResult:
         """One batch: clear the MASK (Section 4.7: always, before
         readback), GCAPTURE the SLR and read ``frames`` (deduped, in
-        FAR order, contiguous ones as one FDRO run); returns the frames
-        read and the batch's result."""
-        program = self.fabric.program(slr)
-        wanted, runs = self._coalesce(slr, frames)
-        result = self.fabric.transact(program.capture_readback(runs))
-        if len(result.read_words) != len(wanted) * FRAME_WORDS:
+        FAR order) as one FDRO read per ``(first frame, count)`` run."""
+        result = self.fabric.transact(
+            self.fabric.program(slr).capture_readback(runs))
+        if len(result.read_words) != len(frames) * FRAME_WORDS:
             raise DebugError(
                 f"short {what}: got {len(result.read_words)} words for "
-                f"{len(wanted)} frames")
-        return wanted, result
+                f"{len(frames)} frames")
+        return result
+
+    def _read(self, slr: int, readback: Readback) -> ReadbackResult:
+        result = self._capture_and_read(
+            slr, readback.frames, readback.runs, "readback")
+        return ReadbackResult(values=readback.parse(result.read_words),
+                              frames_read=len(readback.frames),
+                              seconds=result.seconds)
 
     def read_slr(self, slr: int, frames: list[FrameAddress],
                  prefix: str = "") -> ReadbackResult:
-        """Capture + read the given frames of one SLR over the ring."""
-        wanted, result = self._capture_and_read(slr, frames, "readback")
-        words = result.read_words
-        frame_map = {
-            (slr, address): words[i * FRAME_WORDS:(i + 1) * FRAME_WORDS]
-            for i, address in enumerate(wanted)
-        }
-        values = parse_capture_frames(frame_map, self.db.ll, prefix)
-        return ReadbackResult(values=values, frames_read=len(wanted),
-                              seconds=result.seconds)
+        """Capture + read the given frames of one SLR over the ring (a
+        frame outside the SLR raises :class:`~repro.errors.DeviceError`)."""
+        return self._read(slr, self.db.ll.layout().readback_of(
+            slr, self.fabric.spaces[slr], frames, prefix))
 
     def read_slr_naive(self, slr: int) -> ReadbackResult:
         """Unoptimized: scan the whole SLR."""
@@ -170,6 +150,9 @@ class ReadbackEngine:
     def read_slr_optimized(self, slr: int, prefix: str = "",
                            granularity: str = "column") -> ReadbackResult:
         """SLR-aware: only the frames covering the MUT."""
+        if granularity == "column":
+            return self._read(slr, self.db.ll.layout().readback(
+                prefix, slr, self.fabric.spaces[slr]))
         return self.read_slr(
             slr, self.mut_frames_of_slr(slr, prefix, granularity), prefix)
 
@@ -224,8 +207,9 @@ class ReadbackEngine:
             # Dedupe (a frame shared by several memories is read once)
             # and coalesce contiguous content runs into FDRO bursts,
             # exactly like register readback does.
-            wanted, result = self._capture_and_read(
-                slr, requested, "memory readback")
+            wanted, runs = self.fabric.spaces[slr].coalesce(requested)
+            result = self._capture_and_read(
+                slr, wanted, runs, "memory readback")
             seconds += result.seconds
             frame_words = {
                 address: result.read_words[

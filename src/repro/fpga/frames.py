@@ -13,10 +13,9 @@ state extraction uses (paper Section 3.2).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ..errors import DeviceError
 from .device import BRAM, CLBM, REGION_ROWS, Slr
@@ -51,9 +50,12 @@ _COLUMN_MASK = 0x3FF
 _MINOR_MASK = 0x7F
 
 
-@dataclass(frozen=True, order=True)
-class FrameAddress:
-    """One frame's address (the FAR register payload)."""
+class FrameAddress(NamedTuple):
+    """One frame's address (the FAR register payload).
+
+    A tuple, so hashing, equality and ordering (block, region, column,
+    minor) run in C on every frame-keyed lookup.
+    """
 
     block_type: int
     region: int
@@ -208,6 +210,29 @@ class FrameSpace:
             raise DeviceError(f"frame {address}: minor out of range")
         raise DeviceError(f"frame {address}: not a frame of this SLR")
 
+    def coalesce(self, frames
+                 ) -> tuple[tuple[FrameAddress, ...],
+                            tuple[tuple[FrameAddress, int], ...]]:
+        """``frames`` deduped and in FAR order, and the ``(first frame,
+        count)`` runs of contiguous ones: what one FDRO read per run
+        moves. A frame outside this SLR raises :class:`DeviceError`."""
+        index = self.frame_index
+        try:
+            positions = sorted({index[address] for address in frames})
+        except KeyError:
+            for address in frames:
+                self.validate(address)  # raises for the one that missed
+            raise
+        spans: list[list[int]] = []
+        for position in positions:
+            if spans and position == spans[-1][0] + spans[-1][1]:
+                spans[-1][1] += 1
+            else:
+                spans.append([position, 1])
+        order = self.frame_order
+        return (tuple(order[position] for position in positions),
+                tuple((order[start], count) for start, count in spans))
+
     # -- FF capture bit mapping -------------------------------------------
 
     def ff_location(self, column: int, row: int,
@@ -234,12 +259,13 @@ class ConfigMemory:
 
     Unwritten frames read as zeros; the dense frame count of a real SLR
     (tens of thousands) would waste memory for the small configured
-    designs the tests run.
+    designs the tests run. Each written frame is stored as one
+    ``array("I")``: 32-bit words, copied and read back by memcpy.
     """
 
     def __init__(self, space: FrameSpace):
         self.space = space
-        self._frames: dict[FrameAddress, list[int]] = {}
+        self._frames: dict[FrameAddress, array] = {}
         #: Frames written since the last configuration START — the set
         #: whose flip-flops a post-reconfiguration GSR initializes.
         self.dirty: set[FrameAddress] = set()
@@ -249,16 +275,18 @@ class ConfigMemory:
         frame = self._frames.get(address)
         return list(frame) if frame else [0] * FRAME_WORDS
 
-    def write_frame(self, address: FrameAddress, words: list[int]) -> None:
+    def write_frame(self, address: FrameAddress,
+                    words: Sequence[int]) -> None:
+        """Store ``words`` (93 of them) as the frame; a word outside 32
+        bits is stored masked to its low 32."""
         self.space.validate(address)
         if len(words) != FRAME_WORDS:
             raise DeviceError(
                 f"frame write needs {FRAME_WORDS} words, got {len(words)}")
         try:
-            array("I", words)  # raises if a word is outside 32 bits
-            stored = list(words)
+            stored = array("I", words)
         except OverflowError:
-            stored = [w & 0xFFFF_FFFF for w in words]
+            stored = array("I", [w & 0xFFFF_FFFF for w in words])
         self._frames[address] = stored
         self.dirty.add(address)
 
@@ -279,16 +307,16 @@ class ConfigMemory:
     # frame addresses once, when it is built; these skip the per-call
     # check and copy of read_frame/write_frame.
 
-    def stored(self, address: FrameAddress) -> Optional[list[int]]:
+    def stored(self, address: FrameAddress) -> Optional[array]:
         """A frame's stored words (not a copy; do not mutate), or None
         if it was never written."""
         return self._frames.get(address)
 
-    def capture_frame(self, address: FrameAddress) -> list[int]:
+    def capture_frame(self, address: FrameAddress) -> array:
         """A frame's stored words for GCAPTURE to overwrite in place; a
         frame never written is created as zeros. Capture does not mark
         the frame dirty: it is state traffic, not reconfiguration."""
         frame = self._frames.get(address)
         if frame is None:
-            frame = self._frames[address] = [0] * FRAME_WORDS
+            frame = self._frames[address] = array("I", ZERO_FRAME)
         return frame

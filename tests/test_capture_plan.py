@@ -11,10 +11,13 @@ clock regions.
 """
 
 import random
+from array import array
 
 import pytest
 
 from repro.bitstream import BitstreamAssembler
+from repro.bitstream.packets import write_headers
+from repro.bitstream.words import CMD_VALUES, REGISTERS, SYNC
 from repro.campaign.designs import (
     DESIGN_NAMES,
     CampaignDesign,
@@ -368,6 +371,68 @@ class TestAgainstPerBitOracle:
             assert stored(fabric.config[slr]) == expected, regions
 
     @pytest.mark.parametrize("design,slr", PAIRS)
+    def test_capture_right_after_force_many(self, design, slr):
+        # GCAPTURE reads registers and memory output latches straight
+        # from the simulator: a capture issued right after force_many,
+        # with no peek (so no settle) in between, packs forced values.
+        fabric, _ = session(design)
+        rng = random.Random(f"capture_forced:{design}:{slr}")
+        widths = _widths(fabric.db.netlist)
+        for regions in masks(fabric, slr):
+            scramble(fabric, slr, rng)
+            values = {name: rng.getrandbits(widths[name])
+                      for name in fabric.db.ll.by_register()}
+            expected = stored(fabric.config[slr])
+            oracle_capture(fabric.db, slr, expected, values,
+                           memories(fabric), regions)
+            fabric.sim.force_many(values)
+            fabric.capture(slr, regions)
+            assert stored(fabric.config[slr]) == expected, regions
+
+    @pytest.mark.parametrize("design,slr", MEMORY_PAIRS)
+    def test_content_frames_stay_machine_words(self, design, slr):
+        # Stored frames are array("I"): capture must assign arrays into
+        # them (a tuple slice assignment raises TypeError).
+        fabric, _ = session(design)
+        rng = random.Random(f"content_words:{design}:{slr}")
+        randomize_state(fabric, rng)
+        scramble(fabric, slr, rng)
+        fabric.capture(slr, None)
+        config = fabric.config[slr]
+        for image in capture_plan(fabric.db, slr).memories.values():
+            for address, packed in zip(image.frames, image.pack(
+                    fabric.sim.memories[image.name])):
+                assert isinstance(packed, array) and packed.typecode == "I"
+                frame = config.stored(address)
+                assert isinstance(frame, array) and frame.typecode == "I"
+                assert len(frame) == FRAME_WORDS
+
+    @pytest.mark.parametrize("design,slr", PAIRS)
+    def test_fdri_words_outside_32_bits_are_stored_masked(self, design,
+                                                          slr):
+        fabric, _ = session(design)
+        rng = random.Random(f"fdri_masked:{design}:{slr}")
+        randomize_state(fabric, rng)
+        address = plan_frames(fabric, slr)[0]  # a capture frame
+        assert address.block_type == BLOCK_MAIN
+        words = [rng.choice((-1 - rng.getrandbits(32),
+                             rng.getrandbits(40) | 1 << 39,
+                             rng.getrandbits(32)))
+                 for _ in range(FRAME_WORDS)]
+        hops = BitstreamAssembler(fabric.device).hop_to_slr(slr).words
+        fabric.jtag.run([
+            SYNC, *hops, *write_headers(REGISTERS["CMD"], 1),
+            CMD_VALUES["WCFG"], *write_headers(REGISTERS["FAR"], 1),
+            address.to_word(), *write_headers(REGISTERS["FDRI"],
+                                              FRAME_WORDS), *words])
+        assert fabric.config[slr].read_frame(address) \
+            == [word & 0xFFFF_FFFF for word in words]
+        expected = oracle_restore(fabric.db, slr, stored(fabric.config[slr]),
+                                  state_values(fabric), {address.region})
+        fabric.restore(slr, {address.region})
+        assert state_values(fabric) == expected
+
+    @pytest.mark.parametrize("design,slr", PAIRS)
     def test_restore(self, design, slr):
         fabric, _ = session(design)
         rng = random.Random(f"restore:{design}:{slr}")
@@ -425,6 +490,52 @@ class TestAgainstPerBitOracle:
             for prefix in prefixes:
                 assert parse_capture_frames(frames, ll, prefix) \
                     == oracle_parse(frames, ll, prefix), prefix
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_read_slr_parses_only_register_frames(self, design):
+        # Readback slices and parses only the read frames that hold
+        # register bits; the values must be the oracle's over every
+        # frame read, for every prefix and for frame sets that hold some
+        # registers only in part.
+        fabric, debugger = session(design)
+        rng = random.Random(f"read_slr:{design}")
+        ll = fabric.db.ll
+        layout = ll.layout()
+        prefixes = ["", *sorted({name.split(".")[0]
+                                 for name in ll.by_register()}),
+                    "no_such_register"]
+        for slr in sorted(ll.slrs_used()):
+            space = fabric.spaces[slr]
+            held = sorted({entry.frame for entry in ll.entries
+                           if entry.slr == slr})
+            frame_sets = [
+                layout.readback_frames("", slr, space),
+                rng.sample(held, max(1, len(held) // 2))
+                + rng.sample(space.frame_order, 5),
+            ]
+            for frames in frame_sets:
+                for prefix in prefixes:
+                    randomize_state(fabric, rng)
+                    result = debugger.engine.read_slr(slr, list(frames),
+                                                      prefix)
+                    read = {(slr, address):
+                            fabric.config[slr].read_frame(address)
+                            for address in set(frames)}
+                    assert result.frames_read == len(read)
+                    assert result.values \
+                        == oracle_parse(read, ll, prefix), prefix
+                    assert list(result.values) == [
+                        name for name in ll.by_register()
+                        if name in result.values]
+
+    def test_a_prefix_that_matches_no_register(self):
+        fabric, debugger = session("counters")
+        batches = fabric.jtag.batches
+        snapshot = debugger.read_state(prefix="no_such_register")
+        assert snapshot.values == {} and snapshot.memories == {}
+        assert fabric.jtag.batches == batches
+        assert fabric.db.ll.layout().readback_frames(
+            "no_such_register", 0, fabric.spaces[0]) == ()
 
     @pytest.mark.parametrize("design", MEMORY_DESIGNS)
     def test_read_memories(self, design):

@@ -322,6 +322,40 @@ class TestStateTraffic:
         assert fabric.run(0) == 0
 
 
+class TestFrameAddressTuple:
+    """A frame address is a tuple of its four fields: it hashes,
+    compares and sorts in C, in (block, region, column, minor) order."""
+
+    def test_hash_and_equality_are_the_fields(self):
+        address = FrameAddress(block_type=1, region=2, column=3, minor=4)
+        assert address == FrameAddress(1, 2, 3, 4)
+        assert hash(address) == hash(FrameAddress(1, 2, 3, 4)) \
+            == hash((1, 2, 3, 4))
+        assert address != FrameAddress(1, 2, 3, 5)
+        assert {address: "capture"}[FrameAddress(1, 2, 3, 4)] == "capture"
+        with pytest.raises(AttributeError):
+            address.minor = 5
+
+    def test_sort_order_is_block_region_column_minor(self):
+        addresses = [FrameAddress(1, 0, 0, 0), FrameAddress(0, 1, 0, 0),
+                     FrameAddress(0, 0, 1, 0), FrameAddress(0, 0, 0, 1),
+                     FrameAddress(0, 0, 0, 0)]
+        assert sorted(addresses) == [
+            FrameAddress(0, 0, 0, 0), FrameAddress(0, 0, 0, 1),
+            FrameAddress(0, 0, 1, 0), FrameAddress(0, 1, 0, 0),
+            FrameAddress(1, 0, 0, 0)]
+        # FAR order is tuple order.
+        space = FabricDevice(make_test_device()).spaces[0]
+        assert sorted(space.frame_order) == list(space.frame_order)
+
+    def test_repr_and_str(self):
+        address = FrameAddress(BLOCK_MAIN, 1, 2, 3)
+        assert repr(address) \
+            == "FrameAddress(block_type=0, region=1, column=2, minor=3)"
+        assert str(address) == "main/R1/C2/M3"
+        assert FrameAddress.from_word(address.to_word()) == address
+
+
 class TestFarDecoding:
     """A FAR write decodes through the SLR geometry's FAR-word table;
     words the table lacks take the field decode, as before."""
@@ -354,7 +388,7 @@ class TestFarDecoding:
         for word in (start, stray):
             words = fabric.jtag.run(
                 self.fdro_stream(fabric.device, word, 2)).read_words
-            assert words == [2] * FRAME_WORDS + [3] * FRAME_WORDS
+            assert list(words) == [2] * FRAME_WORDS + [3] * FRAME_WORDS
             assert fabric.mcs[0].far == order[3]
 
     def test_an_invalid_far_keeps_raising_device_errors(self):

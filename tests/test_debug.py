@@ -14,8 +14,13 @@ from repro.debug import (
     make_debug_controller,
 )
 from repro.designs import make_cohort_soc, make_pipeline
-from repro.errors import BreakpointError, DebugError, NotPausedError
-from repro.fpga import make_test_device
+from repro.errors import (
+    BreakpointError,
+    DebugError,
+    DeviceError,
+    NotPausedError,
+)
+from repro.fpga import FrameAddress, make_test_device
 from repro.rtl import ModuleBuilder, Simulator, elaborate, mux
 from repro.vendor import VivadoFlow
 
@@ -234,6 +239,20 @@ class TestReadbackEngine:
         values = engine.read_registers().values
         for name in ("lsu.issued_count", "mmu.tlb_sel_r", "datapath.acc"):
             assert values[name] == fabric.sim.peek(name)
+
+    def test_a_frame_outside_the_slr_raises_a_device_error(self,
+                                                          debug_setup):
+        # Readback checks its frames through FrameSpace.validate, as
+        # every frame-taking API does, before sending a batch.
+        fabric, _dbg, _ = debug_setup
+        engine = ReadbackEngine(fabric)
+        batches = fabric.jtag.batches
+        for frames in ([FrameAddress(0, 0, 999, 0)],
+                       [*engine.mut_frames_of_slr(0),
+                        FrameAddress(0, 0, 0, -1)]):
+            with pytest.raises(DeviceError, match="frame"):
+                engine.read_slr(0, frames)
+        assert fabric.jtag.batches == batches
 
     def test_estimate_matches_executed_time_shape(self, debug_setup):
         fabric, dbg, _ = debug_setup

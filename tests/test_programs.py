@@ -8,6 +8,8 @@ program runs on two identically booted fabrics, one per side, and the
 ring must charge the same modeled seconds and return the same words.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -181,3 +183,100 @@ def test_heads_are_built_once_per_fabric_slr():
     for slr in (-1, 3):
         with pytest.raises(BitstreamError):
             fabric.program(slr)
+
+
+# --------------------------------------------------------------------------
+# the pinned end-to-end drive
+# --------------------------------------------------------------------------
+
+#: sha256 over every batch one fixed drive sends (its words' sha256,
+#: word count, ``repr`` of its modeled seconds and its read CRC) and
+#: the final 2-SLR register and memory state. A change to the bitstream
+#: codec, the debugger's programs, the ring, the microcontrollers or the
+#: capture plan must leave every batch word for word as it was; a
+#: change that means to move a batch updates this digest and says why.
+PROGRAMS_DIGEST = (
+    "5fb41f57fdd4dc858d6d000f7abc08ab5b91c91c39cbda0a6cc7abd5d2763826")
+
+
+def drive_programs(monkeypatch) -> tuple[int, str]:
+    """The ``cohort_session`` verb list (two rounds, seed 1) on the
+    Cohort SoC, then ``read_state``/``restore``/``write_state`` on the
+    2-SLR ``manycore``, whose ``core1`` sits on SLR 1 so secondary-SLR
+    hop groups and content frames appear. Returns the batch count and
+    the digest."""
+    from repro import Zoomie, ZoomieProject
+    from repro.campaign.designs import (
+        campaign_design,
+        compile_design,
+        launch_session,
+    )
+    from repro.chaos.campaign import CLOCKS_MHZ
+    from repro.config.jtag import JtagRing
+    from repro.designs import make_cohort_soc
+
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+    record = []
+    original = JtagRing.run
+
+    def spy(self, words):
+        result = original(self, words)
+        record.append([digest(list(words)), len(words),
+                       repr(result.seconds), result.read_crc])
+        return result
+    monkeypatch.setattr(JtagRing, "run", spy)
+
+    session = Zoomie(ZoomieProject(
+        design=make_cohort_soc(with_bug=True), device="TEST2",
+        clocks={"clk": 100.0}, watch=["results", "issued"])).launch()
+    dbg = session.debugger
+    session.poke_input("en", 1)
+    fix = {"lsu.store_pending": 0, "mmu.responding": 0, "mmu.busy": 0}
+    rng = random.Random("cohort_session:1")
+    for _ in range(2):
+        dbg.run(rng.randint(20, 60))
+        dbg.pause()
+        dbg.read_state()
+        dbg.read_state(prefix="mmu")
+        dbg.step(rng.randint(1, 8))
+        snap = dbg.snapshot()
+        dbg.write_state(fix)
+        dbg.step(rng.randint(1, 8))
+        dbg.restore(snap)
+        assert dbg.read_state().values == snap.values
+        dbg.write_state(fix)
+        dbg.resume()
+        dbg.trace_capture(
+            ("results", "issued", "lsu.store_pending", "mmu.busy"), 256)
+        dbg.pause()
+        issued = dbg.read("lsu.issued_count")
+        dbg.write_state(fix)
+        dbg.set_value_breakpoint(
+            {"issued": (issued + rng.randint(1, 2)) & 0xFFFF})
+        dbg.resume(clear_triggers=False)
+        dbg.run(400)
+        dbg.read("lsu.issued_count")
+        dbg.clear_breakpoints()
+        dbg.resume()
+
+    fabric, dbg = launch_session(
+        compile_design(campaign_design("manycore"), CLOCKS_MHZ))
+    dbg.run(40)
+    dbg.pause()
+    snap = dbg.read_state()
+    dbg.step(5)
+    dbg.restore(snap)
+    names = sorted(snap.values)
+    dbg.write_state({names[0]: 1, names[-1]: 0, names[len(names) // 2]: 3})
+    after = dbg.read_state()
+    state = [digest(sorted(part.items()))
+             for part in (after.values, after.memories)]
+    return len(record), digest({"batches": record, "manycore_state": state})
+
+
+def test_the_drive_sends_the_pinned_batches(monkeypatch):
+    count, digest = drive_programs(monkeypatch)
+    assert count == 89
+    assert digest == PROGRAMS_DIGEST
